@@ -33,7 +33,7 @@ print(f"N = {N}, chi = {chi}")
 print(f"{'k':>3} {'qfi (numerical)':>18} {'qfi (closed form)':>18} {'qcrb':>10}")
 for k in range(N + 1):
     family = PhasedFamily(NoonLikeSpec(N, k), chi=chi, eta=1.0)
-    numerical = family.qfi(0.0).qfi
+    numerical = family.qfi().qfi
     analytic = qfi_pure_analytic(N, k, chi)
     bound = qcrb(numerical) if numerical > 0 else float("inf")
     print(f"{k:>3} {numerical:>18.10f} {analytic:>18.10f} {bound:>10.5f}")

@@ -46,7 +46,7 @@ for n in (3, 5, 7, 9):
     a = (n * n + 2 * n - 1) / 2
     c1 = (n + 1) / 2
     print(f"{n:>3} {scan.min_delta_phi:>14.6f} {math.sqrt(a) / c1:>12.6f} "
-          f"{qcrb(family.qfi(0.0).qfi):>8.4f}")
+          f"{qcrb(family.qfi().qfi):>8.4f}")
 
 # ----------------------------------------------------------------------
 # N-photon coincidence on the k = 0 probe saturates the bound.
@@ -56,7 +56,7 @@ for n in (2, 4, 6):
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
     scan = min_delta_phi(family, measurement_mm(n, family.basis))
     print(f"  N = {n}: min delta_phi = {scan.min_delta_phi:.9f}, "
-          f"qcrb = {qcrb(family.qfi(0.0).qfi):.9f}")
+          f"qcrb = {qcrb(family.qfi().qfi):.9f}")
 
 # ----------------------------------------------------------------------
 # Under 10% loss the same readout of loss-optimized inputs saturates:

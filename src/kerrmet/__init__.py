@@ -23,7 +23,6 @@ from .estimation import (
     qcrb,
     qfi,
     qfi_pure_analytic,
-    rho_prime,
     sld,
 )
 from .fock import (
@@ -35,12 +34,10 @@ from .fock import (
     PureState,
     TruncationError,
     TwoModeBasis,
-    TwoModeIndex,
     block_split,
     eigh,
     expectation,
     falling_factorial,
-    flat_index,
     lowering_power,
 )
 from .interferometer import (
@@ -51,16 +48,12 @@ from .interferometer import (
     beam_splitter,
     g_tilde,
     generator_h,
-    noon_like,
     superposition_state,
 )
 from .loss import (
     LossParams,
-    LossyStateParams,
     apply_loss,
     kraus_element,
-    lossy_noon,
-    lossy_superposition,
 )
 from .optimizer import (
     OptimizationOutcome,

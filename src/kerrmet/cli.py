@@ -22,7 +22,10 @@ import argparse
 import csv
 import hashlib
 import json
+import math
+import os
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
@@ -40,7 +43,7 @@ from .estimation import (
     qfi_pure_analytic,
 )
 from .fock import NumericalError
-from .interferometer import NoonLikeSpec, SuperpositionSpec
+from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha, qfi_objective
 
 ALGO_VERSION = 1
@@ -63,6 +66,11 @@ _DEFAULT_ETAS = {
     "readout-scan": (0.9, 1.0),
     "single": (1.0,),
 }
+
+
+# config-file fields that must hold numbers; flags are typed by argparse
+_SCALAR_FIELDS = {"chi": float, "phi": float, "k": int, "m": int,
+                  "grid_points": int, "seed": int, "max_n": int}
 
 
 class ConfigError(ValueError):
@@ -97,14 +105,31 @@ class ExperimentConfig:
             raise ConfigError("empty eta list")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_list):
             raise ConfigError("eta values must lie in [0, 1]")
-        if self.chi < 0:
-            raise ConfigError("chi must be non-negative")
+        if not 0.0 <= self.chi < math.inf:
+            raise ConfigError("chi must be finite and non-negative")
+        if not math.isfinite(self.phi):
+            raise ConfigError("phi must be finite")
         if self.grid_points < 1:
             raise ConfigError("grid_points must be >= 1")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.command == "single" and self.k is None and self.alpha is None:
             raise ConfigError("single needs a fully specified input: --k or alpha")
+        if self.m is not None and self.m < 1:
+            raise ConfigError("m must be >= 1")
+        # the input is chosen per N by k, else alpha, else the optimizer
+        uses_k = self.command in ("pure-qfi", "readout-scan", "single")
+        uses_alpha = self.command in ("readout-scan", "single") and self.k is None
+        for n in self.n_range:
+            if uses_k and self.k is not None and not 0 <= self.k <= n:
+                raise ConfigError(f"k={self.k} outside [0, {n}]")
+            if (uses_alpha and self.alpha is not None
+                    and len(self.alpha) != superposition_length(n)):
+                raise ConfigError(f"alpha must have {superposition_length(n)} "
+                                  f"entries for N={n}, got {len(self.alpha)}")
+        if uses_alpha and self.alpha is not None and (
+                not any(self.alpha) or not all(map(math.isfinite, self.alpha))):
+            raise ConfigError("alpha must be finite and not all zero")
 
     def echo(self) -> dict:
         # destinations are not part of the experiment: dropping them keeps
@@ -165,7 +190,9 @@ class OptimizeCache:
     """One JSON document per optimization, keyed by a content digest.
 
     A cache hit is re-validated with one objective evaluation; entries
-    that no longer reproduce their stored value are recomputed.
+    that are unreadable, malformed or no longer reproduce their stored
+    value are recomputed.  An entry is written to a temporary file and
+    renamed into place, so an interrupted run never leaves a partial one.
     """
 
     def __init__(self, directory: str | Path | None):
@@ -175,7 +202,7 @@ class OptimizeCache:
 
     def _path(self, problem: OptimizationProblem) -> Path:
         payload = {"N": problem.N, "eta": problem.eta, "chi": problem.chi,
-                   "phi": problem.phi_eval, "seed": problem.seed,
+                   "seed": problem.seed,
                    "restarts": problem.restarts, "max_evals": problem.max_evals,
                    "tol": problem.tol, "algo": ALGO_VERSION}
         digest = hashlib.sha256(
@@ -185,17 +212,17 @@ class OptimizeCache:
     def load(self, problem: OptimizationProblem) -> OptimizationOutcome | None:
         if self.directory is None:
             return None
-        path = self._path(problem)
-        if not path.exists():
+        try:
+            data = json.loads(self._path(problem).read_text())
+            outcome = OptimizationOutcome(
+                alpha_star=tuple(float(a) for a in data["alpha_star"]),
+                qfi_star=float(data["qfi_star"]),
+                evaluations=int(data["evaluations"]),
+                converged=bool(data["converged"]),
+                per_restart=[(int(s), float(v)) for s, v in data["per_restart"]])
+            check = qfi_objective(np.asarray(outcome.alpha_star), problem)
+        except (OSError, ValueError, KeyError, TypeError):
             return None
-        data = json.loads(path.read_text())
-        outcome = OptimizationOutcome(
-            alpha_star=tuple(data["alpha_star"]),
-            qfi_star=float(data["qfi_star"]),
-            evaluations=int(data["evaluations"]),
-            converged=bool(data["converged"]),
-            per_restart=[(int(s), float(v)) for s, v in data["per_restart"]])
-        check = qfi_objective(np.asarray(outcome.alpha_star), problem)
         if abs(check - outcome.qfi_star) > 1e-9 * max(1.0, abs(outcome.qfi_star)):
             return None
         return outcome
@@ -208,7 +235,15 @@ class OptimizeCache:
                    "evaluations": outcome.evaluations,
                    "converged": outcome.converged,
                    "per_restart": [[s, v] for s, v in outcome.per_restart]}
-        self._path(problem).write_text(json.dumps(payload, sort_keys=True))
+        path = self._path(problem)
+        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as stream:
+                stream.write(json.dumps(payload, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     def get_or_run(self, problem: OptimizationProblem) -> tuple[OptimizationOutcome, bool]:
         cached = self.load(problem)
@@ -223,11 +258,9 @@ def run_pure_qfi(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     for n in config.n_range:
         ks = [config.k] if config.k is not None else range(n + 1)
         for k in ks:
-            if not 0 <= k <= n:
-                raise ConfigError(f"k={k} outside [0, {n}]")
             t0 = time.perf_counter()
             numerical = PhasedFamily(NoonLikeSpec(n, k), chi=config.chi,
-                                     eta=1.0).qfi(config.phi).qfi
+                                     eta=1.0).qfi().qfi
             analytic = qfi_pure_analytic(n, k, config.chi)
             if abs(numerical - analytic) > 1e-9 * max(1.0, analytic):
                 raise NumericalError(
@@ -256,7 +289,7 @@ def run_qfi_scan(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
         per_eta = []
         for n in config.n_range:
             t0 = time.perf_counter()
-            k_star, qfi_star = max_qfi_over_k(n, eta, config.chi, config.phi)
+            k_star, qfi_star = max_qfi_over_k(n, eta, config.chi)
             per_eta.append((n, qfi_star))
             records.append(ResultRecord(
                 command=config.command, N=n, k_or_alpha_digest=f"k={k_star}",
@@ -275,7 +308,7 @@ def run_optimize_scan(config: ExperimentConfig, records: list[ResultRecord]) -> 
         for n in config.n_range:
             t0 = time.perf_counter()
             problem = OptimizationProblem(N=n, eta=eta, chi=config.chi,
-                                          phi_eval=config.phi, seed=config.seed)
+                                          seed=config.seed)
             outcome, from_cache = cache.get_or_run(problem)
             records.append(ResultRecord(
                 command=config.command, N=n,
@@ -295,14 +328,11 @@ def run_optimize_scan(config: ExperimentConfig, records: list[ResultRecord]) -> 
 def _readout_input(config: ExperimentConfig, n: int, eta: float,
                    cache: OptimizeCache):
     if config.k is not None:
-        if not 0 <= config.k <= n:
-            raise ConfigError(f"k={config.k} outside [0, {n}]")
         return NoonLikeSpec(n, config.k), f"k={config.k}"
     if config.alpha is not None:
         spec = SuperpositionSpec.normalized(n, config.alpha)
         return spec, _alpha_digest(spec.alpha)
-    problem = OptimizationProblem(N=n, eta=eta, chi=config.chi,
-                                  phi_eval=config.phi, seed=config.seed)
+    problem = OptimizationProblem(N=n, eta=eta, chi=config.chi, seed=config.seed)
     outcome, _ = cache.get_or_run(problem)
     return (SuperpositionSpec(n, outcome.alpha_star),
             _alpha_digest(outcome.alpha_star))
@@ -318,7 +348,7 @@ def run_readout_scan(config: ExperimentConfig, records: list[ResultRecord]) -> d
             m = config.m if config.m is not None else n
             family = PhasedFamily(spec, chi=config.chi, eta=eta)
             obs = measurement_mm(m, family.basis)
-            qfi_value = family.qfi(config.phi).qfi
+            qfi_value = family.qfi().qfi
             extras = {"m": m, "inv_delta_phi": np.nan, "inv_delta_x": np.nan,
                       "status": "ok"}
             try:
@@ -349,7 +379,7 @@ def run_single(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     m = config.m if config.m is not None else n
     family = PhasedFamily(spec, chi=config.chi, eta=eta)
     obs = measurement_mm(m, family.basis)
-    qfi_value = family.qfi(config.phi).qfi
+    qfi_value = family.qfi().qfi
     mean, variance = moments(family.rho(config.phi), obs)
     extras = {"m": m, "mean": mean, "variance": variance,
               "delta_phi_at_phi": np.nan, "status": "ok"}
@@ -458,6 +488,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_scalar_types(values: dict) -> None:
+    for name, kind in _SCALAR_FIELDS.items():
+        value = values.get(name)
+        if value is None:
+            continue
+        ok = isinstance(value, int) if kind is int else isinstance(value, (int, float))
+        if isinstance(value, bool) or not ok:
+            raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                              f"got {value!r}")
+
+
 def build_config(argv=None) -> ExperimentConfig:
     args = build_parser().parse_args(argv)
     values: dict = {}
@@ -466,9 +507,12 @@ def build_config(argv=None) -> ExperimentConfig:
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
         try:
-            values.update(json.loads(path.read_text()))
+            loaded = json.loads(path.read_text())
         except json.JSONDecodeError as err:
             raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} must hold a JSON object")
+        values.update(loaded)
     overrides = {
         "command": args.command,
         "n_range": args.n_range,
@@ -485,31 +529,36 @@ def build_config(argv=None) -> ExperimentConfig:
         "max_n": args.max_n,
     }
     values.update({key: val for key, val in overrides.items() if val is not None})
+    known = {f for f in ExperimentConfig.__dataclass_fields__}
+    unknown = set(values) - known
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     command = values.get("command")
     if command is None:
         raise ConfigError("no command given (flag --command or config file)")
+    if command not in COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    _check_scalar_types(values)
     if isinstance(values.get("n_range"), str):
         values["n_range"] = parse_n_range(values["n_range"])
     if isinstance(values.get("eta_list"), str):
         values["eta_list"] = parse_eta_list(values["eta_list"])
     if values.get("n_range") is None:
-        start, stop, step = _DEFAULT_RANGES[command] if command in _DEFAULT_RANGES \
-            else (1, 1, 1)
+        start, stop, step = _DEFAULT_RANGES[command]
         values["n_range"] = tuple(range(start, stop + 1, step))
-    if values.get("max_n") is not None:
+    if values.get("eta_list") is None:
+        values["eta_list"] = _DEFAULT_ETAS[command]
+    try:
+        values["n_range"] = tuple(int(n) for n in values["n_range"])
+        values["eta_list"] = tuple(float(e) for e in values["eta_list"])
+        if values.get("alpha") is not None:
+            values["alpha"] = tuple(float(a) for a in values["alpha"])
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"n_range, eta_list and alpha must be lists of numbers: {err}") from err
+    if values.get("max_n") is not None and values["n_range"]:
         ns = values["n_range"]
         step = ns[1] - ns[0] if len(ns) > 1 else 1
         values["n_range"] = tuple(range(min(ns), values["max_n"] + 1, step))
-    if values.get("eta_list") is None:
-        values["eta_list"] = _DEFAULT_ETAS.get(command, (1.0,))
-    values["n_range"] = tuple(int(n) for n in values["n_range"])
-    values["eta_list"] = tuple(float(e) for e in values["eta_list"])
-    if values.get("alpha") is not None:
-        values["alpha"] = tuple(float(a) for a in values["alpha"])
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return ExperimentConfig(**values)
 
 

@@ -32,13 +32,8 @@ from .fock import (
     expectation,
     lowering_power,
 )
-from .interferometer import (
-    NoonLikeSpec,
-    SuperpositionSpec,
-    branch_amplitudes,
-    phase_rate,
-)
-from .loss import lossy_state_blocks, survival_table
+from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
+from .loss import cross_lossy_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -217,110 +212,94 @@ def moments(rho, obs: HermitianOperator) -> tuple[float, float]:
     return mean, variance
 
 
+def generator_blocks(N: int, chi: float) -> list[np.ndarray]:
+    """Per-T diagonals g = (1 + chi N/2)(n2 - n1)/2 of the phase generator
+    on the lossy image of an N-photon input, for T = 0..N.
+
+    On the N-photon shell the Kerr generator (g(n2) - g(n1))/2 with
+    g(n) = n + (chi/2) n^2 equals (1 + chi N/2)(n2 - n1)/2, a product of
+    single-mode phase rotations, which loss commutes with; so the input's
+    N sets the rate on every block, not the block's own T.
+    """
+    theta = 1.0 + 0.5 * chi * N
+    return [0.5 * theta * (t - 2.0 * np.arange(t + 1)) for t in range(N + 1)]
+
+
+def derivative_factors(g: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-block factors i(g_r - g_c), so that rho' = i[G, rho] is the
+    elementwise product factor * rho and rho(phi) = exp(phi factor) * rho_0."""
+    return [1j * (d[:, None] - d[None, :]) for d in g]
+
+
 class PhasedFamily:
     """phi-parameterized lossy output family of one fixed-N input.
 
-    rho(phi) is the photon-loss channel applied to the phase-evolved
-    input; rho'(phi) is available analytically (term-by-term derivative of
-    the branch phase factors) or by Richardson-extrapolated central
-    differences with step ``fd_step``.
+    Loss commutes with the Kerr phase, so rho(phi) = V rho_0 V^dag with
+    V = exp(i phi G): the family holds only the phi = 0 lossy state rho_0
+    as total-photon-number blocks and the generator diagonal g.  rho(phi)
+    is a blockwise phase rotation, rho'(phi) = i[G, rho(phi)], and the
+    Fisher information does not depend on phi.
     """
 
-    def __init__(self, input_spec, chi: float = 0.0, eta: float = 1.0,
-                 derivative: str = "analytic", fd_step: float = 1e-3,
-                 basis: TwoModeBasis | None = None):
-        if not isinstance(input_spec, (NoonLikeSpec, SuperpositionSpec)):
+    def __init__(self, input_spec: SuperpositionSpec, chi: float = 0.0,
+                 eta: float = 1.0, basis: TwoModeBasis | None = None):
+        if not isinstance(input_spec, SuperpositionSpec):
             raise TypeError(f"unsupported input spec {type(input_spec).__name__}")
         if not 0.0 <= eta <= 1.0:
             raise ValueError(f"eta={eta} outside [0, 1]")
         if chi < 0:
             raise ValueError("chi must be non-negative")
-        if derivative not in ("analytic", "fd"):
-            raise ValueError("derivative mode must be 'analytic' or 'fd'")
-        if fd_step <= 0:
-            raise ValueError("fd_step must be positive")
         self.input_spec = input_spec
         self.chi = float(chi)
         self.eta = float(eta)
-        self.derivative = derivative
-        self.fd_step = float(fd_step)
-        self.basis = basis if basis is not None else TwoModeBasis(input_spec.N)
-        if self.basis.n_total_max < input_spec.N:
+        N = input_spec.N
+        self.basis = basis if basis is not None else TwoModeBasis(N)
+        if self.basis.n_total_max < N:
             raise ValueError("basis truncation below the input photon number")
-
-    def rho_blocks(self, phi: float):
-        return lossy_state_blocks(self.input_spec, self.eta, phi, self.chi)
-
-    def rho_and_prime_blocks(self, phi: float):
-        return lossy_state_blocks(self.input_spec, self.eta, phi, self.chi,
-                                  with_derivative=True)
-
-    def rho(self, phi: float) -> DensityOperator:
-        matrix = assemble_blocks(self.basis, self.rho_blocks(phi))
-        return DensityOperator(self.basis, 0.5 * (matrix + matrix.conj().T))
-
-    def rho_prime(self, phi: float) -> HermitianOperator:
-        if self.derivative == "analytic":
-            _, dblocks = self.rho_and_prime_blocks(phi)
-            matrix = assemble_blocks(self.basis, dblocks)
-        else:
-            matrix = self._finite_difference(phi)
-        matrix = 0.5 * (matrix + matrix.conj().T)
-        trace = abs(matrix.trace())
-        if trace > 1e-10:
-            raise NumericalError(f"phase derivative has trace {trace:.3e}")
-        return HermitianOperator(self.basis, matrix)
-
-    def _finite_difference(self, phi: float) -> np.ndarray:
-        h = self.fd_step
-        if h < 100 * np.finfo(float).eps * max(1.0, abs(phi)):
-            raise NumericalError(f"finite-difference step {h:.3e} too small; "
-                                 "cancellation would dominate")
-        def at(x):
-            return assemble_blocks(self.basis, self.rho_blocks(x))
-        coarse = (at(phi + h) - at(phi - h)) / (2 * h)
-        fine = (at(phi + h / 2) - at(phi - h / 2)) / h
-        return (4.0 * fine - coarse) / 3.0
-
-    def qfi(self, phi: float = 0.0) -> QfiResult:
-        blocks, dblocks = self.rho_and_prime_blocks(phi)
-        trace = sum(b.trace().real for _, b in blocks)
+        branches = branch_amplitudes(N, input_spec.alpha)
+        self.rho0 = [0.5 * (b + b.conj().T)
+                     for _, b in cross_lossy_blocks(branches, branches, N, self.eta)]
+        trace = sum(b.trace().real for b in self.rho0)
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"family state trace {trace!r} deviates from 1")
-        pairs = [(0.5 * (rb + rb.conj().T), 0.5 * (db + db.conj().T))
-                 for (_, rb), (_, db) in zip(blocks, dblocks)]
-        return _qfi_from_block_pairs(pairs)
+        self.g = generator_blocks(N, self.chi)
+
+    def rho_blocks(self, phi: float) -> list[np.ndarray]:
+        return [b * np.exp(phi * f)
+                for b, f in zip(self.rho0, derivative_factors(self.g))]
+
+    def rho(self, phi: float) -> DensityOperator:
+        return DensityOperator(self.basis, assemble_blocks(
+            self.basis, enumerate(self.rho_blocks(phi))))
+
+    def rho_prime(self, phi: float) -> HermitianOperator:
+        blocks = zip(self.rho_blocks(phi), derivative_factors(self.g))
+        return HermitianOperator(self.basis, assemble_blocks(
+            self.basis, ((t, f * b) for t, (b, f) in enumerate(blocks))))
+
+    def qfi(self) -> QfiResult:
+        return _qfi_from_block_pairs(
+            [(b, f * b) for b, f in zip(self.rho0, derivative_factors(self.g))])
 
     def moment_profile(self, obs: HermitianOperator) -> "MomentProfile":
-        """Exact scan machinery: phase-frequency decomposition of <O>(phi)
-        and <O^2>(phi) over branch pairs of the closed-form channel output."""
+        """Exact scan machinery: <O>(phi) = Re sum_j w_j e^{i phi theta j}
+        with theta = 1 + chi N/2 and w_j = sum_T sum_{c-r=j} rho_0[r, c] O[c, r],
+        and likewise for <O^2>."""
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
-        spec = self.input_spec
-        N = spec.N
-        branches = branch_amplitudes(spec)
-        kappa = survival_table(N, self.eta)
-        omat = obs.matrix
-        omat2 = omat @ omat
-        rates = [phase_rate(n1, n2, self.chi) for n1, n2, _ in branches]
-        freqs, w_mean, w_sq = [], [], []
-        for (n1, n2, amp), h in zip(branches, rates):
-            for (m1, m2, amp_b), h_b in zip(branches, rates):
-                q = np.arange(min(n1, m1) + 1)
-                p = np.arange(min(n2, m2) + 1)
-                kq = kappa[n1, q] * kappa[m1, q]
-                kp = kappa[n2, p] * kappa[m2, p]
-                coeff = amp * amp_b * np.outer(kq, kp)
-                ket1 = n1 - q[:, None]
-                ket2 = n2 - p[None, :]
-                tot = ket1 + ket2
-                row = tot * (tot + 1) // 2 + ket1
-                col = tot * (tot + 1) // 2 + (m1 - q[:, None])
-                freqs.append(h - h_b)
-                w_mean.append(np.sum(coeff * omat[col, row]))
-                w_sq.append(np.sum(coeff * omat2[col, row]))
-        return MomentProfile(np.asarray(freqs), np.asarray(w_mean),
-                             np.asarray(w_sq), spectral_norm(omat))
+        N = self.input_spec.N
+        o_blocks = [b for _, b in block_split(obs)]
+        w_mean = np.zeros(2 * N + 1, dtype=complex)
+        w_sq = np.zeros(2 * N + 1, dtype=complex)
+        for t, (rho_block, o_block) in enumerate(zip(self.rho0, o_blocks)):
+            offset = (np.arange(t + 1)[None, :] - np.arange(t + 1)[:, None] + N).ravel()
+            for w, o in ((w_mean, o_block), (w_sq, o_block @ o_block)):
+                terms = (rho_block * o.T).ravel()
+                w += (np.bincount(offset, terms.real, 2 * N + 1)
+                      + 1j * np.bincount(offset, terms.imag, 2 * N + 1))
+        freqs = (1.0 + 0.5 * self.chi * N) * np.arange(-N, N + 1)
+        obs_norm = max(spectral_norm(b) for b in o_blocks)
+        return MomentProfile(freqs, w_mean, w_sq, obs_norm)
 
 
 class MomentProfile:
@@ -375,20 +354,29 @@ class MomentProfile:
         return out
 
 
-def rho_prime(family: PhasedFamily, phi: float) -> HermitianOperator:
-    """Phase derivative of the family state at phi (analytic or FD mode)."""
-    return family.rho_prime(phi)
+def richardson_rho_prime(family: PhasedFamily, phi: float,
+                         step: float) -> np.ndarray:
+    """Richardson-extrapolated central difference of rho(phi), the
+    reference the analytic derivative is checked against."""
+    if step < 100 * np.finfo(float).eps * max(1.0, abs(phi)):
+        raise NumericalError(f"finite-difference step {step:.3e} too small; "
+                             "cancellation would dominate")
+    def at(x):
+        return family.rho(x).matrix
+    coarse = (at(phi + step) - at(phi - step)) / (2 * step)
+    fine = (at(phi + step / 2) - at(phi - step / 2)) / step
+    return (4.0 * fine - coarse) / 3.0
 
 
-def max_qfi_over_k(N: int, eta: float, chi: float,
-                   phi: float = 0.0) -> tuple[int, float]:
+def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
     """Scan the branch index k of the two-branch family and return the
-    maximizing (k, qfi); ties break toward smaller k."""
+    maximizing (k, qfi); ties break toward smaller k, and k and N - k name
+    the same state, so the scan stops at N/2."""
     if N < 1:
         raise ValueError("N must be at least 1")
     best_k, best = 0, -np.inf
-    for k in range(N + 1):
-        value = PhasedFamily(NoonLikeSpec(N, k), chi=chi, eta=eta).qfi(phi).qfi
+    for k in range(N // 2 + 1):
+        value = PhasedFamily(NoonLikeSpec(N, k), chi=chi, eta=eta).qfi().qfi
         if value > best:
             best_k, best = k, value
     return best_k, best
@@ -452,34 +440,18 @@ def min_delta_phi(family: PhasedFamily, obs: HermitianOperator,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    if family.derivative == "analytic":
-        profile = family.moment_profile(obs)
-        mean = profile.mean(grid)
-        variance = profile.variance(grid)
-        deltas = profile.delta_phi(grid)
-        evaluate = lambda x: float(profile.delta_phi(np.atleast_1d(x))[0])
-    else:
-        mean = np.empty_like(grid)
-        variance = np.empty_like(grid)
-        deltas = np.full_like(grid, np.nan)
-        for i, x in enumerate(grid):
-            mean[i], variance[i] = moments(family.rho(x), obs)
-            try:
-                deltas[i] = delta_phi(family, obs, x)
-            except DegenerateOperatingPointError:
-                pass
-        def evaluate(x):
-            try:
-                return delta_phi(family, obs, float(x))
-            except DegenerateOperatingPointError:
-                return np.inf
+    profile = family.moment_profile(obs)
+    mean = profile.mean(grid)
+    variance = profile.variance(grid)
+    deltas = profile.delta_phi(grid)
     if not np.isfinite(deltas).any():
         raise DegenerateOperatingPointError(
             "the signal slope vanishes on every grid point")
     i_best = int(np.nanargmin(deltas))
     lo = grid[max(i_best - 1, 0)]
     hi = grid[min(i_best + 1, grid.size - 1)]
-    guarded = lambda x: np.nan_to_num(evaluate(x), nan=np.inf)
+    guarded = lambda x: np.nan_to_num(
+        float(profile.delta_phi(np.atleast_1d(x))[0]), nan=np.inf)
     if hi > lo:
         x_star, f_star = _golden_section(guarded, lo, hi, GOLDEN_TOL)
     else:

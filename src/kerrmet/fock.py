@@ -14,7 +14,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +42,6 @@ class BlockStructureError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to deliver a trustworthy result."""
-
-
-class TwoModeIndex(NamedTuple):
-    """Occupation pair |n1, n2> of the two internal modes."""
-
-    n1: int
-    n2: int
 
 
 def falling_factorial(n: int, m: int) -> float:
@@ -110,10 +102,11 @@ class TwoModeBasis:
                 f"|{n1}, {n2}> has total {total} > truncation {self.n_total_max}")
         return total * (total + 1) // 2 + n1
 
-    def state_of(self, index: int) -> TwoModeIndex:
+    def state_of(self, index: int) -> tuple[int, int]:
+        """Occupations (n1, n2) at a flat index."""
         if index < 0 or index >= self.dim:
             raise TruncationError(f"flat index {index} outside basis of dim {self.dim}")
-        return TwoModeIndex(int(self.n1[index]), int(self.n2[index]))
+        return int(self.n1[index]), int(self.n2[index])
 
     def block_slice(self, total: int) -> slice:
         if total < 0 or total > self.n_total_max:
@@ -129,11 +122,6 @@ class TwoModeBasis:
 
     def __repr__(self) -> str:
         return f"TwoModeBasis(n_total_max={self.n_total_max})"
-
-
-def flat_index(n1: int, n2: int, basis: TwoModeBasis) -> int:
-    """Flat position of |n1, n2> in the graded layout."""
-    return basis.index_of(n1, n2)
 
 
 def _check_hermitian(matrix: np.ndarray, what: str) -> None:
@@ -191,10 +179,6 @@ class DensityOperator:
         lo = np.linalg.eigvalsh(self.matrix).min()
         if lo < PSD_FLOOR:
             raise ValueError(f"matrix has eigenvalue {lo:.3e} below PSD floor {PSD_FLOOR}")
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityOperator":
-        return state.to_density()
 
     def purity(self) -> float:
         return float(np.sum(self.matrix * self.matrix.T).real)
@@ -258,16 +242,23 @@ def block_split(rho) -> list[tuple[int, np.ndarray]]:
 
     Off-block elements must vanish to 1e-12; the returned blocks reassemble
     the matrix exactly (any off-block mass below tolerance is discarded).
+    The check runs one block row at a time, so it needs no dim x dim
+    temporary.
     """
     basis, matrix = rho.basis, rho.matrix
-    off_mask = basis.total[:, None] != basis.total[None, :]
-    off = np.abs(matrix[off_mask]).max() if off_mask.any() else 0.0
+    blocks = []
+    off = 0.0
+    for t in range(basis.n_total_max + 1):
+        sl = basis.block_slice(t)
+        rows = matrix[sl]
+        off = max(off, np.abs(rows[:, :sl.start]).max(initial=0.0),
+                  np.abs(rows[:, sl.stop:]).max(initial=0.0))
+        blocks.append((t, rows[:, sl].copy()))
     if off > 1e-12:
         raise BlockStructureError(
             f"matrix is not block-diagonal in total photon number "
             f"(off-block magnitude {off:.3e})")
-    return [(t, matrix[basis.block_slice(t), basis.block_slice(t)].copy())
-            for t in range(basis.n_total_max + 1)]
+    return blocks
 
 
 def assemble_blocks(basis: TwoModeBasis, blocks) -> np.ndarray:

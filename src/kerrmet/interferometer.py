@@ -45,20 +45,6 @@ class InterferometerParams:
         return phi / self.kbar
 
 
-@dataclass(frozen=True)
-class NoonLikeSpec:
-    """Two-branch input (|N-k, k> + |k, N-k>)/sqrt(2), k in [0, N]."""
-
-    N: int
-    k: int
-
-    def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("N must be at least 1")
-        if not 0 <= self.k <= self.N:
-            raise ValueError(f"branch index k={self.k} outside [0, {self.N}]")
-
-
 def superposition_length(N: int) -> int:
     """Number of independent coefficients: tau + 1 with tau = (N-1)//2
     for odd N and N/2 for even N."""
@@ -110,23 +96,31 @@ class SuperpositionSpec:
         return len(self.alpha) - 1
 
 
-def branch_amplitudes(spec) -> list[tuple[int, int, float]]:
-    """Kets and real amplitudes of the input state as (n1, n2, amplitude).
+def NoonLikeSpec(N: int, k: int) -> SuperpositionSpec:
+    """Two-branch input (|N-k, k> + |k, N-k>)/sqrt(2), k in [0, N], as a
+    one-hot SuperpositionSpec.
+
+    k and N - k name the same state.  The degenerate even-N midpoint
+    k = N/2 renormalizes to the single ket |N/2, N/2>.
+    """
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if not 0 <= k <= N:
+        raise ValueError(f"branch index k={k} outside [0, {N}]")
+    alpha = [0.0] * superposition_length(N)
+    alpha[min(k, N - k)] = 0.5 if 2 * k == N else 1.0 / math.sqrt(2.0)
+    return SuperpositionSpec(N, tuple(alpha))
+
+
+def branch_amplitudes(N: int, alpha) -> list[tuple[int, int, float]]:
+    """Kets and real amplitudes of sum_k alpha_k {|N-k, k> + |k, N-k>}
+    as (n1, n2, amplitude); alpha need not be normalized.
 
     The two branch slots of a degenerate k = N/2 term point at the same
     ket, so their amplitudes accumulate.
     """
     acc: dict[tuple[int, int], float] = {}
-    if isinstance(spec, NoonLikeSpec):
-        # the degenerate even-N midpoint k = N/2 renormalizes to one ket
-        amp = 0.5 if 2 * spec.k == spec.N else 1.0 / math.sqrt(2.0)
-        pairs = [(spec.k, amp)]
-    elif isinstance(spec, SuperpositionSpec):
-        pairs = list(enumerate(spec.alpha))
-    else:
-        raise TypeError(f"unsupported input spec {type(spec).__name__}")
-    N = spec.N
-    for k, a in pairs:
+    for k, a in enumerate(alpha):
         for ket in ((N - k, k), (k, N - k)):
             acc[ket] = acc.get(ket, 0.0) + a
     return [(n1, n2, amp) for (n1, n2), amp in sorted(acc.items()) if amp != 0.0]
@@ -137,11 +131,6 @@ def g_tilde(n: int, chi: float) -> float:
     if n < 0:
         raise ValueError("photon number must be non-negative")
     return n + 0.5 * chi * n * n
-
-
-def phase_rate(n1: int, n2: int, chi: float) -> float:
-    """Diagonal entry of the relative-phase generator at |n1, n2>."""
-    return 0.5 * (g_tilde(n2, chi) - g_tilde(n1, chi))
 
 
 def generator_diagonal(basis: TwoModeBasis, chi: float) -> np.ndarray:
@@ -161,23 +150,12 @@ def apply_phase(state: PureState, phi: float, chi: float) -> PureState:
     return PureState(state.basis, state.amplitudes * phases)
 
 
-def noon_like(spec: NoonLikeSpec, basis: TwoModeBasis) -> PureState:
-    """(|N-k, k> + |k, N-k>)/sqrt(2); the degenerate even-N midpoint
-    k = N/2 renormalizes to the single ket |N/2, N/2>."""
-    if spec.N > basis.n_total_max:
-        raise ValueError(f"N={spec.N} exceeds basis truncation {basis.n_total_max}")
-    amps = np.zeros(basis.dim, dtype=complex)
-    for n1, n2, amp in branch_amplitudes(spec):
-        amps[basis.index_of(n1, n2)] = amp
-    return PureState.normalized(basis, amps)
-
-
 def superposition_state(spec: SuperpositionSpec, basis: TwoModeBasis) -> PureState:
     """State vector with amplitude alpha_k on |N-k, k> and |k, N-k>."""
     if spec.N > basis.n_total_max:
         raise ValueError(f"N={spec.N} exceeds basis truncation {basis.n_total_max}")
     amps = np.zeros(basis.dim, dtype=complex)
-    for n1, n2, amp in branch_amplitudes(spec):
+    for n1, n2, amp in branch_amplitudes(spec.N, spec.alpha):
         amps[basis.index_of(n1, n2)] = amp
     return PureState(basis, amps)
 

@@ -2,13 +2,14 @@
 
 Two mutually validating routes are provided.  ``apply_loss`` applies the
 generic Kraus map K_{1,q} K_{2,p} rho K^dag terms with dense operator
-matrices and works for unequal arm transmissivities.  ``lossy_noon`` and
-``lossy_superposition`` build the channel output of an evolved fixed-N
-input in closed form: losing (q, p) photons maps each input ket
-|n1, n2> to |n1-q, n2-p> with survival amplitude
+matrices and works for unequal arm transmissivities; it is the oracle.
+``cross_lossy_blocks`` builds the channel output of fixed-N branch dyads
+in closed form: losing (q, p) photons maps each input ket |n1, n2> to
+|n1-q, n2-p> with survival amplitude
 sqrt((1-eta)^q eta^(n1-q) n1!/((n1-q)! q!)) per mode, and summing the
 resulting rank-one contributions over (q, p) reproduces the channel
-exactly.  The closed forms assume equal loss in both arms.
+exactly.  The closed form assumes equal loss in both arms.  Loss
+commutes with the Kerr phase, so the closed form needs no phase.
 """
 
 from __future__ import annotations
@@ -17,19 +18,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .fock import (
     DensityOperator,
     TwoModeBasis,
-    assemble_blocks,
-    falling_factorial,
     log_falling_factorial,
-)
-from .interferometer import (
-    NoonLikeSpec,
-    SuperpositionSpec,
-    branch_amplitudes,
-    phase_rate,
 )
 
 
@@ -48,24 +42,6 @@ class LossParams:
     @classmethod
     def equal(cls, eta: float) -> "LossParams":
         return cls(eta, eta)
-
-
-@dataclass(frozen=True)
-class LossyStateParams:
-    """Input spec plus channel settings for the closed-form constructions."""
-
-    input: NoonLikeSpec | SuperpositionSpec
-    eta: float
-    phi: float = 0.0
-    chi: float = 0.0
-
-    def __post_init__(self):
-        if not isinstance(self.input, (NoonLikeSpec, SuperpositionSpec)):
-            raise TypeError(f"unsupported input spec {type(self.input).__name__}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
-        if self.chi < 0:
-            raise ValueError("chi must be non-negative")
 
 
 def kraus_amplitude(n: int, q: int, eta: float) -> float:
@@ -117,24 +93,25 @@ def apply_loss(rho: DensityOperator, loss: LossParams,
 
 
 def survival_table(n_max: int, eta: float) -> np.ndarray:
-    """kappa[n, q] = single-mode amplitude for keeping n-q of n photons."""
-    table = np.zeros((n_max + 1, n_max + 1))
-    for n in range(n_max + 1):
-        for q in range(n + 1):
-            table[n, q] = kraus_amplitude(n, q, eta)
-    return table
+    """kappa[n, q] = single-mode amplitude for keeping n-q of n photons.
+
+    The same amplitude as ``kraus_amplitude``, for all n, q <= n_max at
+    once; xlogy makes 0 * log(0) = 0, so eta = 0 and eta = 1 are exact.
+    """
+    n = np.arange(n_max + 1)[:, None]
+    q = np.arange(n_max + 1)[None, :]
+    kept = np.maximum(n - q, 0)
+    log_amp = 0.5 * (gammaln(n + 1) - gammaln(q + 1) - gammaln(kept + 1)
+                     + xlogy(q, 1.0 - eta) + xlogy(kept, eta))
+    return np.where(q <= n, np.exp(log_amp), 0.0)
 
 
-def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float,
-                       phi: float, chi: float,
-                       with_derivative: bool = False):
+def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float):
     """Closed-form channel output for a ket/bra pair of branch lists.
 
     Each branch is (n1, n2, amplitude) with n1 + n2 = N.  The result is
-    the list of total-photon-number blocks of
-    sum_{q,p} K_qp U_phi |ket><bra| U_phi^dag K_qp^dag, plus (optionally)
-    its analytic phi-derivative, obtained term by term from the branch
-    phase factors.
+    the list of total-photon-number blocks (T, block) of
+    sum_{q,p} K_qp |ket><bra| K_qp^dag.
 
     Losing (q, p) photons from the dyad |n1, n2><m1, m2| lands on the
     block T = N - q - p at entry (n1 - q, m1 - q), so for fixed s = q + p
@@ -143,66 +120,14 @@ def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float,
     """
     kappa = survival_table(N, eta)
     blocks = [np.zeros((t + 1, t + 1), dtype=complex) for t in range(N + 1)]
-    dblocks = ([np.zeros((t + 1, t + 1), dtype=complex) for t in range(N + 1)]
-               if with_derivative else None)
-
     for kn1, kn2, kamp in ket_branches:
-        ket_rate = phase_rate(kn1, kn2, chi)
-        ket_weight = kamp * np.exp(1j * phi * ket_rate)
         for bn1, bn2, bamp in bra_branches:
-            bra_rate = phase_rate(bn1, bn2, chi)
-            weight = ket_weight * np.conj(bamp * np.exp(1j * phi * bra_rate))
-            drate = 1j * (ket_rate - bra_rate)
+            weight = kamp * bamp
             qmax = min(kn1, bn1)
             pmax = min(kn2, bn2)
             for s in range(qmax + pmax + 1):
                 q = np.arange(max(0, s - pmax), min(qmax, s) + 1)
                 p = s - q
-                vals = weight * (kappa[kn1, q] * kappa[bn1, q]
-                                 * kappa[kn2, p] * kappa[bn2, p])
-                rows = kn1 - q
-                cols = bn1 - q
-                blocks[N - s][rows, cols] += vals
-                if with_derivative:
-                    dblocks[N - s][rows, cols] += drate * vals
-
-    rho_blocks = [(t, b) for t, b in enumerate(blocks)]
-    if not with_derivative:
-        return rho_blocks
-    return rho_blocks, [(t, b) for t, b in enumerate(dblocks)]
-
-
-def lossy_state_blocks(spec, eta: float, phi: float, chi: float,
-                       with_derivative: bool = False):
-    """Blocks of the lossy output state for a NoonLikeSpec or SuperpositionSpec."""
-    branches = branch_amplitudes(spec)
-    return cross_lossy_blocks(branches, branches, spec.N, eta, phi, chi,
-                              with_derivative=with_derivative)
-
-
-def _closed_form(params: LossyStateParams, basis: TwoModeBasis | None) -> DensityOperator:
-    if basis is None:
-        basis = TwoModeBasis(params.input.N)
-    elif basis.n_total_max < params.input.N:
-        raise ValueError("basis truncation below the input photon number")
-    blocks = lossy_state_blocks(params.input, params.eta, params.phi, params.chi)
-    matrix = assemble_blocks(basis, blocks)
-    # trace is asserted (not renormalized) by the DensityOperator invariants,
-    # so any slip in the coefficient combinatorics fails loudly here
-    return DensityOperator(basis, 0.5 * (matrix + matrix.conj().T))
-
-
-def lossy_noon(params: LossyStateParams,
-               basis: TwoModeBasis | None = None) -> DensityOperator:
-    """Closed-form lossy output of an evolved two-branch (N00N-like) input."""
-    if not isinstance(params.input, NoonLikeSpec):
-        raise TypeError("lossy_noon expects a NoonLikeSpec input")
-    return _closed_form(params, basis)
-
-
-def lossy_superposition(params: LossyStateParams,
-                        basis: TwoModeBasis | None = None) -> DensityOperator:
-    """Closed-form lossy output of an evolved fixed-N superposition input."""
-    if not isinstance(params.input, SuperpositionSpec):
-        raise TypeError("lossy_superposition expects a SuperpositionSpec input")
-    return _closed_form(params, basis)
+                blocks[N - s][kn1 - q, bn1 - q] += weight * (
+                    kappa[kn1, q] * kappa[bn1, q] * kappa[kn2, p] * kappa[bn2, p])
+    return list(enumerate(blocks))

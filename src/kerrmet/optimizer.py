@@ -21,9 +21,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.optimize import minimize
 
-from .estimation import _qfi_from_block_pairs
+from .estimation import _qfi_from_block_pairs, derivative_factors, generator_blocks
 from .fock import NumericalError
-from .interferometer import SuperpositionSpec, superposition_length
+from .interferometer import SuperpositionSpec, branch_amplitudes, superposition_length
 from .loss import cross_lossy_blocks
 
 logger = logging.getLogger(__name__)
@@ -34,12 +34,12 @@ _SIMPLEX_XATOL = 1e-8
 
 @dataclass(frozen=True)
 class OptimizationProblem:
-    """Coefficient optimization at one (N, eta, chi, phi) operating point."""
+    """Coefficient optimization at one (N, eta, chi) point; the Fisher
+    information does not depend on the operating phase."""
 
     N: int
     eta: float
     chi: float
-    phi_eval: float = 0.0
     restarts: int = 16
     max_evals: int = 20000
     tol: float = 1e-10
@@ -73,56 +73,42 @@ class OptimizationOutcome:
 
 class _QuadraticQfiModel:
     """The lossy output is quadratic in alpha: rho = sum_kl alpha_k alpha_l
-    rho^(kl).  All cross blocks are built once and flattened into a single
-    (dim^2, 2 S) matrix, so one evaluation is one matrix-vector product
-    with outer(alpha, alpha) plus the blockwise QFI reduction."""
+    rho^(kl).  All phi = 0 cross blocks are built once and flattened into a
+    single (S^2, sum_T (T+1)^2) matrix, so one evaluation is one
+    vector-matrix product with outer(alpha, alpha), the blockwise
+    derivative i[G, rho] and the blockwise QFI reduction."""
 
     def __init__(self, problem: OptimizationProblem):
         n = problem.N
         length = problem.dimension
-        sets = []
-        for k in range(length):
-            acc: dict[tuple[int, int], float] = {}
-            for ket in ((n - k, k), (k, n - k)):
-                acc[ket] = acc.get(ket, 0.0) + 1.0
-            sets.append([(n1, n2, a) for (n1, n2), a in sorted(acc.items())])
-        rho_tensors = [np.zeros((length, length, t + 1, t + 1), dtype=complex)
-                       for t in range(n + 1)]
-        drho_tensors = [np.zeros_like(r) for r in rho_tensors]
+        sets = [branch_amplitudes(n, np.eye(length)[k]) for k in range(length)]
+        tensors = [np.zeros((length, length, t + 1, t + 1), dtype=complex)
+                   for t in range(n + 1)]
         for k in range(length):
             for l in range(length):
-                blocks, dblocks = cross_lossy_blocks(
-                    sets[k], sets[l], n, problem.eta, problem.phi_eval,
-                    problem.chi, with_derivative=True)
-                for (t, b), (_, db) in zip(blocks, dblocks):
-                    rho_tensors[t][k, l] = b
-                    drho_tensors[t][k, l] = db
+                for t, b in cross_lossy_blocks(sets[k], sets[l], n, problem.eta):
+                    tensors[t][k, l] = b
         self.block_dims = [t + 1 for t in range(n + 1)]
         sizes = [d * d for d in self.block_dims]
         self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.span = int(self.offsets[-1])
-        flat_rho = np.concatenate(
-            [r.reshape(length * length, -1) for r in rho_tensors], axis=1)
-        flat_drho = np.concatenate(
-            [d.reshape(length * length, -1) for d in drho_tensors], axis=1)
-        self.matrix = np.concatenate([flat_rho, flat_drho], axis=1)
+        self.matrix = np.concatenate(
+            [r.reshape(length * length, -1) for r in tensors], axis=1)
         self.diag_idx = np.concatenate(
             [off + np.arange(d) * (d + 1)
              for off, d in zip(self.offsets[:-1], self.block_dims)])
+        self.factors = derivative_factors(generator_blocks(n, problem.chi))
 
     def qfi(self, alpha: np.ndarray) -> float:
         weights = np.outer(alpha, alpha).ravel()
-        flat = weights @ self.matrix
-        rho_flat, drho_flat = flat[:self.span], flat[self.span:]
+        rho_flat = weights @ self.matrix
         trace = rho_flat[self.diag_idx].real.sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"model state trace {trace!r} deviates from 1")
         pairs = []
-        for off, d in zip(self.offsets[:-1], self.block_dims):
+        for off, d, f in zip(self.offsets[:-1], self.block_dims, self.factors):
             block = rho_flat[off:off + d * d].reshape(d, d)
-            dblock = drho_flat[off:off + d * d].reshape(d, d)
-            pairs.append((0.5 * (block + block.conj().T),
-                          0.5 * (dblock + dblock.conj().T)))
+            block = 0.5 * (block + block.conj().T)
+            pairs.append((block, f * block))
         return _qfi_from_block_pairs(pairs).qfi
 
 

@@ -20,6 +20,7 @@ from kerrmet.estimation import (
     min_delta_phi,
     qcrb,
     qfi_pure_analytic,
+    richardson_rho_prime,
     sld,
 )
 from kerrmet.fock import TwoModeBasis, eigh
@@ -27,10 +28,9 @@ from kerrmet.interferometer import (
     NoonLikeSpec,
     SuperpositionSpec,
     apply_phase,
-    noon_like,
     superposition_state,
 )
-from kerrmet.loss import LossParams, LossyStateParams, apply_loss, lossy_noon, lossy_superposition
+from kerrmet.loss import LossParams, apply_loss
 from kerrmet.optimizer import OptimizationProblem, optimize_alpha
 
 CHI_DEFAULT = 1e-8
@@ -65,7 +65,7 @@ def test_criterion_1_pure_qfi_exactness():
     for n in range(1, 41):
         for k in range(n + 1):
             for chi in (0.0, 1e-8, 0.1):
-                got = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=1.0).qfi(0.0).qfi
+                got = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=1.0).qfi().qfi
                 want = qfi_pure_analytic(n, k, chi)
                 worst = max(worst, abs(got - want) / max(1.0, want))
     elapsed = time.perf_counter() - t0
@@ -85,16 +85,11 @@ def test_criterion_2_channel_correctness():
         specs.append(SuperpositionSpec.normalized(n, np.ones(spec_length(n))))
         specs.append(SuperpositionSpec.normalized(n, rng.normal(size=spec_length(n))))
         for spec in specs:
+            pure = superposition_state(spec, basis)
             for eta in (0.3, 0.7, 1.0):
+                family = PhasedFamily(spec, chi=CHI_DEFAULT, eta=eta, basis=basis)
                 for phi in (0.0, 0.4):
-                    params = LossyStateParams(spec, eta=eta, phi=phi,
-                                              chi=CHI_DEFAULT)
-                    if isinstance(spec, NoonLikeSpec):
-                        closed = lossy_noon(params, basis)
-                        pure = noon_like(spec, basis)
-                    else:
-                        closed = lossy_superposition(params, basis)
-                        pure = superposition_state(spec, basis)
+                    closed = family.rho(phi)
                     worst_trace = max(worst_trace,
                                       abs(closed.matrix.trace().real - 1.0))
                     evolved = apply_phase(pure, phi, CHI_DEFAULT)
@@ -238,11 +233,9 @@ def test_criterion_9_invariant_suite():
     for n in (4, 8):
         for eta in (0.5, 0.9):
             spec = SuperpositionSpec.normalized(n, np.ones(spec_length(n)))
-            analytic = PhasedFamily(spec, chi=0.02, eta=eta)
-            stepped = PhasedFamily(spec, chi=0.02, eta=eta, derivative="fd",
-                                   fd_step=1e-3)
-            a = analytic.rho_prime(0.3).matrix
-            f = stepped.rho_prime(0.3).matrix
+            family = PhasedFamily(spec, chi=0.02, eta=eta)
+            a = family.rho_prime(0.3).matrix
+            f = richardson_rho_prime(family, 0.3, 1e-3)
             if np.abs(a - f).max() > 1e-6 * np.abs(a).max():
                 failures.append(f"derivative cross-check N={n} eta={eta}")
 
@@ -253,7 +246,7 @@ def test_criterion_9_invariant_suite():
                           0.8, 6)]:
         family = PhasedFamily(spec, chi=CHI_DEFAULT, eta=eta)
         obs = measurement_mm(m, family.basis)
-        bound = qcrb(family.qfi(0.0).qfi)
+        bound = qcrb(family.qfi().qfi)
         scan = min_delta_phi(family, obs)
         if scan.min_delta_phi < bound - 1e-9:
             failures.append(f"readout beat the bound for N={spec.N}")

@@ -210,6 +210,21 @@ def test_cache_integrity_recomputes_stale_entries(tmp_path):
     assert again.qfi_star == pytest.approx(outcome.qfi_star, rel=1e-12)
 
 
+def test_cache_truncated_entry_is_recomputed(tmp_path):
+    cache = OptimizeCache(tmp_path / "cache")
+    problem = OptimizationProblem(N=2, eta=0.9, chi=1e-8, restarts=2,
+                                  max_evals=2000)
+    outcome, _ = cache.get_or_run(problem)
+    path = cache._path(problem)
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    again, from_cache = cache.get_or_run(problem)
+    assert not from_cache
+    assert again.qfi_star == outcome.qfi_star
+    assert path.read_text() == text
+    assert sorted(p.name for p in cache.directory.iterdir()) == [path.name]
+
+
 def test_rerun_reproduces_csv_body(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["--command", "pure-qfi", "--n-range", "1:5:2", "--chi", "1e-8"]
@@ -232,10 +247,27 @@ def test_json_output_mirror(tmp_path):
                 1 / math.sqrt(record["qfi"]), rel=1e-12)
 
 
-def test_bad_flag_values_exit_2(capsys):
+def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert main(["--command", "pure-qfi", "--n-range", "oops"]) == 2
     assert main(["--command", "pure-qfi", "--eta", "2.0"]) == 2
     assert main(["--command", "single", "--n-range", "2"]) == 2
+    assert main(["--command", "readout-scan", "--n-range", "2", "--k", "0",
+                 "--m", "0"]) == 2
+    assert main(["--command", "single", "--n-range", "2", "--k", "0",
+                 "--m", "0"]) == 2
+    bad_files = [
+        {"command": "single", "n_range": "3", "alpha": [0.0, 0.0]},
+        {"command": "single", "n_range": "3", "alpha": [1.0, 0.5, 0.2]},
+        ["command", "pure-qfi"],
+        {"command": "pure-qfi", "chi": "x"},
+    ]
+    for index, content in enumerate(bad_files):
+        config_file = tmp_path / f"bad{index}.json"
+        config_file.write_text(json.dumps(content))
+        assert main(["--config", str(config_file)]) == 2, content
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 9
+    assert all(line.startswith("config error: ") for line in errors)
 
 
 def test_max_n_extends_range(tmp_path):

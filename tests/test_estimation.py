@@ -16,7 +16,7 @@ from kerrmet.estimation import (
     qcrb,
     qfi,
     qfi_pure_analytic,
-    rho_prime,
+    richardson_rho_prime,
     sld,
 )
 from kerrmet.fock import (
@@ -31,7 +31,7 @@ from kerrmet.interferometer import (
     NoonLikeSpec,
     SuperpositionSpec,
     generator_h,
-    noon_like,
+    superposition_state,
 )
 
 
@@ -68,7 +68,7 @@ def test_qfi_matches_analytic_on_pure_family():
         for k in range(n + 1):
             for chi in (0.0, 1e-8, 0.1):
                 family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=1.0)
-                got = family.qfi(0.0).qfi
+                got = family.qfi().qfi
                 want = qfi_pure_analytic(n, k, chi)
                 assert abs(got - want) <= 1e-9 * max(1.0, want)
 
@@ -86,7 +86,7 @@ def test_qfi_lossy_against_pinv_oracle():
     frozen = {(2, 0, 0.5): 1.0}  # known closed form N^2 eta^N at k=0
     for (n, k, eta), want in frozen.items():
         family = PhasedFamily(NoonLikeSpec(n, k), chi=0.0, eta=eta)
-        got = family.qfi(0.0).qfi
+        got = family.qfi().qfi
         assert got == pytest.approx(want, rel=1e-10)
         oracle = qfi_pinv_oracle(family.rho(0.0), family.rho_prime(0.0))
         assert got == pytest.approx(oracle, rel=1e-9)
@@ -96,14 +96,14 @@ def test_qfi_lossy_pinv_oracle_sweep():
     for n, k, eta, chi, phi in [(2, 0, 0.5, 0.0, 0.0), (3, 1, 0.8, 0.1, 0.3),
                                 (4, 0, 0.6, 1e-3, 0.7), (5, 2, 0.9, 0.0, 0.0)]:
         family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
-        got = family.qfi(phi).qfi
+        got = family.qfi().qfi
         oracle = qfi_pinv_oracle(family.rho(phi), family.rho_prime(phi))
         assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
 
 
 def test_qfi_equals_four_variance_on_rank_one():
     basis = TwoModeBasis(6)
-    state = noon_like(NoonLikeSpec(6, 2), basis)
+    state = superposition_state(NoonLikeSpec(6, 2), basis)
     rho = state.to_density()
     rhop = commutator_derivative(basis, rho, 0.05)
     h = generator_h(basis, 0.05)
@@ -116,7 +116,7 @@ def test_qfi_equals_four_variance_on_rank_one():
 
 def test_qfi_result_diagnostics():
     family = PhasedFamily(NoonLikeSpec(3, 0), chi=0.0, eta=0.7)
-    result = family.qfi(0.0)
+    result = family.qfi()
     assert result.qfi >= 0.0
     assert result.rank_cutoff > 0.0
     assert result.spectrum.sum() == pytest.approx(1.0, abs=1e-10)
@@ -128,7 +128,7 @@ def test_qfi_result_diagnostics():
 
 def test_sld_pure_family_is_twice_derivative():
     basis = TwoModeBasis(4)
-    rho = noon_like(NoonLikeSpec(4, 1), basis).to_density()
+    rho = superposition_state(NoonLikeSpec(4, 1), basis).to_density()
     rhop = commutator_derivative(basis, rho, 0.0)
     sld_op = sld(rho, rhop)
     assert np.abs(sld_op.matrix - 2 * rhop.matrix).max() < 1e-10
@@ -136,7 +136,7 @@ def test_sld_pure_family_is_twice_derivative():
 
 def test_sld_zero_derivative():
     basis = TwoModeBasis(2)
-    rho = noon_like(NoonLikeSpec(2, 1), basis).to_density()
+    rho = superposition_state(NoonLikeSpec(2, 1), basis).to_density()
     zero = HermitianOperator(basis, np.zeros((basis.dim, basis.dim)))
     assert np.abs(sld(rho, zero).matrix).max() == 0.0
 
@@ -181,26 +181,17 @@ def test_rho_prime_finite_difference_agrees():
     for n, eta in [(3, 0.5), (5, 0.9)]:
         spec = SuperpositionSpec.normalized(n, np.arange(1, (n - 1) // 2 + 2 if n % 2
                                                          else n // 2 + 2, dtype=float))
-        analytic = PhasedFamily(spec, chi=0.05, eta=eta)
-        stepped = PhasedFamily(spec, chi=0.05, eta=eta, derivative="fd",
-                               fd_step=1e-3)
+        family = PhasedFamily(spec, chi=0.05, eta=eta)
         for phi in (0.0, 0.8):
-            a = analytic.rho_prime(phi).matrix
-            f = stepped.rho_prime(phi).matrix
+            a = family.rho_prime(phi).matrix
+            f = richardson_rho_prime(family, phi, 1e-3)
             assert np.abs(a - f).max() <= 1e-6 * max(np.abs(a).max(), 1e-12)
 
 
 def test_rho_prime_step_too_small():
-    family = PhasedFamily(NoonLikeSpec(2, 0), eta=0.9, derivative="fd",
-                          fd_step=1e-16)
+    family = PhasedFamily(NoonLikeSpec(2, 0), eta=0.9)
     with pytest.raises(NumericalError):
-        family.rho_prime(0.3)
-
-
-def test_rho_prime_module_function_delegates():
-    family = PhasedFamily(NoonLikeSpec(2, 0), chi=0.1, eta=0.8)
-    assert np.array_equal(rho_prime(family, 0.25).matrix,
-                          family.rho_prime(0.25).matrix)
+        richardson_rho_prime(family, 0.3, 1e-16)
 
 
 # ---------------------------------------------------------------- k scan
@@ -221,7 +212,7 @@ def test_max_qfi_over_k_tie_breaks_low():
 
 def test_max_qfi_over_k_matches_exhaustive():
     n, eta, chi = 6, 0.9, 1e-8
-    values = [PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta).qfi(0.0).qfi
+    values = [PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta).qfi().qfi
               for k in range(n + 1)]
     k_star, qfi_star = max_qfi_over_k(n, eta, chi)
     assert qfi_star == pytest.approx(max(values), rel=1e-12)
@@ -280,7 +271,7 @@ def test_measurement_mm_coincidence_prefactor():
 
 def test_measurement_mm_vanishes_without_enough_photons():
     basis = TwoModeBasis(2)
-    state = noon_like(NoonLikeSpec(2, 0), basis)
+    state = superposition_state(NoonLikeSpec(2, 0), basis)
     obs = measurement_mm(5, TwoModeBasis(2))
     from kerrmet.fock import expectation
 
@@ -296,14 +287,14 @@ def test_measurement_mm_order_one_is_negated_photon_difference():
 
 def test_moments_examples():
     basis = TwoModeBasis(3)
-    rho = noon_like(NoonLikeSpec(3, 1), basis).to_density()
+    rho = superposition_state(NoonLikeSpec(3, 1), basis).to_density()
     mean, var = moments(rho, measurement_m(basis))
     assert mean == pytest.approx(0.0, abs=1e-14)
     assert var == pytest.approx(7.0, abs=1e-12)
 
     n = 4
     basis = TwoModeBasis(n)
-    rho = noon_like(NoonLikeSpec(n, 0), basis).to_density()
+    rho = superposition_state(NoonLikeSpec(n, 0), basis).to_density()
     mean, var = moments(rho, measurement_mm(n, basis))
     assert mean == pytest.approx(0.0, abs=1e-10)
     assert var == pytest.approx(math.factorial(n) ** 2, rel=1e-12)
@@ -418,7 +409,7 @@ def test_min_delta_phi_never_beats_qcrb():
     for spec, chi, eta, m in cases:
         family = PhasedFamily(spec, chi=chi, eta=eta)
         obs = measurement_mm(m, family.basis)
-        bound = qcrb(family.qfi(0.0).qfi)
+        bound = qcrb(family.qfi().qfi)
         try:
             result = min_delta_phi(family, obs)
         except DegenerateOperatingPointError:
@@ -439,8 +430,6 @@ def test_min_delta_phi_matches_pointwise_evaluation():
 def test_phased_family_validation():
     with pytest.raises(ValueError):
         PhasedFamily(NoonLikeSpec(2, 0), eta=1.5)
-    with pytest.raises(ValueError):
-        PhasedFamily(NoonLikeSpec(2, 0), derivative="symbolic")
     with pytest.raises(TypeError):
         PhasedFamily("not a spec")
     basis = TwoModeBasis(1)

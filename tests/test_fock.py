@@ -15,20 +15,19 @@ from kerrmet.fock import (
     eigh,
     expectation,
     falling_factorial,
-    flat_index,
     lowering_power,
 )
-from kerrmet.interferometer import NoonLikeSpec, noon_like
-from kerrmet.loss import LossyStateParams, lossy_noon
+from kerrmet.estimation import PhasedFamily
+from kerrmet.interferometer import NoonLikeSpec, superposition_state
 
 
 def test_flat_index_layout():
     basis = TwoModeBasis(4)
-    assert flat_index(0, 0, basis) == 0
-    assert flat_index(0, 1, basis) == 1
-    assert flat_index(1, 0, basis) == 2
+    assert basis.index_of(0, 0) == 0
+    assert basis.index_of(0, 1) == 1
+    assert basis.index_of(1, 0) == 2
     # T=2 block starts at 3, n1 ascends within the block
-    assert flat_index(1, 1, basis) == 4
+    assert basis.index_of(1, 1) == 4
 
 
 def test_dimension_formula():
@@ -149,7 +148,7 @@ def test_expectation_basis_mismatch():
 
 def test_block_split_pure_ket():
     basis = TwoModeBasis(4)
-    state = noon_like(NoonLikeSpec(4, 0), basis)
+    state = superposition_state(NoonLikeSpec(4, 0), basis)
     blocks = block_split(state.to_density())
     nonzero = [t for t, b in blocks if np.abs(b).max() > 0]
     assert nonzero == [4]
@@ -157,7 +156,7 @@ def test_block_split_pure_ket():
 
 def test_block_split_channel_output():
     basis = TwoModeBasis(2)
-    rho = lossy_noon(LossyStateParams(NoonLikeSpec(2, 0), eta=0.5), basis)
+    rho = PhasedFamily(NoonLikeSpec(2, 0), eta=0.5, basis=basis).rho(0.0)
     blocks = block_split(rho)
     populated = [t for t, b in blocks if np.abs(b).max() > 1e-15]
     assert populated == [0, 1, 2]
@@ -208,7 +207,7 @@ def test_eigh_reconstruction_random_hermitian():
 
 def test_eigh_channel_output_trace():
     basis = TwoModeBasis(3)
-    rho = lossy_noon(LossyStateParams(NoonLikeSpec(3, 1), eta=0.8), basis)
+    rho = PhasedFamily(NoonLikeSpec(3, 1), eta=0.8, basis=basis).rho(0.0)
     vals, _ = eigh(rho)
     assert vals.sum() == pytest.approx(1.0, abs=1e-12)
 

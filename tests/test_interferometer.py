@@ -13,7 +13,6 @@ from kerrmet.interferometer import (
     beam_splitter,
     g_tilde,
     generator_h,
-    noon_like,
     superposition_state,
 )
 
@@ -36,14 +35,14 @@ def test_generator_diagonal_entries():
 
 def test_apply_phase_identity_at_zero():
     basis = TwoModeBasis(4)
-    state = noon_like(NoonLikeSpec(4, 1), basis)
+    state = superposition_state(NoonLikeSpec(4, 1), basis)
     evolved = apply_phase(state, 0.0, 0.3)
     assert np.array_equal(evolved.amplitudes, state.amplitudes)
 
 
 def test_apply_phase_composition():
     basis = TwoModeBasis(5)
-    state = noon_like(NoonLikeSpec(5, 2), basis)
+    state = superposition_state(NoonLikeSpec(5, 2), basis)
     one = apply_phase(apply_phase(state, 0.3, 0.1), 0.5, 0.1)
     two = apply_phase(state, 0.8, 0.1)
     assert np.abs(one.amplitudes - two.amplitudes).max() < 1e-12
@@ -64,7 +63,7 @@ def test_apply_phase_single_photon_signal():
     # <M>(phi) = sin(phi (1 + chi/2)) for the single-photon split state
     chi = 0.4
     basis = TwoModeBasis(1)
-    state = noon_like(NoonLikeSpec(1, 0), basis)
+    state = superposition_state(NoonLikeSpec(1, 0), basis)
     m = measurement_m(basis)
     for phi in (0.0, 0.3, 1.1):
         evolved = apply_phase(state, phi, chi)
@@ -74,33 +73,33 @@ def test_apply_phase_single_photon_signal():
 
 def test_apply_phase_preserves_blocks():
     basis = TwoModeBasis(3)
-    state = noon_like(NoonLikeSpec(3, 1), basis)
+    state = superposition_state(NoonLikeSpec(3, 1), basis)
     evolved = apply_phase(state, 0.9, 0.2)
     assert np.abs(np.abs(evolved.amplitudes) - np.abs(state.amplitudes)).max() < 1e-15
 
 
 def test_noon_like_states():
     basis = TwoModeBasis(3)
-    state = noon_like(NoonLikeSpec(1, 0), basis)
+    state = superposition_state(NoonLikeSpec(1, 0), basis)
     assert state.amplitudes[basis.index_of(1, 0)] == pytest.approx(1 / math.sqrt(2))
     assert state.amplitudes[basis.index_of(0, 1)] == pytest.approx(1 / math.sqrt(2))
 
-    state = noon_like(NoonLikeSpec(3, 1), basis)
+    state = superposition_state(NoonLikeSpec(3, 1), basis)
     assert state.amplitudes[basis.index_of(2, 1)] == pytest.approx(1 / math.sqrt(2))
     assert state.amplitudes[basis.index_of(1, 2)] == pytest.approx(1 / math.sqrt(2))
 
 
 def test_noon_like_degenerate_midpoint():
     basis = TwoModeBasis(2)
-    state = noon_like(NoonLikeSpec(2, 1), basis)
+    state = superposition_state(NoonLikeSpec(2, 1), basis)
     assert state.amplitudes[basis.index_of(1, 1)] == pytest.approx(1.0)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0)
 
 
 def test_noon_like_branch_order_symmetry():
     basis = TwoModeBasis(5)
-    rho_a = noon_like(NoonLikeSpec(5, 1), basis).to_density()
-    rho_b = noon_like(NoonLikeSpec(5, 4), basis).to_density()
+    rho_a = superposition_state(NoonLikeSpec(5, 1), basis).to_density()
+    rho_b = superposition_state(NoonLikeSpec(5, 4), basis).to_density()
     assert np.abs(rho_a.matrix - rho_b.matrix).max() < 1e-15
 
 
@@ -110,7 +109,7 @@ def test_noon_like_validation():
     with pytest.raises(ValueError):
         NoonLikeSpec(0, 0)
     with pytest.raises(ValueError):
-        noon_like(NoonLikeSpec(5, 0), TwoModeBasis(4))
+        superposition_state(NoonLikeSpec(5, 0), TwoModeBasis(4))
 
 
 def test_superposition_lengths_and_normalization():
@@ -127,8 +126,9 @@ def test_superposition_lengths_and_normalization():
 def test_superposition_reduces_to_noon():
     basis = TwoModeBasis(3)
     spec = SuperpositionSpec(3, (1 / math.sqrt(2), 0.0))
+    assert NoonLikeSpec(3, 0) == spec
     state = superposition_state(spec, basis)
-    noon = noon_like(NoonLikeSpec(3, 0), basis)
+    noon = superposition_state(NoonLikeSpec(3, 0), basis)
     assert np.abs(state.amplitudes - noon.amplitudes).max() < 1e-15
 
 
@@ -197,7 +197,7 @@ def test_variance_of_generator_matches_pure_qfi():
         h = generator_h(basis, 0.07)
         hsq = HermitianOperator(basis, h.matrix @ h.matrix)
         for k in range(n + 1):
-            state = noon_like(NoonLikeSpec(n, k), basis)
+            state = superposition_state(NoonLikeSpec(n, k), basis)
             var = expectation(state, hsq) - expectation(state, h) ** 2
             want = qfi_pure_analytic(n, k, 0.07)
             assert 4 * var == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -207,5 +207,5 @@ def test_variance_of_generator_matches_pure_qfi():
         var = expectation(state, hsq) - expectation(state, h) ** 2
         from kerrmet.estimation import PhasedFamily
 
-        got = PhasedFamily(spec, chi=0.07, eta=1.0).qfi(0.0).qfi
+        got = PhasedFamily(spec, chi=0.07, eta=1.0).qfi().qfi
         assert got == pytest.approx(4 * var, rel=1e-9)

@@ -4,22 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from kerrmet.fock import DensityOperator, TwoModeBasis, block_split
+from kerrmet.estimation import PhasedFamily
+from kerrmet.fock import TwoModeBasis, block_split
 from kerrmet.interferometer import (
     NoonLikeSpec,
     SuperpositionSpec,
     apply_phase,
-    noon_like,
     superposition_state,
 )
 from kerrmet.loss import (
     LossParams,
-    LossyStateParams,
     apply_loss,
     kraus_amplitude,
     kraus_element,
-    lossy_noon,
-    lossy_superposition,
+    survival_table,
 )
 
 
@@ -27,12 +25,14 @@ def spec_length(n):
     return ((n - 1) // 2 if n % 2 else n // 2) + 1
 
 
+def lossy(spec, eta, phi=0.0, chi=0.0, basis=None):
+    """Closed-form channel output: the family's phase-rotated rho_0."""
+    return PhasedFamily(spec, chi=chi, eta=eta, basis=basis).rho(phi)
+
+
 def kraus_oracle(spec, eta, phi, chi, basis):
     """Independent route: evolve the pure input, then the generic Kraus map."""
-    if isinstance(spec, NoonLikeSpec):
-        state = noon_like(spec, basis)
-    else:
-        state = superposition_state(spec, basis)
+    state = superposition_state(spec, basis)
     evolved = apply_phase(state, phi, chi)
     return apply_loss(evolved.to_density(), LossParams.equal(eta))
 
@@ -60,9 +60,18 @@ def test_kraus_completeness(mode, eta):
     assert np.abs(total - np.eye(basis.dim)).max() < 1e-12
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+def test_survival_table_matches_scalar_amplitude(eta):
+    table = survival_table(30, eta)
+    scalar = np.array([[kraus_amplitude(n, q, eta) for q in range(31)]
+                       for n in range(31)])
+    assert np.allclose(table, scalar, rtol=1e-12, atol=0.0)
+    assert np.all(np.isfinite(survival_table(100, eta)))
+
+
 def test_apply_loss_identity_at_unit_transmissivity():
     basis = TwoModeBasis(3)
-    rho = noon_like(NoonLikeSpec(3, 1), basis).to_density()
+    rho = superposition_state(NoonLikeSpec(3, 1), basis).to_density()
     out = apply_loss(rho, LossParams(1.0, 1.0))
     assert np.abs(out.matrix - rho.matrix).max() < 1e-14
 
@@ -99,9 +108,8 @@ def test_apply_loss_supports_unequal_arms():
 
 def test_lossy_noon_pure_limit():
     basis = TwoModeBasis(3)
-    params = LossyStateParams(NoonLikeSpec(3, 0), eta=1.0, phi=0.7, chi=0.1)
-    rho = lossy_noon(params, basis)
-    evolved = apply_phase(noon_like(NoonLikeSpec(3, 0), basis), 0.7, 0.1)
+    rho = lossy(NoonLikeSpec(3, 0), eta=1.0, phi=0.7, chi=0.1, basis=basis)
+    evolved = apply_phase(superposition_state(NoonLikeSpec(3, 0), basis), 0.7, 0.1)
     assert np.abs(rho.matrix - evolved.to_density().matrix).max() < 1e-14
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
@@ -110,7 +118,7 @@ def test_lossy_noon_hand_values():
     # N=2, k=0, eta=0.5: survival weights eta^2/2 on |2,0> and |0,2>,
     # coherence eta^2/2, one-photon weights eta(1-eta), vacuum (1-eta)^2
     basis = TwoModeBasis(2)
-    rho = lossy_noon(LossyStateParams(NoonLikeSpec(2, 0), eta=0.5), basis)
+    rho = lossy(NoonLikeSpec(2, 0), eta=0.5, basis=basis)
     ix = basis.index_of
     assert rho.matrix[ix(2, 0), ix(2, 0)] == pytest.approx(0.125, abs=1e-14)
     assert rho.matrix[ix(0, 2), ix(0, 2)] == pytest.approx(0.125, abs=1e-14)
@@ -124,7 +132,7 @@ def test_lossy_noon_coherence_phase():
     # the surviving two-branch coherence rotates at the full branch splitting
     basis = TwoModeBasis(2)
     phi = 0.7
-    rho = lossy_noon(LossyStateParams(NoonLikeSpec(2, 0), eta=0.5, phi=phi), basis)
+    rho = lossy(NoonLikeSpec(2, 0), eta=0.5, phi=phi, basis=basis)
     ix = basis.index_of
     want = 0.125 * cmath.exp(-2j * phi)
     assert rho.matrix[ix(2, 0), ix(0, 2)] == pytest.approx(want, abs=1e-14)
@@ -137,8 +145,7 @@ def test_lossy_noon_matches_kraus_composition():
                 for phi in (0.0, 0.4):
                     basis = TwoModeBasis(n)
                     spec = NoonLikeSpec(n, k)
-                    params = LossyStateParams(spec, eta=eta, phi=phi, chi=0.05)
-                    closed = lossy_noon(params, basis)
+                    closed = lossy(spec, eta=eta, phi=phi, chi=0.05, basis=basis)
                     oracle = kraus_oracle(spec, eta, phi, 0.05, basis)
                     assert np.abs(closed.matrix - oracle.matrix).max() < 1e-11
 
@@ -146,18 +153,15 @@ def test_lossy_noon_matches_kraus_composition():
 def test_lossy_superposition_single_term_reduction():
     basis = TwoModeBasis(5)
     one_hot = SuperpositionSpec(5, (0.0, 1 / math.sqrt(2), 0.0))
-    params = LossyStateParams(one_hot, eta=0.6, phi=0.3, chi=0.01)
-    via_superposition = lossy_superposition(params, basis)
-    via_noon = lossy_noon(
-        LossyStateParams(NoonLikeSpec(5, 1), eta=0.6, phi=0.3, chi=0.01), basis)
+    via_superposition = lossy(one_hot, eta=0.6, phi=0.3, chi=0.01, basis=basis)
+    via_noon = lossy(NoonLikeSpec(5, 1), eta=0.6, phi=0.3, chi=0.01, basis=basis)
     assert np.abs(via_superposition.matrix - via_noon.matrix).max() < 1e-12
 
 
 def test_lossy_superposition_pure_limit_is_projector():
     basis = TwoModeBasis(4)
     spec = SuperpositionSpec.normalized(4, (1.0, 0.7, 0.2))
-    params = LossyStateParams(spec, eta=1.0, phi=0.5, chi=0.02)
-    rho = lossy_superposition(params, basis)
+    rho = lossy(spec, eta=1.0, phi=0.5, chi=0.02, basis=basis)
     evolved = apply_phase(superposition_state(spec, basis), 0.5, 0.02)
     assert np.abs(rho.matrix - evolved.to_density().matrix).max() < 1e-13
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
@@ -167,8 +171,7 @@ def test_lossy_superposition_matches_kraus_composition():
     alpha2 = math.sqrt(1 - 2 * 0.25 - 2 * 0.09) / 2
     spec = SuperpositionSpec(4, (0.5, 0.3, alpha2))
     basis = TwoModeBasis(4)
-    params = LossyStateParams(spec, eta=0.7, phi=0.2, chi=0.0)
-    closed = lossy_superposition(params, basis)
+    closed = lossy(spec, eta=0.7, phi=0.2, chi=0.0, basis=basis)
     oracle = kraus_oracle(spec, 0.7, 0.2, 0.0, basis)
     assert np.abs(closed.matrix - oracle.matrix).max() < 1e-11
 
@@ -179,8 +182,7 @@ def test_lossy_superposition_random_specs_match_kraus():
         spec = SuperpositionSpec.normalized(n, rng.normal(size=spec_length(n)))
         for eta in (0.3, 0.7, 1.0):
             basis = TwoModeBasis(n)
-            params = LossyStateParams(spec, eta=eta, phi=0.4, chi=0.03)
-            closed = lossy_superposition(params, basis)
+            closed = lossy(spec, eta=eta, phi=0.4, chi=0.03, basis=basis)
             oracle = kraus_oracle(spec, eta, 0.4, 0.03, basis)
             assert np.abs(closed.matrix - oracle.matrix).max() < 1e-11
 
@@ -189,14 +191,13 @@ def test_lossy_superposition_random_specs_match_kraus():
 def test_trace_preserved_across_loss_grid(eta):
     for n in (1, 4, 9, 12):
         basis = TwoModeBasis(n)
-        rho = lossy_noon(
-            LossyStateParams(NoonLikeSpec(n, n // 3), eta=eta, phi=0.2), basis)
+        rho = lossy(NoonLikeSpec(n, n // 3), eta=eta, phi=0.2, basis=basis)
         assert abs(rho.matrix.trace().real - 1.0) < 1e-10
 
 
 def test_block_structure_of_channel_output():
     basis = TwoModeBasis(5)
-    rho = lossy_noon(LossyStateParams(NoonLikeSpec(5, 2), eta=0.6, phi=0.9), basis)
+    rho = lossy(NoonLikeSpec(5, 2), eta=0.6, phi=0.9, basis=basis)
     blocks = block_split(rho)  # raises if off-block mass appears
     assert sum(b.trace().real for _, b in blocks) == pytest.approx(1.0, abs=1e-12)
 
@@ -208,11 +209,11 @@ def test_purity_monotone_in_loss():
     basis = TwoModeBasis(6)
     purities = []
     for eta in (1.0, 0.9, 0.7, 0.5):
-        rho = lossy_noon(LossyStateParams(spec, eta=eta, phi=0.1), basis)
+        rho = lossy(spec, eta=eta, phi=0.1, basis=basis)
         purities.append(rho.purity())
     assert purities[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(purities) <= 1e-12)
-    vacuum_limit = lossy_noon(LossyStateParams(spec, eta=0.0, phi=0.1), basis)
+    vacuum_limit = lossy(spec, eta=0.0, phi=0.1, basis=basis)
     assert vacuum_limit.purity() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -220,9 +221,4 @@ def test_params_validation():
     with pytest.raises(ValueError):
         LossParams(1.2, 0.5)
     with pytest.raises(ValueError):
-        LossyStateParams(NoonLikeSpec(2, 0), eta=-0.1)
-    with pytest.raises(TypeError):
-        lossy_noon(LossyStateParams(
-            SuperpositionSpec(3, (0.5, 0.5)), eta=0.5))
-    with pytest.raises(TypeError):
-        lossy_superposition(LossyStateParams(NoonLikeSpec(2, 0), eta=0.5))
+        lossy(NoonLikeSpec(2, 0), eta=-0.1)

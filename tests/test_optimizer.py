@@ -38,7 +38,7 @@ def test_objective_matches_direct_construction():
     for raw in (np.array([1.0, 0.0, 0.0]), rng.normal(size=3)):
         fast = qfi_objective(raw, problem)
         spec = SuperpositionSpec.normalized(4, raw)
-        direct = PhasedFamily(spec, chi=1e-8, eta=0.9).qfi(0.0).qfi
+        direct = PhasedFamily(spec, chi=1e-8, eta=0.9).qfi().qfi
         assert fast == pytest.approx(direct, rel=1e-10)
 
 
