@@ -26,7 +26,6 @@ from kerrmet import (
     OptimizationProblem,
     PhasedFamily,
     SuperpositionSpec,
-    measurement_m,
     measurement_mm,
     min_delta_phi,
     optimize_alpha,
@@ -42,7 +41,8 @@ print("photon-count difference, eta = 1:")
 print(f"{'N':>3} {'min delta_phi':>14} {'closed form':>12} {'qcrb':>8}")
 for n in (3, 5, 7, 9):
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=chi, eta=1.0)
-    scan = min_delta_phi(family, measurement_m(family.basis))
+    # photon-count difference: measurement_mm(1) up to a sign delta_phi ignores
+    scan = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
     a = (n * n + 2 * n - 1) / 2
     c1 = (n + 1) / 2
     print(f"{n:>3} {scan.min_delta_phi:>14.6f} {math.sqrt(a) / c1:>12.6f} "
@@ -54,7 +54,7 @@ for n in (3, 5, 7, 9):
 print("\nN-photon coincidence, eta = 1:")
 for n in (2, 4, 6):
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
-    scan = min_delta_phi(family, measurement_mm(n, family.basis))
+    scan = min_delta_phi(family.moment_profile(measurement_mm(n, family.basis)))
     print(f"  N = {n}: min delta_phi = {scan.min_delta_phi:.9f}, "
           f"qcrb = {qcrb(family.qfi().qfi):.9f}")
 
@@ -67,6 +67,6 @@ for n in (5, 8, 11):
     outcome = optimize_alpha(OptimizationProblem(N=n, eta=0.9, chi=1e-8))
     family = PhasedFamily(SuperpositionSpec(n, outcome.alpha_star),
                           chi=1e-8, eta=0.9)
-    scan = min_delta_phi(family, measurement_mm(n, family.basis))
+    scan = min_delta_phi(family.moment_profile(measurement_mm(n, family.basis)))
     print(f"  N = {n:>2}: 1/delta_phi = {1 / scan.min_delta_phi:8.4f}   "
           f"1/qcrb = {math.sqrt(outcome.qfi_star):8.4f}")

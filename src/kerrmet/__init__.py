@@ -16,10 +16,8 @@ from .estimation import (
     UndefinedBoundError,
     delta_phi,
     max_qfi_over_k,
-    measurement_m,
     measurement_mm,
     min_delta_phi,
-    moments,
     qcrb,
     qfi,
     qfi_pure_analytic,
@@ -41,11 +39,9 @@ from .fock import (
     lowering_power,
 )
 from .interferometer import (
-    InterferometerParams,
     NoonLikeSpec,
     SuperpositionSpec,
     apply_phase,
-    beam_splitter,
     g_tilde,
     generator_h,
     superposition_state,

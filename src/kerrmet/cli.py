@@ -7,7 +7,8 @@ Commands
   optimize-scan  coefficient optimization per (N, eta), cached
   readout-scan   minimum error-propagation uncertainty of the m-photon
                  coincidence readout (m = N by default)
-  single         one fully specified operating point
+  single         readout-scan at one fully specified point, plus the
+                 readout's mean, variance and delta_phi at --phi
 
 Records carry a fixed column order; re-running a command with the same
 configuration and cache reproduces every column byte for byte except
@@ -39,14 +40,13 @@ from .estimation import (
     max_qfi_over_k,
     measurement_mm,
     min_delta_phi,
-    moments,
     qfi_pure_analytic,
 )
 from .fock import NumericalError
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha, qfi_objective
 
-ALGO_VERSION = 1
+ALGO_VERSION = 2
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
 COMMANDS = ("pure-qfi", "qfi-scan", "optimize-scan", "readout-scan", "single")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",
@@ -338,65 +338,56 @@ def _readout_input(config: ExperimentConfig, n: int, eta: float,
             _alpha_digest(outcome.alpha_star))
 
 
+def _readout_point(config: ExperimentConfig, n: int, eta: float,
+                   cache: OptimizeCache, grid: np.ndarray):
+    """One readout-scan row: the m-photon coincidence readout of the input
+    at (N, eta), and the moment profile every readout column comes from."""
+    t0 = time.perf_counter()
+    spec, digest = _readout_input(config, n, eta, cache)
+    m = config.m if config.m is not None else n
+    family = PhasedFamily(spec, chi=config.chi, eta=eta)
+    profile = family.moment_profile(measurement_mm(m, family.basis))
+    qfi_value = family.qfi().qfi
+    extras = {"m": m, "inv_delta_phi": np.nan, "inv_delta_x": np.nan,
+              "status": "ok"}
+    try:
+        scan = min_delta_phi(profile, grid)
+        phi_star = scan.argmin_phi
+        best = scan.min_delta_phi
+        extras["inv_delta_phi"] = 1.0 / best
+        # kbar is fixed to 1, so displacement and phase coincide
+        extras["inv_delta_x"] = KBAR / best
+    except DegenerateOperatingPointError:
+        phi_star, best = np.nan, np.nan
+        extras["status"] = "degenerate"
+    record = ResultRecord(
+        command=config.command, N=n, k_or_alpha_digest=digest,
+        eta=eta, chi=config.chi, phi_star=phi_star, qfi=qfi_value,
+        qcrb=_qcrb_or_inf(qfi_value), delta_phi_min=best,
+        wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed,
+        extras=extras)
+    return record, profile
+
+
 def run_readout_scan(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     cache = OptimizeCache(config.cache)
     grid = _grid(config)
     for eta in config.eta_list:
         for n in config.n_range:
-            t0 = time.perf_counter()
-            spec, digest = _readout_input(config, n, eta, cache)
-            m = config.m if config.m is not None else n
-            family = PhasedFamily(spec, chi=config.chi, eta=eta)
-            obs = measurement_mm(m, family.basis)
-            qfi_value = family.qfi().qfi
-            extras = {"m": m, "inv_delta_phi": np.nan, "inv_delta_x": np.nan,
-                      "status": "ok"}
-            try:
-                scan = min_delta_phi(family, obs, grid)
-                phi_star = scan.argmin_phi
-                best = scan.min_delta_phi
-                extras["inv_delta_phi"] = 1.0 / best
-                # kbar is fixed to 1, so displacement and phase coincide
-                extras["inv_delta_x"] = KBAR / best
-            except DegenerateOperatingPointError:
-                phi_star, best = np.nan, np.nan
-                extras["status"] = "degenerate"
-            records.append(ResultRecord(
-                command=config.command, N=n, k_or_alpha_digest=digest,
-                eta=eta, chi=config.chi, phi_star=phi_star, qfi=qfi_value,
-                qcrb=_qcrb_or_inf(qfi_value), delta_phi_min=best,
-                wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed,
-                extras=extras))
+            records.append(_readout_point(config, n, eta, cache, grid)[0])
     return {}
 
 
 def run_single(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
-    cache = OptimizeCache(config.cache)
-    n = config.n_range[0]
-    eta = config.eta_list[0]
-    t0 = time.perf_counter()
-    spec, digest = _readout_input(config, n, eta, cache)
-    m = config.m if config.m is not None else n
-    family = PhasedFamily(spec, chi=config.chi, eta=eta)
-    obs = measurement_mm(m, family.basis)
-    qfi_value = family.qfi().qfi
-    mean, variance = moments(family.rho(config.phi), obs)
-    extras = {"m": m, "mean": mean, "variance": variance,
-              "delta_phi_at_phi": np.nan, "status": "ok"}
-    try:
-        scan = min_delta_phi(family, obs, _grid(config))
-        best, phi_star = scan.min_delta_phi, scan.argmin_phi
-    except DegenerateOperatingPointError:
-        best, phi_star = np.nan, np.nan
-        extras["status"] = "degenerate"
-    point = family.moment_profile(obs).delta_phi(np.atleast_1d(config.phi))[0]
-    extras["delta_phi_at_phi"] = float(point)
-    records.append(ResultRecord(
-        command=config.command, N=n, k_or_alpha_digest=digest, eta=eta,
-        chi=config.chi, phi_star=phi_star, qfi=qfi_value,
-        qcrb=_qcrb_or_inf(qfi_value), delta_phi_min=best,
-        wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed,
-        extras=extras))
+    """The readout-scan row of the first N and eta, plus the mean, variance
+    and delta_phi at --phi read off the same moment profile."""
+    record, profile = _readout_point(config, config.n_range[0], config.eta_list[0],
+                                     OptimizeCache(config.cache), _grid(config))
+    phi = np.atleast_1d(config.phi)
+    record.extras.update(mean=float(profile.mean(phi)[0]),
+                         variance=float(profile.variance(phi)[0]),
+                         delta_phi_at_phi=float(profile.delta_phi(phi)[0]))
+    records.append(record)
     return {"config_echo": config.echo()}
 
 

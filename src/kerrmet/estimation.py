@@ -46,6 +46,10 @@ DEGENERACY_FACTOR = 1e-12
 # so such points belong to the degenerate neighborhood as well
 VARIANCE_FLOOR_FACTOR = 1e-8
 GOLDEN_TOL = 1e-10
+# delta_phi values this close (relative) tie.  On a flat profile (eta = 1,
+# k = 0, m = N) the default grid spreads by round-off up to 9.4e-11 for
+# N <= 60, mostly next to the degenerate points, where Var O cancels
+TIE_RTOL = 1e-9
 
 
 class DegenerateOperatingPointError(RuntimeError):
@@ -174,20 +178,12 @@ def sld(rho: DensityOperator, rho_prime: HermitianOperator,
     return HermitianOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
 
 
-def measurement_m(basis: TwoModeBasis) -> HermitianOperator:
-    """Photon-count-difference readout in internal modes: i(a2^dag a1 - a1^dag a2)."""
-    a1 = lowering_power(1, 1, basis)
-    a2 = lowering_power(2, 1, basis)
-    x = a2.conj().T @ a1
-    return HermitianOperator(basis, 1j * (x - x.conj().T))
-
-
 def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
     """m-photon coincidence readout: i[(a1^dag)^m a2^m - a1^m (a2^dag)^m].
 
-    At m = 1 this is the negative of ``measurement_m``; both operators are
-    kept with these exact signs, and moments/uncertainties do not depend
-    on the global sign.
+    At m = 1 this is photon counting up to sign: the photon-count
+    difference i(a2^dag a1 - a1^dag a2) is -measurement_mm(1), and
+    moments and uncertainties do not depend on the global sign.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -195,21 +191,6 @@ def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
     a2m = lowering_power(2, m, basis)
     x = a1m.conj().T @ a2m
     return HermitianOperator(basis, 1j * (x - x.conj().T))
-
-
-def moments(rho, obs: HermitianOperator) -> tuple[float, float]:
-    """Mean and variance of an observable: Tr[rho O], Tr[rho O^2] - mean^2."""
-    mean = expectation(rho, obs)
-    second = expectation(rho, HermitianOperator(obs.basis, obs.matrix @ obs.matrix))
-    variance = second - mean * mean
-    # round-off in the subtraction scales with the observable's magnitude
-    scale = max(1.0, abs(second) + mean * mean)
-    if variance < PSD_FLOOR * scale:
-        raise NumericalError(f"variance {variance:.3e} below round-off floor")
-    if variance < 0.0:
-        logger.debug("clamping variance %.3e to 0", variance)
-        variance = 0.0
-    return mean, variance
 
 
 def generator_blocks(N: int, chi: float) -> list[np.ndarray]:
@@ -431,16 +412,22 @@ def _golden_section(f, lo: float, hi: float, tol: float):
     return best_x, best_f
 
 
-def min_delta_phi(family: PhasedFamily, obs: HermitianOperator,
+def min_delta_phi(profile: MomentProfile,
                   grid: np.ndarray | None = None) -> ReadoutResult:
-    """Scan delta_phi over a grid (default: 2001 points on [0, pi]), skip
-    degenerate points, and refine the best bracket by golden section."""
+    """Scan a readout's delta_phi over a grid (default: 2001 points on
+    [0, pi]), skip degenerate points, and refine the best bracket by
+    golden section.
+
+    The operating point is the smallest grid phi whose delta_phi ties with
+    the grid minimum to a relative TIE_RTOL, unless the refinement improves
+    on the minimum by more than that: on a flat profile round-off would
+    otherwise pick the point.
+    """
     if grid is None:
         grid = np.linspace(0.0, np.pi, 2001)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    profile = family.moment_profile(obs)
     mean = profile.mean(grid)
     variance = profile.variance(grid)
     deltas = profile.delta_phi(grid)
@@ -448,6 +435,7 @@ def min_delta_phi(family: PhasedFamily, obs: HermitianOperator,
         raise DegenerateOperatingPointError(
             "the signal slope vanishes on every grid point")
     i_best = int(np.nanargmin(deltas))
+    f_grid = deltas[i_best]
     lo = grid[max(i_best - 1, 0)]
     hi = grid[min(i_best + 1, grid.size - 1)]
     guarded = lambda x: np.nan_to_num(
@@ -455,9 +443,11 @@ def min_delta_phi(family: PhasedFamily, obs: HermitianOperator,
     if hi > lo:
         x_star, f_star = _golden_section(guarded, lo, hi, GOLDEN_TOL)
     else:
-        x_star, f_star = float(grid[i_best]), float(deltas[i_best])
-    if f_star > deltas[i_best]:
-        x_star, f_star = float(grid[i_best]), float(deltas[i_best])
+        x_star, f_star = float(grid[i_best]), float(f_grid)
+    if f_star > f_grid:
+        x_star, f_star = float(grid[i_best]), float(f_grid)
+    if f_star >= f_grid * (1.0 - TIE_RTOL):
+        x_star = float(grid[np.argmax(deltas <= f_grid * (1.0 + TIE_RTOL))])
     return ReadoutResult(phi_grid=grid, mean=mean, variance=variance,
                          delta_phi=deltas, min_delta_phi=float(f_star),
                          argmin_phi=float(x_star))

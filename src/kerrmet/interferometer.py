@@ -5,8 +5,8 @@ g_tilde(n) = n + (chi/2) n^2 on n photons.  With the symmetric arm
 convention (phase -phi/2 in arm 1, +phi/2 in arm 2) the relative-phase
 generator is diagonal in the Fock basis, so evolution is a pure
 phase rotation of the amplitudes and never mixes total-photon-number
-blocks.  The signal is carried by phi = kbar * x; with the default
-kbar = 1 phase and displacement uncertainties coincide numerically.
+blocks.  The signal is carried by phi = kbar * x; the CLI fixes
+kbar = 1, so phase and displacement uncertainties coincide numerically.
 """
 
 from __future__ import annotations
@@ -15,34 +15,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .fock import (
-    HermitianOperator,
-    PureState,
-    TwoModeBasis,
-    lowering_power,
-)
+from .fock import HermitianOperator, PureState, TwoModeBasis
 
 NORMALIZATION_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class InterferometerParams:
-    """Kerr strength chi (phase per photon) and wave number kbar."""
-
-    chi: float = 0.0
-    kbar: float = 1.0
-
-    def __post_init__(self):
-        if self.chi < 0:
-            raise ValueError("chi must be non-negative")
-        if self.kbar <= 0:
-            raise ValueError("kbar must be positive")
-
-    def displacement(self, phi: float) -> float:
-        """Arm-length signal x corresponding to a relative phase phi."""
-        return phi / self.kbar
 
 
 def superposition_length(N: int) -> int:
@@ -158,33 +134,3 @@ def superposition_state(spec: SuperpositionSpec, basis: TwoModeBasis) -> PureSta
     for n1, n2, amp in branch_amplitudes(spec.N, spec.alpha):
         amps[basis.index_of(n1, n2)] = amp
     return PureState(basis, amps)
-
-
-def _beam_splitter_unitary(basis: TwoModeBasis) -> np.ndarray:
-    # 50:50 convention a1 -> (a1 + i a2)/sqrt(2), a2 -> (i a1 + a2)/sqrt(2),
-    # i.e. exp(i pi/4 (a1^dag a2 + a2^dag a1)), exponentiated block by block.
-    a1 = lowering_power(1, 1, basis)
-    a2 = lowering_power(2, 1, basis)
-    x = a1.conj().T @ a2 + a2.conj().T @ a1
-    u = np.zeros_like(x)
-    for t in range(basis.n_total_max + 1):
-        sl = basis.block_slice(t)
-        u[sl, sl] = expm(1j * (np.pi / 4) * x[sl, sl])
-    return u
-
-
-def beam_splitter(obj):
-    """Apply the fixed 50:50 beam-splitter convention.
-
-    Maps internal-mode descriptions to input/output-port descriptions;
-    states transform as psi -> U psi, observables as O -> U O U^dag.
-    All metrology computations stay in internal modes, this is exposed
-    for reporting port states only.
-    """
-    u = _beam_splitter_unitary(obj.basis)
-    if isinstance(obj, PureState):
-        return PureState(obj.basis, u @ obj.amplitudes)
-    if isinstance(obj, HermitianOperator):
-        transformed = u @ obj.matrix @ u.conj().T
-        return HermitianOperator(obj.basis, 0.5 * (transformed + transformed.conj().T))
-    raise TypeError(f"unsupported object {type(obj).__name__}")

@@ -192,8 +192,14 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
 
     weight = SuperpositionSpec.squared_weight(n, best_x)
     alpha_star = best_x / math.sqrt(weight)
-    if alpha_star[int(np.argmax(np.abs(alpha_star)))] < 0:
-        alpha_star = -alpha_star  # global sign is unobservable; fix it for replay
+    # signs that leave the QFI unchanged are fixed for replay: the global
+    # sign, and at even N also the sign of the odd-k part, since exp(i pi n2)
+    # maps alpha_k to (-1)^k alpha_k and commutes with the phase and the loss
+    stride = 1 if n % 2 else 2
+    for start in range(stride):
+        part = alpha_star[start::stride]  # a view into alpha_star
+        if part[int(np.argmax(np.abs(part)))] < 0:
+            part *= -1.0
     return OptimizationOutcome(alpha_star=tuple(float(a) for a in alpha_star),
                                qfi_star=best_value,
                                evaluations=evaluations,

@@ -134,6 +134,31 @@ def test_single_lossy_matches_brute_force(tmp_path):
     assert float(row["qfi"]) == pytest.approx(1.0, rel=1e-10)
 
 
+def test_single_matches_dense_oracle(tmp_path):
+    # single reads its point columns off the moment profile; the dense
+    # state and the pointwise delta_phi are the independent check
+    from kerrmet.estimation import PhasedFamily, delta_phi, measurement_mm
+    from kerrmet.fock import HermitianOperator, expectation
+    from kerrmet.interferometer import NoonLikeSpec
+
+    n, k, eta, m, phi, chi = 4, 1, 0.8, 2, 0.3, 0.05
+    out = tmp_path / "single_lossy.csv"
+    code = main(["--command", "single", "--n-range", str(n), "--k", str(k),
+                 "--eta", str(eta), "--m", str(m), "--phi", str(phi),
+                 "--chi", str(chi), "--out", str(out)])
+    assert code == 0
+    (row,) = read_csv(out)[1]
+    family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
+    obs = measurement_mm(m, family.basis)
+    rho = family.rho(phi)
+    mean = expectation(rho, obs)
+    second = expectation(rho, HermitianOperator(obs.basis, obs.matrix @ obs.matrix))
+    assert float(row["mean"]) == pytest.approx(mean, rel=1e-10)
+    assert float(row["variance"]) == pytest.approx(second - mean * mean, rel=1e-10)
+    assert float(row["delta_phi_at_phi"]) == pytest.approx(
+        delta_phi(family, obs, phi), rel=1e-10)
+
+
 def test_qfi_scan_emits_slopes(tmp_path):
     out = tmp_path / "scan.csv"
     code = main(["--command", "qfi-scan", "--n-range", "2:10:4",
@@ -173,6 +198,18 @@ def test_readout_scan_near_balanced_single_photon_counting(tmp_path):
     a = (n * n + 2 * n - 1) / 2
     c1 = (n + 1) / 2
     assert float(row["inv_delta_phi"]) == pytest.approx(c1 / math.sqrt(a), rel=1e-9)
+
+
+def test_readout_scan_flat_profile_reports_smallest_phi(tmp_path):
+    # at eta = 1, k = 0, m = N delta_phi equals the QCRB at every phi, so
+    # the grid points tie and the smallest phi is reported, not one picked
+    # by round-off
+    out = tmp_path / "flat.csv"
+    code = main(["--command", "readout-scan", "--n-range", "10:30:10",
+                 "--eta", "1.0", "--k", "0", "--out", str(out)])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [row["phi_star"] for row in rows] == ["0.0"] * 3
 
 
 def test_optimize_scan_uses_cache(tmp_path):

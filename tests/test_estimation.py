@@ -9,10 +9,8 @@ from kerrmet.estimation import (
     UndefinedBoundError,
     delta_phi,
     max_qfi_over_k,
-    measurement_m,
     measurement_mm,
     min_delta_phi,
-    moments,
     qcrb,
     qfi,
     qfi_pure_analytic,
@@ -26,6 +24,7 @@ from kerrmet.fock import (
     PureState,
     TwoModeBasis,
     falling_factorial,
+    lowering_power,
 )
 from kerrmet.interferometer import (
     NoonLikeSpec,
@@ -240,7 +239,8 @@ def test_measurement_m_balanced_ket():
     amps[basis.index_of(2, 2)] = 1.0
     from kerrmet.fock import expectation
 
-    assert expectation(PureState(basis, amps), measurement_m(basis)) == 0.0
+    # photon counting is measurement_mm(1) up to sign
+    assert expectation(PureState(basis, amps), measurement_mm(1, basis)) == 0.0
 
 
 def test_measurement_mm_full_coincidence_signal():
@@ -281,26 +281,31 @@ def test_measurement_mm_vanishes_without_enough_photons():
 
 def test_measurement_mm_order_one_is_negated_photon_difference():
     basis = TwoModeBasis(3)
-    assert np.abs(measurement_mm(1, basis).matrix
-                  + measurement_m(basis).matrix).max() < 1e-14
+    x = lowering_power(2, 1, basis).conj().T @ lowering_power(1, 1, basis)
+    difference = 1j * (x - x.conj().T)  # i(a2^dag a1 - a1^dag a2)
+    assert np.abs(measurement_mm(1, basis).matrix + difference).max() < 1e-14
+
+
+def profile_moments(family, obs, phi):
+    profile = family.moment_profile(obs)
+    phi = np.array([phi])
+    return profile.mean(phi)[0], profile.variance(phi)[0]
 
 
 def test_moments_examples():
-    basis = TwoModeBasis(3)
-    rho = superposition_state(NoonLikeSpec(3, 1), basis).to_density()
-    mean, var = moments(rho, measurement_m(basis))
+    family = PhasedFamily(NoonLikeSpec(3, 1), chi=0.0, eta=1.0)
+    mean, var = profile_moments(family, measurement_mm(1, family.basis), 0.0)
     assert mean == pytest.approx(0.0, abs=1e-14)
     assert var == pytest.approx(7.0, abs=1e-12)
 
     n = 4
-    basis = TwoModeBasis(n)
-    rho = superposition_state(NoonLikeSpec(n, 0), basis).to_density()
-    mean, var = moments(rho, measurement_mm(n, basis))
+    family = PhasedFamily(NoonLikeSpec(n, 0), chi=0.0, eta=1.0)
+    mean, var = profile_moments(family, measurement_mm(n, family.basis), 0.0)
     assert mean == pytest.approx(0.0, abs=1e-10)
     assert var == pytest.approx(math.factorial(n) ** 2, rel=1e-12)
 
-    identity = HermitianOperator(basis, np.eye(basis.dim))
-    mean, var = moments(rho, identity)
+    identity = HermitianOperator(family.basis, np.eye(family.basis.dim))
+    mean, var = profile_moments(family, identity, 0.0)
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert var == pytest.approx(0.0, abs=1e-12)
 
@@ -316,7 +321,7 @@ def test_moments_variance_of_coincidence_below_full_order():
     extra = falling_factorial(k, m) * falling_factorial(n - k + m, m)
     rate = m * (1 + 0.7 * n / 2)
     for phi in (0.0, 0.4):
-        mean, var = moments(family.rho(phi), obs)
+        mean, var = profile_moments(family, obs, phi)
         assert var == pytest.approx(c_sq + extra - c_sq * math.sin(rate * phi) ** 2,
                                     rel=1e-10)
 
@@ -341,7 +346,7 @@ def test_delta_phi_near_balanced_closed_form():
     c1 = (n + 1) / 2
     theta = 1 + chi * n / 2
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=chi, eta=1.0)
-    obs = measurement_m(family.basis)
+    obs = measurement_mm(1, family.basis)
     for phi in (0.0, 0.2, 0.7):
         want = math.sqrt(a - c1 ** 2 * math.sin(theta * phi) ** 2) / (
             c1 * theta * abs(math.cos(theta * phi)))
@@ -354,7 +359,7 @@ def test_delta_phi_large_kerr_consistency():
     n, chi = 5, 1000.0
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
     obs = measurement_mm(n, family.basis)
-    got = min_delta_phi(family, obs).min_delta_phi
+    got = min_delta_phi(family.moment_profile(obs)).min_delta_phi
     approx = 2.0 / (chi * n * n)
     assert abs(got / approx - 1.0) < 2.0 / (chi * n)
 
@@ -370,7 +375,7 @@ def test_min_delta_phi_full_coincidence():
     n, chi = 5, 0.1
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
     obs = measurement_mm(n, family.basis)
-    result = min_delta_phi(family, obs)
+    result = min_delta_phi(family.moment_profile(obs))
     assert result.min_delta_phi == pytest.approx(1.0 / (n + chi * n * n / 2),
                                                  rel=1e-6)
 
@@ -380,14 +385,14 @@ def test_min_delta_phi_near_balanced_minimum_at_zero():
     a = (n * n + 2 * n - 1) / 2
     c1 = (n + 1) / 2
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=0.0, eta=1.0)
-    result = min_delta_phi(family, measurement_m(family.basis))
+    result = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
     assert result.min_delta_phi == pytest.approx(math.sqrt(a) / c1, rel=1e-9)
     assert abs(result.argmin_phi) < 1e-6
 
 
 def test_min_delta_phi_single_photon_unit():
     family = PhasedFamily(NoonLikeSpec(1, 0), chi=0.0, eta=1.0)
-    result = min_delta_phi(family, measurement_mm(1, family.basis))
+    result = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
     assert result.min_delta_phi == pytest.approx(1.0, rel=1e-9)
 
 
@@ -396,7 +401,7 @@ def test_min_delta_phi_rejects_degenerate_grid():
     obs = measurement_mm(2, family.basis)
     # cos(2 phi) = 0 at phi = pi/4: slope of <M_2> vanishes there
     with pytest.raises(DegenerateOperatingPointError):
-        min_delta_phi(family, obs, np.array([np.pi / 4]))
+        min_delta_phi(family.moment_profile(obs), np.array([np.pi / 4]))
 
 
 def test_min_delta_phi_never_beats_qcrb():
@@ -411,7 +416,7 @@ def test_min_delta_phi_never_beats_qcrb():
         obs = measurement_mm(m, family.basis)
         bound = qcrb(family.qfi().qfi)
         try:
-            result = min_delta_phi(family, obs)
+            result = min_delta_phi(family.moment_profile(obs))
         except DegenerateOperatingPointError:
             continue
         assert result.min_delta_phi >= bound - 1e-9
@@ -421,7 +426,7 @@ def test_min_delta_phi_matches_pointwise_evaluation():
     family = PhasedFamily(NoonLikeSpec(4, 1), chi=0.05, eta=0.8)
     obs = measurement_mm(2, family.basis)
     grid = np.linspace(0.05, 3.0, 41)
-    result = min_delta_phi(family, obs, grid)
+    result = min_delta_phi(family.moment_profile(obs), grid)
     for i in (0, 13, 27, 40):
         point = delta_phi(family, obs, float(grid[i]))
         assert result.delta_phi[i] == pytest.approx(point, rel=1e-9)

@@ -124,14 +124,14 @@ def test_expectation_trivials():
 
 def test_expectation_m_squared():
     # <M^2> = 2 n1 n2 + n1 + n2 on each Fock component -> 7 on both kets
-    from kerrmet.estimation import measurement_m
+    from kerrmet.estimation import measurement_mm
 
     basis = TwoModeBasis(3)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of(1, 2)] = 1 / math.sqrt(2)
     amps[basis.index_of(2, 1)] = 1 / math.sqrt(2)
     state = PureState(basis, amps)
-    m = measurement_m(basis).matrix
+    m = measurement_mm(1, basis).matrix  # M^2 does not depend on M's sign
     msq = HermitianOperator(basis, m @ m)
     assert expectation(state, msq) == pytest.approx(7.0, abs=1e-12)
 

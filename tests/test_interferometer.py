@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from kerrmet.estimation import measurement_m, qfi_pure_analytic
+from kerrmet.estimation import measurement_mm, qfi_pure_analytic
 from kerrmet.fock import HermitianOperator, TwoModeBasis, expectation
 from kerrmet.interferometer import (
-    InterferometerParams,
     NoonLikeSpec,
     SuperpositionSpec,
     apply_phase,
-    beam_splitter,
     g_tilde,
     generator_h,
     superposition_state,
@@ -64,10 +62,10 @@ def test_apply_phase_single_photon_signal():
     chi = 0.4
     basis = TwoModeBasis(1)
     state = superposition_state(NoonLikeSpec(1, 0), basis)
-    m = measurement_m(basis)
+    m = measurement_mm(1, basis)  # the photon-count difference is -M_1
     for phi in (0.0, 0.3, 1.1):
         evolved = apply_phase(state, phi, chi)
-        assert expectation(evolved, m) == pytest.approx(
+        assert -expectation(evolved, m) == pytest.approx(
             math.sin(phi * (1 + chi / 2)), abs=1e-12)
 
 
@@ -143,50 +141,6 @@ def test_superposition_even_midpoint():
     basis = TwoModeBasis(2)
     state = superposition_state(SuperpositionSpec(2, (0.0, 0.5)), basis)
     assert state.amplitudes[basis.index_of(1, 1)] == pytest.approx(1.0)
-
-
-def test_beam_splitter_vacuum_and_single_photon():
-    basis = TwoModeBasis(2)
-    from kerrmet.fock import PureState
-
-    vacuum = np.zeros(basis.dim, dtype=complex)
-    vacuum[basis.index_of(0, 0)] = 1.0
-    out = beam_splitter(PureState(basis, vacuum))
-    assert np.abs(out.amplitudes - vacuum).max() < 1e-12
-
-    one = np.zeros(basis.dim, dtype=complex)
-    one[basis.index_of(1, 0)] = 1.0
-    out = beam_splitter(PureState(basis, one))
-    assert out.amplitudes[basis.index_of(1, 0)] == pytest.approx(1 / math.sqrt(2))
-    assert out.amplitudes[basis.index_of(0, 1)] == pytest.approx(1j / math.sqrt(2))
-
-
-def test_beam_splitter_double_pass_on_readout():
-    # two passes swap the modes up to phases: M -> -M
-    basis = TwoModeBasis(3)
-    m = measurement_m(basis)
-    twice = beam_splitter(beam_splitter(m))
-    assert np.abs(twice.matrix + m.matrix).max() < 1e-12
-
-
-def test_beam_splitter_unitarity():
-    basis = TwoModeBasis(4)
-    rng = np.random.default_rng(11)
-    from kerrmet.fock import PureState
-
-    raw = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    state = PureState.normalized(basis, raw)
-    out = beam_splitter(state)
-    assert np.linalg.norm(out.amplitudes) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_params_validation():
-    with pytest.raises(ValueError):
-        InterferometerParams(chi=-0.1)
-    with pytest.raises(ValueError):
-        InterferometerParams(kbar=0.0)
-    params = InterferometerParams(chi=0.0, kbar=2.0)
-    assert params.displacement(1.0) == pytest.approx(0.5)
 
 
 def test_variance_of_generator_matches_pure_qfi():

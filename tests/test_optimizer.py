@@ -12,6 +12,24 @@ from kerrmet.optimizer import (
 )
 
 
+def test_alpha_star_sign_convention_at_even_n():
+    # at even N, alpha_k -> (-1)^k alpha_k leaves the QFI unchanged, so the
+    # even-k and the odd-k part each get their largest entry positive
+    for n in (2, 4):
+        first = None
+        for seed in (0, 1, 2):
+            problem = OptimizationProblem(N=n, eta=0.6, chi=1e-8, restarts=4,
+                                          seed=seed)
+            alpha = np.array(optimize_alpha(problem).alpha_star)
+            for part in (alpha[0::2], alpha[1::2]):
+                assert part[np.argmax(np.abs(part))] > 0
+            flipped = alpha * (-1.0) ** np.arange(alpha.size)
+            assert qfi_objective(flipped, problem) == pytest.approx(
+                qfi_objective(alpha, problem), rel=1e-12)
+            first = alpha if first is None else first
+            assert np.abs(alpha - first).max() < 1e-6
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         OptimizationProblem(N=0, eta=0.9, chi=0.0)

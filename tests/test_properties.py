@@ -73,12 +73,21 @@ def test_qfi_does_not_grow_with_loss(spec, eta_a, eta_b, chi):
 
 
 @PROPERTY_SETTINGS
+@given(specs(), st.floats(0.0, 0.99))
+def test_qfi_below_linear_loss_bound(spec, eta):
+    # without Kerr, loss caps the Fisher information of any N-photon input
+    # at eta N / (1 - eta) (Demkowicz-Dobrzanski, Kolodynski and Guta 2012)
+    bound = eta * spec.N / (1.0 - eta)
+    assert PhasedFamily(spec, chi=0.0, eta=eta).qfi().qfi <= bound * (1 + 1e-12) + 1e-12
+
+
+@PROPERTY_SETTINGS
 @given(specs(), etas, chis)
 def test_full_coincidence_readout_respects_qcrb(spec, eta, chi):
     family = PhasedFamily(spec, chi=chi, eta=eta)
     fisher = family.qfi().qfi
     try:
-        scan = min_delta_phi(family, measurement_mm(spec.N, family.basis))
+        scan = min_delta_phi(family.moment_profile(measurement_mm(spec.N, family.basis)))
     except DegenerateOperatingPointError:
         return
     assert fisher > 0.0
