@@ -46,7 +46,7 @@ from .fock import NumericalError
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha, qfi_objective
 
-ALGO_VERSION = 2
+ALGO_VERSION = 3
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
 COMMANDS = ("pure-qfi", "qfi-scan", "optimize-scan", "readout-scan", "single")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",

@@ -62,11 +62,13 @@ class UndefinedBoundError(ValueError):
 
 @dataclass
 class QfiResult:
-    """Fisher information F^2 (so that (delta phi)^2 >= 1/qfi) plus diagnostics."""
+    """Fisher information F^2 (so that (delta phi)^2 >= 1/qfi) plus
+    diagnostics, and the SLD blocks when they were asked for."""
 
     qfi: float
     rank_cutoff: float
     spectrum: np.ndarray
+    sld: list[np.ndarray] | None = None
 
 
 @dataclass
@@ -74,8 +76,6 @@ class ReadoutResult:
     """Uncertainty scan of one observable over a phase grid."""
 
     phi_grid: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
     delta_phi: np.ndarray
     min_delta_phi: float
     argmin_phi: float
@@ -112,14 +112,20 @@ def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-def _qfi_from_block_pairs(pairs) -> QfiResult:
-    """QFI from matching (rho block, rho' block) pairs sharing one basis."""
+def _qfi_from_block_pairs(pairs, with_sld: bool = False) -> QfiResult:
+    """QFI from matching (rho block, rho' block) pairs sharing one basis.
+
+    With ``with_sld`` the result also holds the SLD block of each pair,
+    L_jk = 2 rho'_jk / (p_j + p_k) in the eigenbasis of rho on the same
+    eigenvalue pairs the QFI sum keeps, zero elsewhere.
+    """
     decomposed = []
     spectrum = []
     for rho_block, rhop_block in pairs:
         if not rho_block.any():
             # empty block: all probabilities 0, every pair is below cutoff
             spectrum.append(np.zeros(rho_block.shape[0]))
+            decomposed.append((None, None, rhop_block))
             continue
         vals, vecs = np.linalg.eigh(rho_block)
         decomposed.append((vals, vecs, rhop_block))
@@ -128,14 +134,24 @@ def _qfi_from_block_pairs(pairs) -> QfiResult:
     probs = _clamped_probabilities(spectrum.copy(), "qfi")
     cutoff = RANK_CUTOFF_FACTOR * (probs.max() if probs.size else 0.0)
     total = 0.0
+    slds = [] if with_sld else None
     for vals, vecs, rhop_block in decomposed:
+        if vals is None:
+            if with_sld:
+                slds.append(np.zeros_like(rhop_block))
+            continue
         p = _clamped_probabilities(vals, "qfi block")
         a = vecs.conj().T @ rhop_block @ vecs
         psum = p[:, None] + p[None, :]
         mask = psum > cutoff
         if mask.any():
             total += float((2.0 * np.abs(a[mask]) ** 2 / psum[mask]).sum())
-    return QfiResult(qfi=total, rank_cutoff=cutoff, spectrum=spectrum)
+        if with_sld:
+            core = np.zeros_like(a)
+            core[mask] = 2.0 * a[mask] / psum[mask]
+            block = vecs @ core @ vecs.conj().T
+            slds.append(0.5 * (block + block.conj().T))
+    return QfiResult(qfi=total, rank_cutoff=cutoff, spectrum=spectrum, sld=slds)
 
 
 def qfi(rho: DensityOperator, rho_prime: HermitianOperator) -> QfiResult:
@@ -304,8 +320,8 @@ class MomentProfile:
     def second_moment(self, phi):
         return (self._phases(phi) @ self.w_sq).real
 
-    def variance(self, phi):
-        var = self.second_moment(phi) - self.mean(phi) ** 2
+    def _checked_variance(self, mean, second):
+        var = second - mean ** 2
         lo = np.min(var)
         if lo < PSD_FLOOR * max(1.0, self.obs_norm ** 2):
             raise NumericalError(f"variance {lo:.3e} below round-off floor")
@@ -314,20 +330,22 @@ class MomentProfile:
                          int(np.sum(var < 0)), lo)
         return np.clip(var, 0.0, None)
 
-    def slope(self, phi):
-        return (self._phases(phi) @ (1j * self.freqs * self.w_mean)).real
+    def variance(self, phi):
+        return self._checked_variance(self.mean(phi), self.second_moment(phi))
 
     def delta_phi(self, phi):
         """sqrt(Var)/|slope| with NaN at degenerate operating points.
 
         A point counts as degenerate when the signal slope falls below its
         threshold or the variance falls below its round-off floor; for the
-        sinusoidal readouts here both happen in the same neighborhoods.
+        sinusoidal readouts here both happen in the same neighborhoods.  A
+        variance negative beyond round-off raises NumericalError.
         """
-        slope = np.abs(self.slope(phi))
-        mean = self.mean(phi)
-        second = self.second_moment(phi)
-        var = np.clip(second - mean ** 2, 0.0, None)
+        phases = self._phases(phi)
+        mean = (phases @ self.w_mean).real
+        second = (phases @ self.w_sq).real
+        slope = np.abs((phases @ (1j * self.freqs * self.w_mean)).real)
+        var = self._checked_variance(mean, second)
         good = (slope >= self.slope_floor) & (
             var >= VARIANCE_FLOOR_FACTOR * (np.abs(second) + mean ** 2))
         out = np.full(np.shape(phi), np.nan, dtype=float)
@@ -428,8 +446,6 @@ def min_delta_phi(profile: MomentProfile,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be non-empty")
-    mean = profile.mean(grid)
-    variance = profile.variance(grid)
     deltas = profile.delta_phi(grid)
     if not np.isfinite(deltas).any():
         raise DegenerateOperatingPointError(
@@ -448,6 +464,5 @@ def min_delta_phi(profile: MomentProfile,
         x_star, f_star = float(grid[i_best]), float(f_grid)
     if f_star >= f_grid * (1.0 - TIE_RTOL):
         x_star = float(grid[np.argmax(deltas <= f_grid * (1.0 + TIE_RTOL))])
-    return ReadoutResult(phi_grid=grid, mean=mean, variance=variance,
-                         delta_phi=deltas, min_delta_phi=float(f_star),
-                         argmin_phi=float(x_star))
+    return ReadoutResult(phi_grid=grid, delta_phi=deltas,
+                         min_delta_phi=float(f_star), argmin_phi=float(x_star))

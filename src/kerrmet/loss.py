@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .fock import (
     DensityOperator,
@@ -92,17 +91,25 @@ def apply_loss(rho: DensityOperator, loss: LossParams,
     return DensityOperator(basis, 0.5 * (out + out.conj().T))
 
 
+def _xlog(count: np.ndarray, x: float) -> np.ndarray:
+    """count * log(x) with 0 * log(0) = 0."""
+    if x > 0.0:
+        return count * math.log(x)
+    return np.where(count > 0, -np.inf, 0.0)
+
+
 def survival_table(n_max: int, eta: float) -> np.ndarray:
     """kappa[n, q] = single-mode amplitude for keeping n-q of n photons.
 
     The same amplitude as ``kraus_amplitude``, for all n, q <= n_max at
-    once; xlogy makes 0 * log(0) = 0, so eta = 0 and eta = 1 are exact.
+    once; 0 * log(0) counts as 0, so eta = 0 and eta = 1 are exact.
     """
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
     n = np.arange(n_max + 1)[:, None]
     q = np.arange(n_max + 1)[None, :]
     kept = np.maximum(n - q, 0)
-    log_amp = 0.5 * (gammaln(n + 1) - gammaln(q + 1) - gammaln(kept + 1)
-                     + xlogy(q, 1.0 - eta) + xlogy(kept, eta))
+    log_amp = 0.5 * (log_fact[n] - log_fact[q] - log_fact[kept]
+                     + _xlog(q, 1.0 - eta) + _xlog(kept, eta))
     return np.where(q <= n, np.exp(log_amp), 0.0)
 
 

@@ -1,14 +1,19 @@
 """Input-state optimization: maximize Fisher information over the real
 coefficients of a fixed-N superposition under the normalization constraint.
 
-The objective is evaluated in unconstrained coordinates with the
-normalization applied inside, so a plain derivative-free simplex search
-works; multiple seeded restarts guard against local maxima, and the
-deterministic one-hot start at k = 0 makes the search never report worse
-than the plain two-branch state.  The lossy output is quadratic in the
-coefficients, which lets the objective precompute one block tensor per
-problem and reduce each evaluation to a small contraction plus blockwise
-eigendecompositions.
+The lossy output is quadratic in the coefficients, rho = sum_kl alpha_k
+alpha_l R_kl, and the Fisher information is a maximum over Hermitian L,
+
+    F(alpha) = max_L 2 Tr[rho' L] - Tr[rho L^2],
+
+attained at the symmetric logarithmic derivative.  For fixed L the
+right-hand side is the quadratic form alpha^T M(L) alpha, so the see-saw
+(Macieszczak, arXiv:1312.1356) alternates L <- SLD of rho(alpha) and
+alpha <- top eigenvector of M(L) under the normalization metric, and F
+never decreases.  Where the see-saw crawls, quasi-Newton steps with the
+exact gradient 2(M alpha - F W alpha) finish the climb.  Multiple seeded
+starts guard against local maxima; the deterministic first start sits next
+to the best two-branch state, so the search never reports worse than it.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .estimation import _qfi_from_block_pairs, derivative_factors, generator_blocks
 from .fock import NumericalError
@@ -29,7 +33,17 @@ from .loss import cross_lossy_blocks
 logger = logging.getLogger(__name__)
 
 RANDOM_GENERATOR = "numpy.random.default_rng (PCG64)"
-_SIMPLEX_XATOL = 1e-8
+# weight of the uniform admixture to the best one-hot start, which is
+# itself a fixed point of the see-saw
+_ADMIXTURE = 0.05
+# a see-saw step longer than this fraction of the one before hands over
+# to the polish
+_CRAWL_RATIO = 0.5
+_ARMIJO = 1e-4
+_MAX_HALVINGS = 6
+# relative round-off of F: close to the maximum a step raises F by less than
+# this, and a step that lowers the gradient norm there is still accepted
+_VALUE_NOISE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,10 +87,11 @@ class OptimizationOutcome:
 
 class _QuadraticQfiModel:
     """The lossy output is quadratic in alpha: rho = sum_kl alpha_k alpha_l
-    rho^(kl).  All phi = 0 cross blocks are built once and flattened into a
+    R_kl.  All phi = 0 cross blocks are built once and flattened into a
     single (S^2, sum_T (T+1)^2) matrix, so one evaluation is one
     vector-matrix product with outer(alpha, alpha), the blockwise
-    derivative i[G, rho] and the blockwise QFI reduction."""
+    derivative i[G, rho] and the blockwise QFI reduction; the see-saw
+    matrix M(L) is one more product with the same matrix."""
 
     def __init__(self, problem: OptimizationProblem):
         n = problem.N
@@ -97,8 +112,10 @@ class _QuadraticQfiModel:
             [off + np.arange(d) * (d + 1)
              for off, d in zip(self.offsets[:-1], self.block_dims)])
         self.factors = derivative_factors(generator_blocks(n, problem.chi))
+        # Tr R_kl = W_kl: the metric of SuperpositionSpec.squared_weight
+        self.metric = np.array([4.0 if 2 * k == n else 2.0 for k in range(length)])
 
-    def qfi(self, alpha: np.ndarray) -> float:
+    def _pairs(self, alpha: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         weights = np.outer(alpha, alpha).ravel()
         rho_flat = weights @ self.matrix
         trace = rho_flat[self.diag_idx].real.sum()
@@ -109,7 +126,25 @@ class _QuadraticQfiModel:
             block = rho_flat[off:off + d * d].reshape(d, d)
             block = 0.5 * (block + block.conj().T)
             pairs.append((block, f * block))
-        return _qfi_from_block_pairs(pairs).qfi
+        return pairs
+
+    def qfi(self, alpha: np.ndarray) -> float:
+        return _qfi_from_block_pairs(self._pairs(alpha)).qfi
+
+    def seesaw(self, alpha: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """F at normalized alpha, M(L)_kl = Re(2 Tr[rho'_kl L] - Tr[R_kl L^2])
+        at the SLD L of rho(alpha), and the gradient 2(M alpha - F W alpha)
+        of F(alpha / sqrt(alpha^T W alpha)) there."""
+        result = _qfi_from_block_pairs(self._pairs(alpha), with_sld=True)
+        # Tr[X L] = sum_ij X_ij L_ji, and rho'_kl = factor * R_kl per block
+        dual = np.concatenate(
+            [(2.0 * f * sld.T - (sld @ sld).T).ravel()
+             for f, sld in zip(self.factors, result.sld)])
+        length = alpha.size
+        m = (self.matrix @ dual).real.reshape(length, length)
+        m = 0.5 * (m + m.T)
+        gradient = 2.0 * (m @ alpha - result.qfi * self.metric * alpha)
+        return result.qfi, m, gradient
 
 
 @lru_cache(maxsize=8)
@@ -133,65 +168,158 @@ def qfi_objective(alpha, problem: OptimizationProblem) -> float:
     return _model_for(problem).qfi(alpha / math.sqrt(weight))
 
 
-def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
-    """Multi-restart Nelder-Mead search over the input coefficients.
+@dataclass
+class _Climb:
+    """One start's end point, its SLD evaluations and accepted F values."""
 
-    Start points: the deterministic one-hot vector e_0 (restart index 0)
-    plus ``restarts`` random unit vectors with per-restart seed
-    ``problem.seed + index``.  Each restart runs its simplex search under
-    the per-restart evaluation budget ``max_evals``; the best point over
-    all restarts wins, with ties broken toward the earlier restart.
+    alpha: np.ndarray
+    value: float
+    evaluations: int
+    converged: bool
+    history: list[float]
+
+
+def _climb(model: _QuadraticQfiModel, alpha: np.ndarray, budget: int,
+           tol: float) -> _Climb:
+    """See-saw from alpha, then quasi-Newton steps where the see-saw crawls.
+
+    Works in u = W^(1/2) alpha on the unit sphere, where the see-saw step
+    is the top eigenvector of W^(-1/2) M W^(-1/2) and the gradient is
+    tangent.  An accepted step raises F, or, once F moves by less than its
+    round-off, stays within round-off of the best F so far and lowers the
+    gradient norm.  The climb stops once the gradient norm is within
+    tol * max(1, F) (converged), when the budget of SLD evaluations is
+    spent, or when no step is accepted.
+    """
+    root = np.sqrt(model.metric)
+
+    def evaluate(u):
+        value, m, gradient = model.seesaw(u / root)
+        return value, m / np.outer(root, root), gradient / root
+
+    u = root * alpha
+    u /= np.linalg.norm(u)
+    value, k, g = evaluate(u)
+    evaluations = 1
+    history = [value]
+    ceiling = value  # the best F so far; accepted steps stay within noise of it
+
+    def accepted(candidate, gain):
+        new_value, _, new_g = candidate
+        if new_value > value + gain:
+            return True
+        return (new_value >= ceiling - _VALUE_NOISE * max(1.0, ceiling)
+                and np.linalg.norm(new_g) < np.linalg.norm(g))
+
+    identity = np.eye(u.size)
+    inv_hessian = None  # of -F on the tangent space, from BFGS updates
+    polishing = False
+    last_step = np.inf
+    converged = False
+    while True:
+        if np.linalg.norm(g) <= tol * max(1.0, value):
+            converged = True
+            break
+        if evaluations >= budget:
+            break
+        trial = None
+        if polishing and inv_hessian is not None:
+            tangent = identity - np.outer(u, u)
+            direction = tangent @ inv_hessian @ tangent @ g
+            # a quasi-Newton step may not outrun the last accepted step twice over
+            length = np.linalg.norm(direction)
+            if length > 2.0 * last_step:
+                direction *= 2.0 * last_step / length
+            ascent = g @ direction
+            t = 1.0
+            for _ in range(_MAX_HALVINGS):
+                if evaluations >= budget:
+                    break
+                point = u + t * direction
+                point /= np.linalg.norm(point)
+                candidate = evaluate(point)
+                evaluations += 1
+                if accepted(candidate, _ARMIJO * t * ascent):
+                    trial = point, candidate
+                    break
+                t *= 0.5
+            else:
+                inv_hessian = None  # a see-saw step follows and restarts BFGS
+        if trial is None:
+            if evaluations >= budget:
+                break
+            point = np.linalg.eigh(k)[1][:, -1]
+            if point @ u < 0:
+                point = -point
+            candidate = evaluate(point)
+            evaluations += 1
+            if not accepted(candidate, 0.0):
+                break
+            trial = point, candidate
+            polishing = polishing or (np.linalg.norm(point - u)
+                                      > _CRAWL_RATIO * last_step)
+        point, (new_value, new_k, new_g) = trial
+        last_step = np.linalg.norm(point - u)
+        # BFGS update of the inverse Hessian of -F, carrying the old
+        # gradient to the new tangent space by projection
+        s = point - u
+        s -= point * (point @ s)
+        y = -(new_g - (g - point * (point @ g)))
+        sy = s @ y
+        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+            if inv_hessian is None:
+                inv_hessian = (sy / (y @ y)) * identity
+            v = identity - np.outer(s, y) / sy
+            inv_hessian = v @ inv_hessian @ v.T + np.outer(s, s) / sy
+        u, value, k, g = point, new_value, new_k, new_g
+        ceiling = max(ceiling, value)
+        history.append(value)
+    return _Climb(alpha=u / root, value=value, evaluations=evaluations,
+                  converged=converged, history=history)
+
+
+def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
+    """Multi-start see-saw search over the input coefficients.
+
+    Start 0 is the best one-hot vector e_k (a two-branch state) with a
+    small uniform admixture, since e_k itself is a fixed point of the
+    see-saw; e_k stays a candidate of start 0, so the result never falls
+    below the best two-branch state.  Starts 1..``restarts`` are random
+    unit vectors with per-start seed ``problem.seed + index``.  Each start
+    may spend ``max_evals`` SLD evaluations; the best end point over all
+    starts wins, with ties broken toward the earlier start.
     """
     model = _model_for(problem)
     dim = problem.dimension
     n = problem.N
-
-    def value_at(x: np.ndarray) -> float:
-        weight = SuperpositionSpec.squared_weight(n, x)
-        if weight <= 0 or not np.isfinite(weight):
-            return 0.0
-        return model.qfi(np.asarray(x, dtype=float) / math.sqrt(weight))
-
-    def negated(x: np.ndarray) -> float:
-        # the objective is flat along the overall-scale ray; the quadratic
-        # gauge term vanishes on the normalized manifold and only keeps the
-        # simplex from drifting along that ray
-        weight = SuperpositionSpec.squared_weight(n, x)
-        gauge = (weight - 1.0) ** 2 if np.isfinite(weight) else np.inf
-        return -value_at(x) + gauge
-
     n_starts = problem.restarts + 1
-    budget = problem.max_evals
     logger.debug("optimize_alpha N=%d eta=%.3f: %d starts x %d evals, rng=%s",
-                 n, problem.eta, n_starts, budget, RANDOM_GENERATOR)
+                 n, problem.eta, n_starts, problem.max_evals, RANDOM_GENERATOR)
 
-    best_value = -np.inf
-    best_x = None
-    best_success = False
-    evaluations = 0
+    def scale_of(x):
+        return x / math.sqrt(SuperpositionSpec.squared_weight(n, x))
+
+    # one evaluation each: the best two-branch state and its gradient test
+    one_hots = [_climb(model, scale_of(e), 1, problem.tol) for e in np.eye(dim)]
+    one_hot = max(one_hots, key=lambda climb: climb.value)
+    evaluations = dim
+
+    best = None
     per_restart: list[tuple[int, float]] = []
     for index in range(n_starts):
         if index == 0:
-            x0 = np.zeros(dim)
-            x0[0] = 1.0
+            x0 = one_hot.alpha + _ADMIXTURE * scale_of(np.ones(dim))
         else:
-            rng = np.random.default_rng(problem.seed + index)
-            x0 = rng.normal(size=dim)
-            x0 /= np.linalg.norm(x0)
-        res = minimize(negated, x0, method="Nelder-Mead",
-                       options={"maxfev": budget, "xatol": _SIMPLEX_XATOL,
-                                "fatol": problem.tol, "adaptive": True,
-                                "disp": False})
-        evaluations += int(res.nfev) + 1
-        value = value_at(np.asarray(res.x, dtype=float))
-        per_restart.append((problem.seed + index, value))
-        if value > best_value:
-            best_value = value
-            best_x = np.asarray(res.x, dtype=float)
-            best_success = bool(res.success)
+            x0 = np.random.default_rng(problem.seed + index).normal(size=dim)
+        climb = _climb(model, scale_of(x0), problem.max_evals, problem.tol)
+        evaluations += climb.evaluations
+        if index == 0 and one_hot.value > climb.value:
+            climb = one_hot
+        per_restart.append((problem.seed + index, climb.value))
+        if best is None or climb.value > best.value:
+            best = climb
 
-    weight = SuperpositionSpec.squared_weight(n, best_x)
-    alpha_star = best_x / math.sqrt(weight)
+    alpha_star = scale_of(best.alpha)
     # signs that leave the QFI unchanged are fixed for replay: the global
     # sign, and at even N also the sign of the odd-k part, since exp(i pi n2)
     # maps alpha_k to (-1)^k alpha_k and commutes with the phase and the loss
@@ -201,7 +329,7 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
         if part[int(np.argmax(np.abs(part)))] < 0:
             part *= -1.0
     return OptimizationOutcome(alpha_star=tuple(float(a) for a in alpha_star),
-                               qfi_star=best_value,
+                               qfi_star=best.value,
                                evaluations=evaluations,
-                               converged=best_success,
+                               converged=best.converged,
                                per_restart=per_restart)

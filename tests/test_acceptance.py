@@ -167,7 +167,7 @@ def test_criterion_6_optimizer_dominance_and_reduction(optimized):
         want = qfi_pure_analytic(n, 0, CHI_DEFAULT)
         worst_rel = max(worst_rel, abs(outcome.qfi_star - want) / want)
     elapsed = time.perf_counter() - t0
-    ok = worst_margin >= -1e-9 and worst_rel <= 1e-6 and elapsed < 1800.0
+    ok = worst_margin >= -1e-9 and worst_rel <= 1e-6 and elapsed < 300.0
     criterion("6 optimizer dominance and lossless reduction", ok,
               f"worst dominance margin {worst_margin:.2e}, worst lossless "
               f"rel dev {worst_rel:.2e}, runtime {elapsed:.0f}s")

@@ -5,6 +5,7 @@ import pytest
 
 from kerrmet.estimation import (
     DegenerateOperatingPointError,
+    MomentProfile,
     PhasedFamily,
     UndefinedBoundError,
     delta_phi,
@@ -402,6 +403,17 @@ def test_min_delta_phi_rejects_degenerate_grid():
     # cos(2 phi) = 0 at phi = pi/4: slope of <M_2> vanishes there
     with pytest.raises(DegenerateOperatingPointError):
         min_delta_phi(family.moment_profile(obs), np.array([np.pi / 4]))
+
+
+def test_min_delta_phi_rejects_negative_variance():
+    # <O> = 2 cos(phi), <O^2> = 1: Var O = 1 - 4 cos^2(phi) < 0 near phi = 0
+    freqs = np.array([-1.0, 1.0])
+    profile = MomentProfile(freqs, np.array([1.0, 1.0]), np.array([0.5, 0.5]),
+                            obs_norm=2.0)
+    with pytest.raises(NumericalError):
+        profile.delta_phi(np.array([0.0, 0.3]))
+    with pytest.raises(NumericalError):
+        min_delta_phi(profile, np.linspace(0.0, np.pi, 11))
 
 
 def test_min_delta_phi_never_beats_qcrb():

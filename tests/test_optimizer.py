@@ -7,9 +7,28 @@ from kerrmet.estimation import PhasedFamily, max_qfi_over_k, qfi_pure_analytic
 from kerrmet.interferometer import SuperpositionSpec
 from kerrmet.optimizer import (
     OptimizationProblem,
+    _climb,
+    _model_for,
     optimize_alpha,
     qfi_objective,
 )
+
+# qfi_star of the multi-restart Nelder-Mead optimizer this package used
+# before the see-saw (defaults: 16 restarts, seed 0, chi = 1e-8), N = 1..12
+NELDER_MEAD_QFI = {
+    0.6: (0.6000000060000001, 1.4700000294000009, 2.34967706116085,
+          3.2744000595404685, 4.232043834258128, 5.217245937144435,
+          6.225692910741305, 7.254168450337094, 8.30016578447432,
+          9.361683691894484, 10.437090658937487, 11.525033581332137),
+    0.8: (0.8000000079999997, 2.5600000512000025, 4.6080001382400075,
+          6.578149721065536, 8.580587145041106, 10.665424052794945,
+          12.820105192276454, 15.036104333879557, 17.306702281234553,
+          19.62645823079918, 21.990867360571777, 24.39612951544707),
+    0.9: (0.9000000089999998, 3.240000064800004, 6.561000196830012,
+          10.497600419904021, 14.762250738112536, 19.13187714791261,
+          23.436549740558437, 27.57076747258331, 31.740282667321864,
+          36.014404228306205, 40.3843333317526, 44.84361269252268),
+}
 
 
 def test_alpha_star_sign_convention_at_even_n():
@@ -123,7 +142,56 @@ def test_reported_best_equals_max_over_restarts():
 
 def test_budget_exhaustion_returns_best_so_far():
     problem = OptimizationProblem(N=6, eta=0.8, chi=1e-8, restarts=2,
-                                  max_evals=20)
+                                  max_evals=3)
     outcome = optimize_alpha(problem)
     assert not outcome.converged
     assert outcome.qfi_star > 0.0
+
+
+@pytest.mark.parametrize("eta", sorted(NELDER_MEAD_QFI))
+def test_never_below_nelder_mead(eta):
+    for n, recorded in enumerate(NELDER_MEAD_QFI[eta], start=1):
+        outcome = optimize_alpha(OptimizationProblem(N=n, eta=eta, chi=1e-8))
+        assert outcome.qfi_star >= recorded - 1e-9 * max(1.0, recorded), n
+        assert outcome.converged, n
+
+
+def _unit(problem, rng):
+    alpha = rng.normal(size=problem.dimension)
+    return alpha / math.sqrt(SuperpositionSpec.squared_weight(problem.N, alpha))
+
+
+def test_seesaw_never_decreases_f():
+    problem = OptimizationProblem(N=10, eta=0.9, chi=1e-8)
+    model = _model_for(problem)
+    root = np.sqrt(model.metric)
+    alpha = _unit(problem, np.random.default_rng(5))
+    values = []
+    for _ in range(60):
+        value, m, _ = model.seesaw(alpha)
+        values.append(value)
+        # top eigenvector of M against the normalization metric W
+        alpha = np.linalg.eigh(m / np.outer(root, root))[1][:, -1] / root
+    assert values[-1] > values[0]
+    steps = np.diff(values)
+    assert steps.min() >= -1e-12 * max(values)
+    # the climb, polish included, keeps every accepted F within round-off
+    # of the best one before it
+    climb = _climb(model, _unit(problem, np.random.default_rng(6)), 500, 1e-10)
+    history = np.array(climb.history)
+    assert climb.converged
+    assert np.all(history[1:] >= np.maximum.accumulate(history)[:-1]
+                  - 1e-12 * history.max())
+
+
+@pytest.mark.parametrize("n, eta, chi", [(7, 0.8, 1e-4), (6, 0.6, 0.0), (12, 0.9, 1e-8)])
+def test_gradient_matches_central_differences(n, eta, chi):
+    problem = OptimizationProblem(N=n, eta=eta, chi=chi)
+    alpha = _unit(problem, np.random.default_rng(n))
+    value, _, gradient = _model_for(problem).seesaw(alpha)
+    assert value == pytest.approx(qfi_objective(alpha, problem), rel=1e-12)
+    h = 1e-5
+    numeric = np.array([
+        (qfi_objective(alpha + h * e, problem) - qfi_objective(alpha - h * e, problem))
+        / (2 * h) for e in np.eye(alpha.size)])
+    assert np.linalg.norm(gradient - numeric) <= 1e-6 * np.linalg.norm(gradient)
