@@ -566,7 +566,8 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError, np.linalg.LinAlgError) as err:
+    except (NumericalError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as err:
         print(f"numerical error: {err}", file=sys.stderr)
         summary["error"] = str(err)
         _emit(records, summary, config)  # flush whatever completed

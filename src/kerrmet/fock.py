@@ -26,6 +26,8 @@ NORM_ATOL = 1e-12
 
 # above this occupation, scalar combinatorics switch to log-gamma floats
 _EXACT_FACTORIAL_LIMIT = 20
+# entries per row band in the banded Hermiticity check
+_BAND_ENTRIES = 1 << 18
 
 
 class TruncationError(ValueError):
@@ -124,8 +126,22 @@ class TwoModeBasis:
         return f"TwoModeBasis(n_total_max={self.n_total_max})"
 
 
+def _band_rows(dim: int) -> int:
+    """Rows per band of the Hermiticity check: about 2^18 entries a band."""
+    return max(1, _BAND_ENTRIES // max(dim, 1))
+
+
 def _check_hermitian(matrix: np.ndarray, what: str) -> None:
-    dev = np.abs(matrix - matrix.conj().T).max()
+    """Compare each band of rows with the conjugate of the matching band of
+    columns, so the check needs no dim x dim temporary."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what} is not a square matrix: shape {matrix.shape}")
+    dim = matrix.shape[0]
+    band = _band_rows(dim)
+    dev = 0.0
+    for i in range(0, dim, band):
+        dev = max(dev, np.abs(matrix[i:i + band]
+                              - matrix[:, i:i + band].conj().T).max(initial=0.0))
     if dev > HERMITICITY_ATOL:
         raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e}")
 
@@ -176,7 +192,12 @@ class DensityOperator:
         tr = self.matrix.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        lo = np.linalg.eigvalsh(self.matrix).min()
+        try:
+            # block-diagonal in T: the smallest eigenvalue is the smallest
+            # over the blocks
+            lo = min(np.linalg.eigvalsh(block).min() for _, block in block_split(self))
+        except BlockStructureError:
+            lo = np.linalg.eigvalsh(self.matrix).min()
         if lo < PSD_FLOOR:
             raise ValueError(f"matrix has eigenvalue {lo:.3e} below PSD floor {PSD_FLOOR}")
 
@@ -211,13 +232,13 @@ def lowering_power(mode: int, m: int, basis: TwoModeBasis) -> np.ndarray:
         raise ValueError("power m must be non-negative")
     out = np.zeros((basis.dim, basis.dim), dtype=complex)
     occ = basis.n1 if mode == 1 else basis.n2
-    for src in range(basis.dim):
-        n = int(occ[src])
-        if n < m:
-            continue
-        n1, n2 = basis.state_of(src)
-        tgt = (n1 - m, n2) if mode == 1 else (n1, n2 - m)
-        out[basis.index_of(*tgt), src] = math.sqrt(falling_factorial(n, m))
+    src = np.flatnonzero(occ >= m)
+    # the target |n1', n2'> sits at T'(T'+1)/2 + n1' with T' = T - m
+    total = basis.total[src] - m
+    n1 = basis.n1[src] - (m if mode == 1 else 0)
+    amplitude = np.sqrt([falling_factorial(n, m)
+                         for n in range(m, basis.n_total_max + 1)])
+    out[total * (total + 1) // 2 + n1, src] = amplitude[occ[src] - m]
     return out
 
 

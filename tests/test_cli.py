@@ -212,6 +212,27 @@ def test_readout_scan_flat_profile_reports_smallest_phi(tmp_path):
     assert [row["phi_star"] for row in rows] == ["0.0"] * 3
 
 
+def test_readout_scan_reaches_n_100(tmp_path):
+    out = tmp_path / "readout100.csv"
+    code = main(["--command", "readout-scan", "--n-range", "100", "--eta", "0.9",
+                 "--k", "0", "--out", str(out)])
+    assert code == 0
+    _, (row,) = read_csv(out)
+    assert row["status"] == "ok"
+    assert float(row["delta_phi_min"]) >= float(row["qcrb"]) - 1e-9
+
+
+def test_single_past_the_float_range_is_numerical(tmp_path, capsys):
+    # the variance of the N = 100 coincidence observable exceeds the float
+    # range: exit 3 with a numerical error, never a traceback
+    out = tmp_path / "single100.csv"
+    code = main(["--command", "single", "--n-range", "100", "--k", "0",
+                 "--eta", "0.9", "--out", str(out)])
+    assert code in (0, 3)
+    if code == 3:
+        assert capsys.readouterr().err.startswith("numerical error: ")
+
+
 def test_optimize_scan_uses_cache(tmp_path):
     out1 = tmp_path / "opt1.csv"
     out2 = tmp_path / "opt2.csv"
@@ -333,3 +354,17 @@ def test_numerical_error_flushes_partial_results(tmp_path, monkeypatch):
     comments, rows = read_csv(out)
     assert len(rows) == 2  # completed points were flushed
     assert any("error" in c for c in comments)
+
+
+def test_overflow_error_exits_3(tmp_path, monkeypatch):
+    import kerrmet.cli as cli
+
+    def overflowing(n, eta, chi, phi=0.0):
+        raise OverflowError("synthetic overflow")
+
+    monkeypatch.setattr(cli, "max_qfi_over_k", overflowing)
+    out = tmp_path / "overflow.csv"
+    assert main(["--command", "qfi-scan", "--n-range", "1", "--eta", "1.0",
+                 "--out", str(out)]) == 3
+    comments, rows = read_csv(out)
+    assert rows == [] and any("synthetic overflow" in c for c in comments)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -285,6 +286,59 @@ def test_measurement_mm_order_one_is_negated_photon_difference():
     x = lowering_power(2, 1, basis).conj().T @ lowering_power(1, 1, basis)
     difference = 1j * (x - x.conj().T)  # i(a2^dag a1 - a1^dag a2)
     assert np.abs(measurement_mm(1, basis).matrix + difference).max() < 1e-14
+
+
+def test_measurement_mm_equals_dense_product():
+    # the dense product stays here as the oracle for the entrywise build
+    for n_max in range(0, 13):
+        basis = TwoModeBasis(n_max)
+        for m in range(1, n_max + 2):
+            x = lowering_power(1, m, basis).conj().T @ lowering_power(2, m, basis)
+            assert np.array_equal(measurement_mm(m, basis).matrix,
+                                  1j * (x - x.conj().T)), (n_max, m)
+
+
+def test_measurement_mm_peak_memory():
+    basis = TwoModeBasis(40)
+    tracemalloc.start()
+    try:
+        measurement_mm(40, basis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * basis.dim ** 2 * 16
+
+
+def test_moment_profile_scale_is_exact():
+    # O/scale with a power-of-two scale: every moment and delta_phi equals
+    # the unscaled profile's bit for bit
+    family = PhasedFamily(NoonLikeSpec(14, 2), chi=0.05, eta=0.8)
+    profile = family.moment_profile(measurement_mm(6, family.basis))
+    mantissa, _ = math.frexp(profile.scale)
+    assert mantissa == 0.5 and profile.scale > 1.0
+    assert 0.5 <= profile.obs_norm < 1.0
+    s = profile.scale
+    plain = MomentProfile(profile.freqs, profile.w_mean * s, profile.w_sq * s * s,
+                          profile.obs_norm * s)
+    phi = np.linspace(0.0, np.pi, 97)
+    for name in ("mean", "second_moment", "variance", "delta_phi"):
+        assert np.array_equal(getattr(profile, name)(phi), getattr(plain, name)(phi),
+                              equal_nan=True), name
+
+
+def test_moment_profile_past_the_float_range():
+    # |O| = 100! and |O|^2 overflows: delta_phi stays finite, the second
+    # moment raises OverflowError instead of returning inf
+    family = PhasedFamily(NoonLikeSpec(100, 0), chi=1e-8, eta=0.9)
+    profile = family.moment_profile(measurement_mm(100, family.basis))
+    phi = np.array([0.1])
+    assert np.isfinite(profile.mean(phi)).all()
+    with pytest.raises(OverflowError):
+        profile.second_moment(phi)
+    with pytest.raises(OverflowError):
+        profile.variance(phi)
+    scan = min_delta_phi(profile)
+    assert scan.min_delta_phi >= qcrb(family.qfi().qfi) - 1e-9
 
 
 def profile_moments(family, obs, phi):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from kerrmet import fock
 from kerrmet.fock import (
     BasisMismatchError,
     BlockStructureError,
@@ -105,6 +106,22 @@ def test_lowering_power_is_iterated_single_lowering():
         product = np.linalg.matrix_power(single, m)
         direct = lowering_power(mode, m, padded)
         assert np.allclose(product, direct, atol=1e-12)
+
+
+def test_lowering_power_matches_elementwise_definition():
+    # a^m |n> = sqrt(n!/(n-m)!) |n - m> in the chosen mode, entry by entry
+    for n_max in range(0, 9):
+        basis = TwoModeBasis(n_max)
+        for mode in (1, 2):
+            for m in range(0, n_max + 2):
+                want = np.zeros((basis.dim, basis.dim), dtype=complex)
+                for src in range(basis.dim):
+                    n1, n2 = basis.state_of(src)
+                    n = n1 if mode == 1 else n2
+                    if n >= m:
+                        tgt = (n1 - m, n2) if mode == 1 else (n1, n2 - m)
+                        want[basis.index_of(*tgt), src] = math.sqrt(falling_factorial(n, m))
+                assert np.array_equal(lowering_power(mode, m, basis), want)
 
 
 def test_expectation_trivials():
@@ -223,6 +240,49 @@ def test_density_operator_validation():
     skew[0, 1] = 1e-3
     with pytest.raises(ValueError):
         DensityOperator(basis, skew)
+
+
+def test_density_operator_psd_check_inside_a_block():
+    # block T = 1 is [[0.5, 0.6], [0.6, 0.5]] with eigenvalue -0.1, while
+    # every diagonal entry is non-negative
+    basis = TwoModeBasis(2)
+    matrix = np.zeros((basis.dim, basis.dim), dtype=complex)
+    sl = basis.block_slice(1)
+    matrix[sl, sl] = [[0.5, 0.6], [0.6, 0.5]]
+    with pytest.raises(ValueError, match="PSD floor"):
+        DensityOperator(basis, matrix)
+
+
+def test_density_operator_psd_check_without_block_structure():
+    # coherences between T = 0 and T = 1 take the dense fallback
+    basis = TwoModeBasis(1)
+    bad = np.array([[0.5, 0.6, 0.0], [0.6, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="PSD floor"):
+        DensityOperator(basis, bad)
+    ket = PureState.normalized(basis, np.array([1.0, 1.0, 0.0]))
+    assert ket.to_density().purity() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_hermiticity_check_covers_every_band():
+    dim = 1000
+    band = fock._band_rows(dim)
+    assert band < dim // 3  # at least four bands, the last one partial
+    assert dim % band
+    last = dim - 1
+    for row, col in ((last, 0),  # last row band against the first
+                     (last, last - 1),  # inside the last band
+                     (1, 2 * band + 1),  # crosses two bands
+                     (2 * band + 1, 1)):
+        matrix = np.diag(np.arange(dim, dtype=complex))
+        fock._check_hermitian(matrix, "diagonal")
+        matrix[row, col] = 1e-6
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fock._check_hermitian(matrix, "perturbed")
+
+
+def test_hermiticity_check_rejects_non_square():
+    with pytest.raises(ValueError, match="square"):
+        eigh(np.zeros((2, 3)))
 
 
 def test_pure_state_norm_validation():
