@@ -329,7 +329,7 @@ class MomentProfile:
     """
 
     def __init__(self, freqs: np.ndarray, w_mean: np.ndarray,
-                 w_sq: np.ndarray, obs_norm: float, scale: float = 1.0):
+                 w_sq: np.ndarray, obs_norm: float, scale: float):
         self.freqs = freqs
         self.w_mean = w_mean.astype(complex)
         self.w_sq = w_sq.astype(complex)

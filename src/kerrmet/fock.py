@@ -192,12 +192,7 @@ class DensityOperator:
         tr = self.matrix.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        try:
-            # block-diagonal in T: the smallest eigenvalue is the smallest
-            # over the blocks
-            lo = min(np.linalg.eigvalsh(block).min() for _, block in block_split(self))
-        except BlockStructureError:
-            lo = np.linalg.eigvalsh(self.matrix).min()
+        lo = np.linalg.eigvalsh(self.matrix).min()
         if lo < PSD_FLOOR:
             raise ValueError(f"matrix has eigenvalue {lo:.3e} below PSD floor {PSD_FLOOR}")
 

@@ -228,9 +228,8 @@ def test_single_past_the_float_range_is_numerical(tmp_path, capsys):
     out = tmp_path / "single100.csv"
     code = main(["--command", "single", "--n-range", "100", "--k", "0",
                  "--eta", "0.9", "--out", str(out)])
-    assert code in (0, 3)
-    if code == 3:
-        assert capsys.readouterr().err.startswith("numerical error: ")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical error: ")
 
 
 def test_optimize_scan_uses_cache(tmp_path):

@@ -319,7 +319,7 @@ def test_moment_profile_scale_is_exact():
     assert 0.5 <= profile.obs_norm < 1.0
     s = profile.scale
     plain = MomentProfile(profile.freqs, profile.w_mean * s, profile.w_sq * s * s,
-                          profile.obs_norm * s)
+                          profile.obs_norm * s, 1.0)
     phi = np.linspace(0.0, np.pi, 97)
     for name in ("mean", "second_moment", "variance", "delta_phi"):
         assert np.array_equal(getattr(profile, name)(phi), getattr(plain, name)(phi),
@@ -463,7 +463,7 @@ def test_min_delta_phi_rejects_negative_variance():
     # <O> = 2 cos(phi), <O^2> = 1: Var O = 1 - 4 cos^2(phi) < 0 near phi = 0
     freqs = np.array([-1.0, 1.0])
     profile = MomentProfile(freqs, np.array([1.0, 1.0]), np.array([0.5, 0.5]),
-                            obs_norm=2.0)
+                            obs_norm=2.0, scale=1.0)
     with pytest.raises(NumericalError):
         profile.delta_phi(np.array([0.0, 0.3]))
     with pytest.raises(NumericalError):

@@ -253,16 +253,6 @@ def test_density_operator_psd_check_inside_a_block():
         DensityOperator(basis, matrix)
 
 
-def test_density_operator_psd_check_without_block_structure():
-    # coherences between T = 0 and T = 1 take the dense fallback
-    basis = TwoModeBasis(1)
-    bad = np.array([[0.5, 0.6, 0.0], [0.6, 0.5, 0.0], [0.0, 0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError, match="PSD floor"):
-        DensityOperator(basis, bad)
-    ket = PureState.normalized(basis, np.array([1.0, 1.0, 0.0]))
-    assert ket.to_density().purity() == pytest.approx(1.0, abs=1e-15)
-
-
 def test_hermiticity_check_covers_every_band():
     dim = 1000
     band = fock._band_rows(dim)
