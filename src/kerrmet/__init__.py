@@ -14,43 +14,24 @@ from .estimation import (
     QfiResult,
     ReadoutResult,
     UndefinedBoundError,
-    delta_phi,
     max_qfi_over_k,
     measurement_mm,
     min_delta_phi,
     qcrb,
-    qfi,
     qfi_pure_analytic,
-    sld,
 )
 from .fock import (
     BasisMismatchError,
     BlockStructureError,
-    DensityOperator,
     HermitianOperator,
     NumericalError,
-    PureState,
     TruncationError,
     TwoModeBasis,
     block_split,
-    eigh,
-    expectation,
     falling_factorial,
     lowering_power,
 )
-from .interferometer import (
-    NoonLikeSpec,
-    SuperpositionSpec,
-    apply_phase,
-    g_tilde,
-    generator_h,
-    superposition_state,
-)
-from .loss import (
-    LossParams,
-    apply_loss,
-    kraus_element,
-)
+from .interferometer import NoonLikeSpec, SuperpositionSpec
 from .optimizer import (
     OptimizationOutcome,
     OptimizationProblem,

@@ -384,10 +384,12 @@ def run_single(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     record, profile = _readout_point(config, config.n_range[0], config.eta_list[0],
                                      OptimizeCache(config.cache), _grid(config))
     phi = np.atleast_1d(config.phi)
-    record.extras.update(mean=float(profile.mean(phi)[0]),
-                         variance=float(profile.variance(phi)[0]),
+    record.extras.update(mean=None, variance=None,
                          delta_phi_at_phi=float(profile.delta_phi(phi)[0]))
+    # the row is kept, with the moments left empty, when one overflows
     records.append(record)
+    record.extras["mean"] = float(profile.mean(phi)[0])
+    record.extras["variance"] = float(profile.variance(phi)[0])
     return {"config_echo": config.echo()}
 
 

@@ -1,14 +1,15 @@
 """Metrological quantities for phase estimation.
 
 Quantum Fisher information is computed from the symmetric logarithmic
-derivative in the eigenbasis of rho,
+derivative in the eigenbasis of each total-photon-number block T of rho,
 
-    F^2 = sum_{j,k: p_j + p_k > eps} 2 |rho'_{jk}|^2 / (p_j + p_k),
+    F^2 = sum_T sum_{j,k: p_j + p_k > eps_T} 2 |rho'_{jk}|^2 / (p_j + p_k),
 
-which on a pure unitary family reduces to 4 Var(H).  The quantum
-Cramer-Rao bound is delta_phi >= 1/F.  Readout performance is judged by
-error propagation, delta_phi = sqrt(Var O) / |d<O>/dphi|, scanned over
-operating points phi where the signal slope does not vanish.
+with eps_T relative to the block's largest eigenvalue, which on a pure
+unitary family reduces to 4 Var(H).  The quantum Cramer-Rao bound is
+delta_phi >= 1/F.  Readout performance is judged by error propagation,
+delta_phi = sqrt(Var O) / |d<O>/dphi|, scanned over operating points phi
+where the signal slope does not vanish.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ import numpy as np
 
 from .fock import (
     BasisMismatchError,
-    BlockStructureError,
-    DensityOperator,
     HermitianOperator,
     NumericalError,
     PSD_FLOOR,
     TwoModeBasis,
-    assemble_blocks,
     block_split,
-    expectation,
     lowering_power,
 )
 from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
@@ -37,7 +34,8 @@ from .loss import cross_lossy_blocks
 
 logger = logging.getLogger(__name__)
 
-# eigenvalues below this fraction of the largest one count as kernel
+# eigenvalue pairs below this fraction of their block's largest eigenvalue
+# count as kernel
 RANK_CUTOFF_FACTOR = 1e-12
 # |d<O>/dphi| below this fraction of ||O|| marks a degenerate operating point
 DEGENERACY_FACTOR = 1e-12
@@ -63,7 +61,12 @@ class UndefinedBoundError(ValueError):
 @dataclass
 class QfiResult:
     """Fisher information F^2 (so that (delta phi)^2 >= 1/qfi) plus
-    diagnostics, and the SLD blocks when they were asked for."""
+    diagnostics, and the SLD blocks when they were asked for.
+
+    ``rank_cutoff`` is relative and per block: an eigenvalue pair of a
+    block enters the sum and the SLD only if p_j + p_k exceeds
+    rank_cutoff times that block's largest eigenvalue.
+    """
 
     qfi: float
     rank_cutoff: float
@@ -115,35 +118,32 @@ def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
 def _qfi_from_block_pairs(pairs, with_sld: bool = False) -> QfiResult:
     """QFI from matching (rho block, rho' block) pairs sharing one basis.
 
+    An eigenvalue pair of a block counts as kernel when p_j + p_k is at
+    most RANK_CUTOFF_FACTOR times that block's largest eigenvalue: eigh's
+    error in a block scales with the block's own norm, and under heavy
+    loss the blocks that carry the branch coherence lie wholly below any
+    cutoff taken from the largest eigenvalue over all blocks.
+
     With ``with_sld`` the result also holds the SLD block of each pair,
     L_jk = 2 rho'_jk / (p_j + p_k) in the eigenbasis of rho on the same
     eigenvalue pairs the QFI sum keeps, zero elsewhere.
     """
-    decomposed = []
     spectrum = []
+    total = 0.0
+    slds = [] if with_sld else None
     for rho_block, rhop_block in pairs:
         if not rho_block.any():
             # empty block: all probabilities 0, every pair is below cutoff
             spectrum.append(np.zeros(rho_block.shape[0]))
-            decomposed.append((None, None, rhop_block))
-            continue
-        vals, vecs = np.linalg.eigh(rho_block)
-        decomposed.append((vals, vecs, rhop_block))
-        spectrum.append(vals)
-    spectrum = np.sort(np.concatenate(spectrum)) if spectrum else np.zeros(0)
-    probs = _clamped_probabilities(spectrum.copy(), "qfi")
-    cutoff = RANK_CUTOFF_FACTOR * (probs.max() if probs.size else 0.0)
-    total = 0.0
-    slds = [] if with_sld else None
-    for vals, vecs, rhop_block in decomposed:
-        if vals is None:
             if with_sld:
                 slds.append(np.zeros_like(rhop_block))
             continue
+        vals, vecs = np.linalg.eigh(rho_block)
+        spectrum.append(vals)
         p = _clamped_probabilities(vals, "qfi block")
         a = vecs.conj().T @ rhop_block @ vecs
         psum = p[:, None] + p[None, :]
-        mask = psum > cutoff
+        mask = psum > RANK_CUTOFF_FACTOR * p.max()
         if mask.any():
             total += float((2.0 * np.abs(a[mask]) ** 2 / psum[mask]).sum())
         if with_sld:
@@ -151,47 +151,9 @@ def _qfi_from_block_pairs(pairs, with_sld: bool = False) -> QfiResult:
             core[mask] = 2.0 * a[mask] / psum[mask]
             block = vecs @ core @ vecs.conj().T
             slds.append(0.5 * (block + block.conj().T))
-    return QfiResult(qfi=total, rank_cutoff=cutoff, spectrum=spectrum, sld=slds)
-
-
-def qfi(rho: DensityOperator, rho_prime: HermitianOperator) -> QfiResult:
-    """Fisher information of a state and its phase derivative.
-
-    Uses the total-photon-number block structure when present (every state
-    built in this package has it); a full-matrix eigendecomposition is the
-    fallback for inputs without it.
-    """
-    if rho.basis != rho_prime.basis:
-        raise BasisMismatchError("rho and rho_prime live on different bases")
-    try:
-        rho_blocks = block_split(rho)
-        rhop_blocks = block_split(rho_prime)
-        pairs = [(rb, pb) for (_, rb), (_, pb) in zip(rho_blocks, rhop_blocks)]
-    except BlockStructureError:
-        logger.debug("qfi falling back to a full-matrix eigendecomposition")
-        pairs = [(rho.matrix, rho_prime.matrix)]
-    return _qfi_from_block_pairs(pairs)
-
-
-def sld(rho: DensityOperator, rho_prime: HermitianOperator,
-        rank_tol: float | None = None) -> HermitianOperator:
-    """Symmetric logarithmic derivative L solving rho' = (L rho + rho L)/2.
-
-    Built in the eigenbasis of rho as L_jk = 2 rho'_jk / (p_j + p_k) on
-    eigenvalue pairs above rank_tol (zero elsewhere), then rotated back to
-    the computational basis.
-    """
-    if rho.basis != rho_prime.basis:
-        raise BasisMismatchError("rho and rho_prime live on different bases")
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    probs = _clamped_probabilities(vals, "sld")
-    if rank_tol is None:
-        rank_tol = RANK_CUTOFF_FACTOR * probs.max()
-    a = vecs.conj().T @ rho_prime.matrix @ vecs
-    psum = probs[:, None] + probs[None, :]
-    core = np.where(psum > rank_tol, 2.0 * a / np.where(psum > rank_tol, psum, 1.0), 0.0)
-    matrix = vecs @ core @ vecs.conj().T
-    return HermitianOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
+    spectrum = np.sort(np.concatenate(spectrum)) if spectrum else np.zeros(0)
+    return QfiResult(qfi=total, rank_cutoff=RANK_CUTOFF_FACTOR, spectrum=spectrum,
+                     sld=slds)
 
 
 def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
@@ -277,19 +239,6 @@ class PhasedFamily:
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"family state trace {trace!r} deviates from 1")
         self.g = generator_blocks(N, self.chi)
-
-    def rho_blocks(self, phi: float) -> list[np.ndarray]:
-        return [b * np.exp(phi * f)
-                for b, f in zip(self.rho0, derivative_factors(self.g))]
-
-    def rho(self, phi: float) -> DensityOperator:
-        return DensityOperator(self.basis, assemble_blocks(
-            self.basis, enumerate(self.rho_blocks(phi))))
-
-    def rho_prime(self, phi: float) -> HermitianOperator:
-        blocks = zip(self.rho_blocks(phi), derivative_factors(self.g))
-        return HermitianOperator(self.basis, assemble_blocks(
-            self.basis, ((t, f * b) for t, (b, f) in enumerate(blocks))))
 
     def qfi(self) -> QfiResult:
         return _qfi_from_block_pairs(
@@ -393,20 +342,6 @@ class MomentProfile:
         return out
 
 
-def richardson_rho_prime(family: PhasedFamily, phi: float,
-                         step: float) -> np.ndarray:
-    """Richardson-extrapolated central difference of rho(phi), the
-    reference the analytic derivative is checked against."""
-    if step < 100 * np.finfo(float).eps * max(1.0, abs(phi)):
-        raise NumericalError(f"finite-difference step {step:.3e} too small; "
-                             "cancellation would dominate")
-    def at(x):
-        return family.rho(x).matrix
-    coarse = (at(phi + step) - at(phi - step)) / (2 * step)
-    fine = (at(phi + step / 2) - at(phi - step / 2)) / step
-    return (4.0 * fine - coarse) / 3.0
-
-
 def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
     """Scan the branch index k of the two-branch family and return the
     maximizing (k, qfi); ties break toward smaller k, and k and N - k name
@@ -419,30 +354,6 @@ def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
         if value > best:
             best_k, best = k, value
     return best_k, best
-
-
-def delta_phi(family: PhasedFamily, obs: HermitianOperator, phi: float) -> float:
-    """Error-propagation uncertainty sqrt(Var O)/|d<O>/dphi| at one phi.
-
-    Raises at degenerate operating points: vanishing signal slope, or a
-    variance so small that its computed value is round-off noise.
-    """
-    if obs.basis != family.basis:
-        raise BasisMismatchError("observable basis does not match the family")
-    rho = family.rho(phi)
-    mean = expectation(rho, obs)
-    second = expectation(rho, HermitianOperator(obs.basis,
-                                                obs.matrix @ obs.matrix))
-    variance = max(second - mean * mean, 0.0)
-    rhop = family.rho_prime(phi)
-    slope = float(np.sum(rhop.matrix * obs.matrix.T).real)
-    if abs(slope) < DEGENERACY_FACTOR * spectral_norm(obs.matrix):
-        raise DegenerateOperatingPointError(
-            f"|d<O>/dphi| = {abs(slope):.3e} at phi={phi}; no operating point")
-    if variance < VARIANCE_FLOOR_FACTOR * (abs(second) + mean * mean):
-        raise DegenerateOperatingPointError(
-            f"variance {variance:.3e} at phi={phi} is below its round-off floor")
-    return math.sqrt(variance) / abs(slope)
 
 
 def _golden_section(f, lo: float, hi: float, tol: float):

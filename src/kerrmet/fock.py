@@ -11,18 +11,13 @@ expensive eigendecompositions can run block by block.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-logger = logging.getLogger(__name__)
-
 HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-10
 PSD_FLOOR = -1e-10
-NORM_ATOL = 1e-12
 
 # above this occupation, scalar combinatorics switch to log-gamma floats
 _EXACT_FACTORIAL_LIMIT = 20
@@ -64,17 +59,6 @@ def falling_factorial(n: int, m: int) -> float:
     return math.exp(math.lgamma(n + 1) - math.lgamma(n - m + 1))
 
 
-def log_falling_factorial(n: int, m: int) -> float:
-    """log(n!/(n-m)!); -inf when m > n.  Used to keep big products finite."""
-    if n < 0 or m < 0:
-        raise ValueError(f"log_falling_factorial needs n, m >= 0, got ({n}, {m})")
-    if m > n:
-        return -math.inf
-    if n <= _EXACT_FACTORIAL_LIMIT:
-        return math.log(falling_factorial(n, m)) if m > 0 else 0.0
-    return math.lgamma(n + 1) - math.lgamma(n - m + 1)
-
-
 class TwoModeBasis:
     """Graded two-mode Fock basis truncated at n1 + n2 <= n_total_max.
 
@@ -103,12 +87,6 @@ class TwoModeBasis:
             raise TruncationError(
                 f"|{n1}, {n2}> has total {total} > truncation {self.n_total_max}")
         return total * (total + 1) // 2 + n1
-
-    def state_of(self, index: int) -> tuple[int, int]:
-        """Occupations (n1, n2) at a flat index."""
-        if index < 0 or index >= self.dim:
-            raise TruncationError(f"flat index {index} outside basis of dim {self.dim}")
-        return int(self.n1[index]), int(self.n2[index])
 
     def block_slice(self, total: int) -> slice:
         if total < 0 or total > self.n_total_max:
@@ -144,60 +122,6 @@ def _check_hermitian(matrix: np.ndarray, what: str) -> None:
                               - matrix[:, i:i + band].conj().T).max(initial=0.0))
     if dev > HERMITICITY_ATOL:
         raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e}")
-
-
-@dataclass(eq=False)
-class PureState:
-    """Normalized state vector over a TwoModeBasis."""
-
-    basis: TwoModeBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (self.basis.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {self.amplitudes.shape}, "
-                f"basis dim is {self.basis.dim}")
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
-
-    @classmethod
-    def normalized(cls, basis: TwoModeBasis, amplitudes: np.ndarray) -> "PureState":
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        norm = np.linalg.norm(amplitudes)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(basis, amplitudes / norm)
-
-    def to_density(self) -> "DensityOperator":
-        return DensityOperator(self.basis, np.outer(self.amplitudes,
-                                                    self.amplitudes.conj()))
-
-
-@dataclass(eq=False)
-class DensityOperator:
-    """Hermitian, trace-one, positive-semidefinite operator over a basis."""
-
-    basis: TwoModeBasis
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        dim = self.basis.dim
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match dim {dim}")
-        _check_hermitian(self.matrix, "density operator")
-        tr = self.matrix.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
-        lo = np.linalg.eigvalsh(self.matrix).min()
-        if lo < PSD_FLOOR:
-            raise ValueError(f"matrix has eigenvalue {lo:.3e} below PSD floor {PSD_FLOOR}")
-
-    def purity(self) -> float:
-        return float(np.sum(self.matrix * self.matrix.T).real)
 
 
 @dataclass(eq=False)
@@ -237,24 +161,9 @@ def lowering_power(mode: int, m: int, basis: TwoModeBasis) -> np.ndarray:
     return out
 
 
-def expectation(state, obs: HermitianOperator) -> float:
-    """<O> in a PureState or DensityOperator; the tiny imaginary residue
-    left by rounding is asserted below 1e-10 and discarded."""
-    if state.basis != obs.basis:
-        raise BasisMismatchError("state and observable live on different bases")
-    if isinstance(state, PureState):
-        value = np.vdot(state.amplitudes, obs.matrix @ state.amplitudes)
-    elif isinstance(state, DensityOperator):
-        value = np.sum(state.matrix * obs.matrix.T)
-    else:
-        raise TypeError(f"unsupported state type {type(state).__name__}")
-    if abs(value.imag) > 1e-10:
-        raise NumericalError(f"expectation has imaginary residue {value.imag:.3e}")
-    return float(value.real)
-
-
 def block_split(rho) -> list[tuple[int, np.ndarray]]:
-    """Split a DensityOperator/HermitianOperator into total-photon-number blocks.
+    """Split an operator (anything with ``basis`` and ``matrix``) into
+    total-photon-number blocks.
 
     Off-block elements must vanish to 1e-12; the returned blocks reassemble
     the matrix exactly (any off-block mass below tolerance is discarded).
@@ -275,25 +184,3 @@ def block_split(rho) -> list[tuple[int, np.ndarray]]:
             f"matrix is not block-diagonal in total photon number "
             f"(off-block magnitude {off:.3e})")
     return blocks
-
-
-def assemble_blocks(basis: TwoModeBasis, blocks) -> np.ndarray:
-    """Direct sum of (T, block) pairs back into a dense matrix."""
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for t, block in blocks:
-        sl = basis.block_slice(t)
-        out[sl, sl] = block
-    return out
-
-
-def eigh(obs) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian input, eigenvalues ascending."""
-    if isinstance(obs, (HermitianOperator, DensityOperator)):
-        matrix = obs.matrix
-    else:
-        matrix = np.asarray(obs, dtype=complex)
-        _check_hermitian(matrix, "eigh input")
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as err:  # pragma: no cover - LAPACK rarely fails
-        raise NumericalError(f"eigendecomposition failed: {err}") from err

@@ -1,7 +1,7 @@
-"""Nonlinear phase dynamics and input states.
+"""Input states of the nonlinear interferometer.
 
 The Kerr medium makes each arm imprint a phase generated by
-g_tilde(n) = n + (chi/2) n^2 on n photons.  With the symmetric arm
+g(n) = n + (chi/2) n^2 on n photons.  With the symmetric arm
 convention (phase -phi/2 in arm 1, +phi/2 in arm 2) the relative-phase
 generator is diagonal in the Fock basis, so evolution is a pure
 phase rotation of the amplitudes and never mixes total-photon-number
@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .fock import HermitianOperator, PureState, TwoModeBasis
 
 NORMALIZATION_ATOL = 1e-12
 
@@ -100,37 +98,3 @@ def branch_amplitudes(N: int, alpha) -> list[tuple[int, int, float]]:
         for ket in ((N - k, k), (k, N - k)):
             acc[ket] = acc.get(ket, 0.0) + a
     return [(n1, n2, amp) for (n1, n2), amp in sorted(acc.items()) if amp != 0.0]
-
-
-def g_tilde(n: int, chi: float) -> float:
-    """Kerr phase per photon-number eigenstate: n + (chi/2) n^2."""
-    if n < 0:
-        raise ValueError("photon number must be non-negative")
-    return n + 0.5 * chi * n * n
-
-
-def generator_diagonal(basis: TwoModeBasis, chi: float) -> np.ndarray:
-    g = np.array([g_tilde(int(n), chi) for n in range(basis.n_total_max + 1)])
-    return 0.5 * (g[basis.n2] - g[basis.n1])
-
-
-def generator_h(basis: TwoModeBasis, chi: float) -> HermitianOperator:
-    """Relative-phase generator: diagonal with (g_tilde(n2) - g_tilde(n1))/2."""
-    return HermitianOperator(basis, np.diag(generator_diagonal(basis, chi)))
-
-
-def apply_phase(state: PureState, phi: float, chi: float) -> PureState:
-    """Evolve through the arms: each |n1, n2> picks up exp(i phi h(n1, n2))
-    with h the generator diagonal.  Norm is untouched."""
-    phases = np.exp(1j * phi * generator_diagonal(state.basis, chi))
-    return PureState(state.basis, state.amplitudes * phases)
-
-
-def superposition_state(spec: SuperpositionSpec, basis: TwoModeBasis) -> PureState:
-    """State vector with amplitude alpha_k on |N-k, k> and |k, N-k>."""
-    if spec.N > basis.n_total_max:
-        raise ValueError(f"N={spec.N} exceeds basis truncation {basis.n_total_max}")
-    amps = np.zeros(basis.dim, dtype=complex)
-    for n1, n2, amp in branch_amplitudes(spec.N, spec.alpha):
-        amps[basis.index_of(n1, n2)] = amp
-    return PureState(basis, amps)

@@ -1,0 +1,307 @@
+"""Dense reference implementations the blockwise package is tested against.
+
+Everything here works on full dim x dim matrices over a TwoModeBasis and
+shares no code path with the per-total-photon-number chain in
+``kerrmet``: states are dense vectors and matrices, loss is the generic
+Kraus composition (which also covers unequal arms), the phase is applied
+to the pure input before the channel, and the SLD, the Fisher information
+and the pointwise readout uncertainty come from one full-matrix
+eigendecomposition.  The costs grow as dim^3 with dim ~ N^2/2, so these
+are meant for N of order ten.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from kerrmet.estimation import (
+    DEGENERACY_FACTOR,
+    RANK_CUTOFF_FACTOR,
+    VARIANCE_FLOOR_FACTOR,
+    DegenerateOperatingPointError,
+    PhasedFamily,
+    _clamped_probabilities,
+    derivative_factors,
+    spectral_norm,
+)
+from kerrmet.fock import (
+    PSD_FLOOR,
+    BasisMismatchError,
+    HermitianOperator,
+    NumericalError,
+    TwoModeBasis,
+    falling_factorial,
+)
+from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes
+
+NORM_ATOL = 1e-12
+TRACE_ATOL = 1e-10
+
+
+# ---------------------------------------------------------------- states
+
+
+@dataclass(eq=False)
+class PureState:
+    """Normalized state vector over a TwoModeBasis."""
+
+    basis: TwoModeBasis
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        if self.amplitudes.shape != (self.basis.dim,):
+            raise ValueError(
+                f"amplitude vector has shape {self.amplitudes.shape}, "
+                f"basis dim is {self.basis.dim}")
+        norm = np.linalg.norm(self.amplitudes)
+        if abs(norm - 1.0) > NORM_ATOL:
+            raise ValueError(f"state norm {norm!r} deviates from 1 beyond {NORM_ATOL}")
+
+    def to_density(self) -> "DensityOperator":
+        return DensityOperator(self.basis, np.outer(self.amplitudes,
+                                                    self.amplitudes.conj()))
+
+
+class DensityOperator(HermitianOperator):
+    """Hermitian, trace-one, positive-semidefinite operator over a basis;
+    the PSD check is one dense eigvalsh."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        tr = self.matrix.trace()
+        if abs(tr - 1.0) > TRACE_ATOL:
+            raise ValueError(f"trace {tr!r} deviates from 1 beyond {TRACE_ATOL}")
+        lo = np.linalg.eigvalsh(self.matrix).min()
+        if lo < PSD_FLOOR:
+            raise ValueError(f"matrix has eigenvalue {lo:.3e} below PSD floor {PSD_FLOOR}")
+
+    def purity(self) -> float:
+        return float(np.sum(self.matrix * self.matrix.T).real)
+
+
+def expectation(state, obs: HermitianOperator) -> float:
+    """<O> in a PureState or DensityOperator; the tiny imaginary residue
+    left by rounding is asserted below 1e-10 and discarded."""
+    if state.basis != obs.basis:
+        raise BasisMismatchError("state and observable live on different bases")
+    if isinstance(state, PureState):
+        value = np.vdot(state.amplitudes, obs.matrix @ state.amplitudes)
+    elif isinstance(state, DensityOperator):
+        value = np.sum(state.matrix * obs.matrix.T)
+    else:
+        raise TypeError(f"unsupported state type {type(state).__name__}")
+    if abs(value.imag) > 1e-10:
+        raise NumericalError(f"expectation has imaginary residue {value.imag:.3e}")
+    return float(value.real)
+
+
+def assemble_blocks(basis: TwoModeBasis, blocks) -> np.ndarray:
+    """Direct sum of (T, block) pairs back into a dense matrix."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for t, block in blocks:
+        sl = basis.block_slice(t)
+        out[sl, sl] = block
+    return out
+
+
+# ---------------------------------------------------------------- phase
+
+
+def g_tilde(n: int, chi: float) -> float:
+    """Kerr phase per photon-number eigenstate: n + (chi/2) n^2."""
+    if n < 0:
+        raise ValueError("photon number must be non-negative")
+    return n + 0.5 * chi * n * n
+
+
+def generator_diagonal(basis: TwoModeBasis, chi: float) -> np.ndarray:
+    g = np.array([g_tilde(int(n), chi) for n in range(basis.n_total_max + 1)])
+    return 0.5 * (g[basis.n2] - g[basis.n1])
+
+
+def generator_h(basis: TwoModeBasis, chi: float) -> HermitianOperator:
+    """Relative-phase generator: diagonal with (g_tilde(n2) - g_tilde(n1))/2."""
+    return HermitianOperator(basis, np.diag(generator_diagonal(basis, chi)))
+
+
+def apply_phase(state: PureState, phi: float, chi: float) -> PureState:
+    """Evolve through the arms: each |n1, n2> picks up exp(i phi h(n1, n2))
+    with h the generator diagonal.  Norm is untouched."""
+    phases = np.exp(1j * phi * generator_diagonal(state.basis, chi))
+    return PureState(state.basis, state.amplitudes * phases)
+
+
+def superposition_state(spec: SuperpositionSpec, basis: TwoModeBasis) -> PureState:
+    """State vector with amplitude alpha_k on |N-k, k> and |k, N-k>."""
+    if spec.N > basis.n_total_max:
+        raise ValueError(f"N={spec.N} exceeds basis truncation {basis.n_total_max}")
+    amps = np.zeros(basis.dim, dtype=complex)
+    for n1, n2, amp in branch_amplitudes(spec.N, spec.alpha):
+        amps[basis.index_of(n1, n2)] = amp
+    return PureState(basis, amps)
+
+
+# ---------------------------------------------------------------- loss
+
+
+@dataclass(frozen=True)
+class LossParams:
+    """Transmissivities of the fictitious loss beam splitters (1 = no loss)."""
+
+    eta_a: float
+    eta_b: float
+
+    def __post_init__(self):
+        for name, eta in (("eta_a", self.eta_a), ("eta_b", self.eta_b)):
+            if not 0.0 <= eta <= 1.0:
+                raise ValueError(f"{name}={eta} outside [0, 1]")
+
+    @classmethod
+    def equal(cls, eta: float) -> "LossParams":
+        return cls(eta, eta)
+
+
+def log_falling_factorial(n: int, m: int) -> float:
+    """log(n!/(n-m)!); -inf when m > n."""
+    if n < 0 or m < 0:
+        raise ValueError(f"log_falling_factorial needs n, m >= 0, got ({n}, {m})")
+    if m > n:
+        return -math.inf
+    if n <= 20:
+        return math.log(falling_factorial(n, m)) if m > 0 else 0.0
+    return math.lgamma(n + 1) - math.lgamma(n - m + 1)
+
+
+def kraus_amplitude(n: int, q: int, eta: float) -> float:
+    """Amplitude for |n> -> |n-q| under loss of q photons at transmissivity eta."""
+    if q > n:
+        return 0.0
+    if eta == 1.0:
+        return 1.0 if q == 0 else 0.0
+    if eta == 0.0:
+        return 1.0 if q == n else 0.0
+    log_amp = 0.5 * (q * math.log1p(-eta) + (n - q) * math.log(eta)
+                     + log_falling_factorial(n, q) - math.lgamma(q + 1))
+    return math.exp(log_amp)
+
+
+def kraus_element(mode: int, q: int, eta: float, basis: TwoModeBasis) -> np.ndarray:
+    """Matrix of the q-photon loss Kraus operator on the chosen mode."""
+    if mode not in (1, 2):
+        raise ValueError(f"mode must be 1 or 2, got {mode}")
+    if q < 0:
+        raise ValueError("q must be non-negative")
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    occ = basis.n1 if mode == 1 else basis.n2
+    for src in range(basis.dim):
+        n = int(occ[src])
+        if n < q:
+            continue
+        n1, n2 = int(basis.n1[src]), int(basis.n2[src])
+        tgt = (n1 - q, n2) if mode == 1 else (n1, n2 - q)
+        out[basis.index_of(*tgt), src] = kraus_amplitude(n, q, eta)
+    return out
+
+
+def apply_loss(rho: DensityOperator, loss: LossParams) -> DensityOperator:
+    """Generic Kraus composition of loss on both arms."""
+    basis = rho.basis
+    n_max = basis.n_total_max
+    k1 = [kraus_element(1, q, loss.eta_a, basis) for q in range(n_max + 1)]
+    k2 = [kraus_element(2, p, loss.eta_b, basis) for p in range(n_max + 1)]
+    out = np.zeros_like(rho.matrix)
+    for q in range(n_max + 1):
+        for p in range(n_max + 1):
+            k = k1[q] @ k2[p]
+            out += k @ rho.matrix @ k.conj().T
+    return DensityOperator(basis, 0.5 * (out + out.conj().T))
+
+
+# ---------------------------------------------------------------- family
+
+
+def rho_blocks(family: PhasedFamily, phi: float) -> list[np.ndarray]:
+    """Blocks of rho(phi) = exp(phi factor) * rho_0, elementwise per T."""
+    return [b * np.exp(phi * f)
+            for b, f in zip(family.rho0, derivative_factors(family.g))]
+
+
+def rho(family: PhasedFamily, phi: float) -> DensityOperator:
+    return DensityOperator(family.basis, assemble_blocks(
+        family.basis, enumerate(rho_blocks(family, phi))))
+
+
+def rho_prime(family: PhasedFamily, phi: float) -> HermitianOperator:
+    blocks = zip(rho_blocks(family, phi), derivative_factors(family.g))
+    return HermitianOperator(family.basis, assemble_blocks(
+        family.basis, ((t, f * b) for t, (b, f) in enumerate(blocks))))
+
+
+def richardson_rho_prime(family: PhasedFamily, phi: float,
+                         step: float) -> np.ndarray:
+    """Richardson-extrapolated central difference of rho(phi)."""
+    if step < 100 * np.finfo(float).eps * max(1.0, abs(phi)):
+        raise NumericalError(f"finite-difference step {step:.3e} too small; "
+                             "cancellation would dominate")
+    def at(x):
+        return rho(family, x).matrix
+    coarse = (at(phi + step) - at(phi - step)) / (2 * step)
+    fine = (at(phi + step / 2) - at(phi - step / 2)) / step
+    return (4.0 * fine - coarse) / 3.0
+
+
+# ---------------------------------------------------------------- estimation
+
+
+def sld(rho: DensityOperator, rho_prime: HermitianOperator,
+        rank_tol: float | None = None) -> HermitianOperator:
+    """Symmetric logarithmic derivative L solving rho' = (L rho + rho L)/2.
+
+    Built in the eigenbasis of the full matrix rho as
+    L_jk = 2 rho'_jk / (p_j + p_k) on eigenvalue pairs above rank_tol
+    (zero elsewhere), then rotated back to the computational basis.
+    """
+    if rho.basis != rho_prime.basis:
+        raise BasisMismatchError("rho and rho_prime live on different bases")
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    probs = _clamped_probabilities(vals, "sld")
+    if rank_tol is None:
+        rank_tol = RANK_CUTOFF_FACTOR * probs.max()
+    a = vecs.conj().T @ rho_prime.matrix @ vecs
+    psum = probs[:, None] + probs[None, :]
+    core = np.where(psum > rank_tol, 2.0 * a / np.where(psum > rank_tol, psum, 1.0), 0.0)
+    matrix = vecs @ core @ vecs.conj().T
+    return HermitianOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
+
+
+def qfi(rho: DensityOperator, rho_prime: HermitianOperator) -> float:
+    """Fisher information Tr[rho' L] with L the full-matrix SLD."""
+    return float(np.sum(rho_prime.matrix * sld(rho, rho_prime).matrix.T).real)
+
+
+def delta_phi(family: PhasedFamily, obs: HermitianOperator, phi: float) -> float:
+    """Error-propagation uncertainty sqrt(Var O)/|d<O>/dphi| at one phi from
+    the dense rho(phi) and rho'(phi).
+
+    Raises at degenerate operating points: vanishing signal slope, or a
+    variance so small that its computed value is round-off noise.
+    """
+    if obs.basis != family.basis:
+        raise BasisMismatchError("observable basis does not match the family")
+    state = rho(family, phi)
+    mean = expectation(state, obs)
+    second = expectation(state, HermitianOperator(obs.basis,
+                                                  obs.matrix @ obs.matrix))
+    variance = max(second - mean * mean, 0.0)
+    slope = float(np.sum(rho_prime(family, phi).matrix * obs.matrix.T).real)
+    if abs(slope) < DEGENERACY_FACTOR * spectral_norm(obs.matrix):
+        raise DegenerateOperatingPointError(
+            f"|d<O>/dphi| = {abs(slope):.3e} at phi={phi}; no operating point")
+    if variance < VARIANCE_FLOOR_FACTOR * (abs(second) + mean * mean):
+        raise DegenerateOperatingPointError(
+            f"variance {variance:.3e} at phi={phi} is below its round-off floor")
+    return math.sqrt(variance) / abs(slope)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -137,8 +140,9 @@ def test_single_lossy_matches_brute_force(tmp_path):
 def test_single_matches_dense_oracle(tmp_path):
     # single reads its point columns off the moment profile; the dense
     # state and the pointwise delta_phi are the independent check
-    from kerrmet.estimation import PhasedFamily, delta_phi, measurement_mm
-    from kerrmet.fock import HermitianOperator, expectation
+    import oracle
+    from kerrmet.estimation import PhasedFamily, measurement_mm
+    from kerrmet.fock import HermitianOperator
     from kerrmet.interferometer import NoonLikeSpec
 
     n, k, eta, m, phi, chi = 4, 1, 0.8, 2, 0.3, 0.05
@@ -150,13 +154,14 @@ def test_single_matches_dense_oracle(tmp_path):
     (row,) = read_csv(out)[1]
     family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
     obs = measurement_mm(m, family.basis)
-    rho = family.rho(phi)
-    mean = expectation(rho, obs)
-    second = expectation(rho, HermitianOperator(obs.basis, obs.matrix @ obs.matrix))
+    rho = oracle.rho(family, phi)
+    mean = oracle.expectation(rho, obs)
+    square = HermitianOperator(obs.basis, obs.matrix @ obs.matrix)
+    second = oracle.expectation(rho, square)
     assert float(row["mean"]) == pytest.approx(mean, rel=1e-10)
     assert float(row["variance"]) == pytest.approx(second - mean * mean, rel=1e-10)
     assert float(row["delta_phi_at_phi"]) == pytest.approx(
-        delta_phi(family, obs, phi), rel=1e-10)
+        oracle.delta_phi(family, obs, phi), rel=1e-10)
 
 
 def test_qfi_scan_emits_slopes(tmp_path):
@@ -230,6 +235,22 @@ def test_single_past_the_float_range_is_numerical(tmp_path, capsys):
                  "--eta", "0.9", "--out", str(out)])
     assert code == 3
     assert capsys.readouterr().err.startswith("numerical error: ")
+    # the row computed before the overflow is kept, its variance left empty
+    _, (row,) = read_csv(out)
+    assert row["status"] == "ok" and row["variance"] == ""
+    assert math.isfinite(float(row["mean"]))
+    assert float(row["delta_phi_min"]) >= float(row["qcrb"]) - 1e-9
+    assert float(row["delta_phi_at_phi"]) == float(row["delta_phi_min"])
+
+
+def test_readout_scan_heavy_loss_respects_qcrb(tmp_path):
+    # at eta = 0.6 the branch coherence of N = 60 lies in one block far
+    # below the others; the bound must still come out below the readout
+    out = tmp_path / "readout60.csv"
+    assert main(["--command", "readout-scan", "--n-range", "60", "--eta", "0.6",
+                 "--k", "0", "--out", str(out)]) == 0
+    _, (row,) = read_csv(out)
+    assert float(row["delta_phi_min"]) >= float(row["qcrb"]) * (1 - 1e-9)
 
 
 def test_optimize_scan_uses_cache(tmp_path):
@@ -280,6 +301,50 @@ def test_cache_truncated_entry_is_recomputed(tmp_path):
     assert again.qfi_star == outcome.qfi_star
     assert path.read_text() == text
     assert sorted(p.name for p in cache.directory.iterdir()) == [path.name]
+
+
+_CACHE_WRITER = """
+import json, sys
+from kerrmet.cli import OptimizeCache
+from kerrmet.optimizer import OptimizationOutcome, OptimizationProblem
+directory, problem, outcome, repeats = sys.argv[1:]
+cache = OptimizeCache(directory)
+problem = OptimizationProblem(**json.loads(problem))
+outcome = OptimizationOutcome(**json.loads(outcome))
+for _ in range(int(repeats)):
+    cache.store(problem, outcome)
+"""
+
+
+def test_cache_concurrent_writers(tmp_path):
+    # two processes store the same entry over and over while this one reads
+    # it: every read after the first store hits, and no temporary remains
+    import kerrmet
+    from kerrmet.optimizer import qfi_objective
+
+    fields = {"N": 2, "eta": 0.9, "chi": 1e-8}
+    problem = OptimizationProblem(**fields)
+    alpha = [1 / math.sqrt(2.0), 0.0]
+    qfi_star = qfi_objective(np.array(alpha), problem)
+    outcome = {"alpha_star": alpha, "qfi_star": qfi_star, "evaluations": 1,
+               "converged": True, "per_restart": [[0, qfi_star]]}
+    cache = OptimizeCache(tmp_path / "cache")
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmet.__file__).parents[1]))
+    argv = [sys.executable, "-c", _CACHE_WRITER, str(cache.directory),
+            json.dumps(fields), json.dumps(outcome), "25"]
+    writers = [subprocess.Popen(argv, env=env) for _ in range(2)]
+    reads, stored = 0, False
+    while any(w.poll() is None for w in writers):
+        loaded = cache.load(problem)
+        assert loaded is not None or not stored
+        if loaded is not None:
+            stored = True
+            reads += 1
+            assert loaded.qfi_star == qfi_star
+    assert [w.wait(timeout=60) for w in writers] == [0, 0]
+    assert reads > 0
+    assert cache.load(problem).qfi_star == qfi_star
+    assert [p.name for p in cache.directory.iterdir()] == [cache._path(problem).name]
 
 
 def test_rerun_reproduces_csv_body(tmp_path):

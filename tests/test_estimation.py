@@ -4,39 +4,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracle
 from kerrmet.estimation import (
     DegenerateOperatingPointError,
     MomentProfile,
     PhasedFamily,
     UndefinedBoundError,
-    delta_phi,
     max_qfi_over_k,
     measurement_mm,
     min_delta_phi,
     qcrb,
-    qfi,
     qfi_pure_analytic,
-    richardson_rho_prime,
-    sld,
 )
 from kerrmet.fock import (
-    DensityOperator,
     HermitianOperator,
     NumericalError,
-    PureState,
     TwoModeBasis,
     falling_factorial,
     lowering_power,
 )
-from kerrmet.interferometer import (
-    NoonLikeSpec,
-    SuperpositionSpec,
-    generator_h,
-    superposition_state,
-)
+from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
 
 
-def qfi_pinv_oracle(rho: DensityOperator, rhop: HermitianOperator) -> float:
+def qfi_pinv_oracle(rho: oracle.DensityOperator, rhop: HermitianOperator) -> float:
     """Brute-force full-matrix route: solve (L rho + rho L)/2 = rho' by a
     pseudo-inverse in the vectorized representation, then Tr[rho' L]."""
     dim = rho.basis.dim
@@ -48,7 +38,7 @@ def qfi_pinv_oracle(rho: DensityOperator, rhop: HermitianOperator) -> float:
 
 
 def commutator_derivative(basis, rho, chi):
-    h = generator_h(basis, chi).matrix
+    h = oracle.generator_h(basis, chi).matrix
     mat = 1j * (h @ rho.matrix - rho.matrix @ h)
     return HermitianOperator(basis, mat)
 
@@ -77,10 +67,10 @@ def test_qfi_matches_analytic_on_pure_family():
 def test_qfi_zero_for_stationary_mixture():
     # maximally mixed on one block commutes with the generator
     basis = TwoModeBasis(1)
-    rho = DensityOperator(basis, np.diag([0.0, 0.5, 0.5]).astype(complex))
+    rho = oracle.DensityOperator(basis, np.diag([0.0, 0.5, 0.5]).astype(complex))
     rhop = commutator_derivative(basis, rho, 0.0)
     assert np.abs(rhop.matrix).max() < 1e-15
-    assert qfi(rho, rhop).qfi == 0.0
+    assert oracle.qfi(rho, rhop) == 0.0
 
 
 def test_qfi_lossy_against_pinv_oracle():
@@ -89,8 +79,8 @@ def test_qfi_lossy_against_pinv_oracle():
         family = PhasedFamily(NoonLikeSpec(n, k), chi=0.0, eta=eta)
         got = family.qfi().qfi
         assert got == pytest.approx(want, rel=1e-10)
-        oracle = qfi_pinv_oracle(family.rho(0.0), family.rho_prime(0.0))
-        assert got == pytest.approx(oracle, rel=1e-9)
+        dense = qfi_pinv_oracle(oracle.rho(family, 0.0), oracle.rho_prime(family, 0.0))
+        assert got == pytest.approx(dense, rel=1e-9)
 
 
 def test_qfi_lossy_pinv_oracle_sweep():
@@ -98,21 +88,32 @@ def test_qfi_lossy_pinv_oracle_sweep():
                                 (4, 0, 0.6, 1e-3, 0.7), (5, 2, 0.9, 0.0, 0.0)]:
         family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
         got = family.qfi().qfi
-        oracle = qfi_pinv_oracle(family.rho(phi), family.rho_prime(phi))
-        assert got == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        dense = qfi_pinv_oracle(oracle.rho(family, phi), oracle.rho_prime(family, phi))
+        assert got == pytest.approx(dense, rel=1e-9, abs=1e-12)
 
 
 def test_qfi_equals_four_variance_on_rank_one():
     basis = TwoModeBasis(6)
-    state = superposition_state(NoonLikeSpec(6, 2), basis)
+    state = oracle.superposition_state(NoonLikeSpec(6, 2), basis)
     rho = state.to_density()
     rhop = commutator_derivative(basis, rho, 0.05)
-    h = generator_h(basis, 0.05)
-    from kerrmet.fock import expectation
-
+    h = oracle.generator_h(basis, 0.05)
     hsq = HermitianOperator(basis, h.matrix @ h.matrix)
-    var = expectation(state, hsq) - expectation(state, h) ** 2
-    assert qfi(rho, rhop).qfi == pytest.approx(4 * var, rel=1e-12)
+    var = oracle.expectation(state, hsq) - oracle.expectation(state, h) ** 2
+    assert oracle.qfi(rho, rhop) == pytest.approx(4 * var, rel=1e-12)
+
+
+@pytest.mark.parametrize("eta", [0.5, 0.6, 0.75, 0.9, 1.0])
+def test_qfi_lossy_noon_closed_form(eta):
+    # equal-loss NOON state: F = (N + chi N^2/2)^2 eta^N (Dorner et al.,
+    # PRL 102, 040403 (2009)).  Only block T = N keeps the branch coherence,
+    # and under heavy loss it lies wholly below 1e-12 of the largest
+    # eigenvalue of the other blocks, so the rank cutoff must be per block
+    chi = 1e-8
+    for n in (1, 10, 40, 50, 60, 70, 80, 90, 100):
+        got = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=eta).qfi().qfi
+        want = (n + 0.5 * chi * n * n) ** 2 * eta ** n
+        assert got == pytest.approx(want, rel=1e-9), n
 
 
 def test_qfi_result_diagnostics():
@@ -129,26 +130,26 @@ def test_qfi_result_diagnostics():
 
 def test_sld_pure_family_is_twice_derivative():
     basis = TwoModeBasis(4)
-    rho = superposition_state(NoonLikeSpec(4, 1), basis).to_density()
+    rho = oracle.superposition_state(NoonLikeSpec(4, 1), basis).to_density()
     rhop = commutator_derivative(basis, rho, 0.0)
-    sld_op = sld(rho, rhop)
+    sld_op = oracle.sld(rho, rhop)
     assert np.abs(sld_op.matrix - 2 * rhop.matrix).max() < 1e-10
 
 
 def test_sld_zero_derivative():
     basis = TwoModeBasis(2)
-    rho = superposition_state(NoonLikeSpec(2, 1), basis).to_density()
+    rho = oracle.superposition_state(NoonLikeSpec(2, 1), basis).to_density()
     zero = HermitianOperator(basis, np.zeros((basis.dim, basis.dim)))
-    assert np.abs(sld(rho, zero).matrix).max() == 0.0
+    assert np.abs(oracle.sld(rho, zero).matrix).max() == 0.0
 
 
 @pytest.mark.parametrize("n,k,eta", [(2, 0, 0.5), (3, 1, 0.8), (5, 0, 0.6),
                                      (6, 2, 0.9)])
 def test_sld_reconstructs_derivative_on_support(n, k, eta):
     family = PhasedFamily(NoonLikeSpec(n, k), chi=0.01, eta=eta)
-    rho = family.rho(0.2)
-    rhop = family.rho_prime(0.2)
-    sld_op = sld(rho, rhop)
+    rho = oracle.rho(family, 0.2)
+    rhop = oracle.rho_prime(family, 0.2)
+    sld_op = oracle.sld(rho, rhop)
     residual = rhop.matrix - 0.5 * (sld_op.matrix @ rho.matrix
                                     + rho.matrix @ sld_op.matrix)
     vals, vecs = np.linalg.eigh(rho.matrix)
@@ -164,14 +165,14 @@ def test_sld_reconstructs_derivative_on_support(n, k, eta):
 def test_rho_prime_pure_matches_commutator():
     family = PhasedFamily(NoonLikeSpec(4, 1), chi=0.2, eta=1.0)
     for phi in (0.0, 0.6):
-        got = family.rho_prime(phi)
-        want = commutator_derivative(family.basis, family.rho(phi), 0.2)
+        got = oracle.rho_prime(family, phi)
+        want = commutator_derivative(family.basis, oracle.rho(family, phi), 0.2)
         assert np.abs(got.matrix - want.matrix).max() < 1e-12
 
 
 def test_rho_prime_constant_diagonal_differentiates_to_zero():
     family = PhasedFamily(NoonLikeSpec(3, 0), chi=0.0, eta=0.5)
-    rhop = family.rho_prime(0.4)
+    rhop = oracle.rho_prime(family, 0.4)
     basis = family.basis
     for i in range(basis.dim):
         assert abs(rhop.matrix[i, i]) < 1e-15
@@ -184,15 +185,15 @@ def test_rho_prime_finite_difference_agrees():
                                                          else n // 2 + 2, dtype=float))
         family = PhasedFamily(spec, chi=0.05, eta=eta)
         for phi in (0.0, 0.8):
-            a = family.rho_prime(phi).matrix
-            f = richardson_rho_prime(family, phi, 1e-3)
+            a = oracle.rho_prime(family, phi).matrix
+            f = oracle.richardson_rho_prime(family, phi, 1e-3)
             assert np.abs(a - f).max() <= 1e-6 * max(np.abs(a).max(), 1e-12)
 
 
 def test_rho_prime_step_too_small():
     family = PhasedFamily(NoonLikeSpec(2, 0), eta=0.9)
     with pytest.raises(NumericalError):
-        richardson_rho_prime(family, 0.3, 1e-16)
+        oracle.richardson_rho_prime(family, 0.3, 1e-16)
 
 
 # ---------------------------------------------------------------- k scan
@@ -239,10 +240,9 @@ def test_measurement_m_balanced_ket():
     basis = TwoModeBasis(4)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of(2, 2)] = 1.0
-    from kerrmet.fock import expectation
-
     # photon counting is measurement_mm(1) up to sign
-    assert expectation(PureState(basis, amps), measurement_mm(1, basis)) == 0.0
+    state = oracle.PureState(basis, amps)
+    assert oracle.expectation(state, measurement_mm(1, basis)) == 0.0
 
 
 def test_measurement_mm_full_coincidence_signal():
@@ -273,11 +273,9 @@ def test_measurement_mm_coincidence_prefactor():
 
 def test_measurement_mm_vanishes_without_enough_photons():
     basis = TwoModeBasis(2)
-    state = superposition_state(NoonLikeSpec(2, 0), basis)
+    state = oracle.superposition_state(NoonLikeSpec(2, 0), basis)
     obs = measurement_mm(5, TwoModeBasis(2))
-    from kerrmet.fock import expectation
-
-    assert expectation(state, obs) == 0.0
+    assert oracle.expectation(state, obs) == 0.0
     assert np.abs(obs.matrix).max() == 0.0
 
 
@@ -391,7 +389,8 @@ def test_delta_phi_saturates_bound_for_full_coincidence():
             obs = measurement_mm(n, family.basis)
             bound = 1.0 / (n + chi * n * n / 2)
             for phi in (0.05, 0.4):
-                assert delta_phi(family, obs, phi) == pytest.approx(bound, rel=1e-9)
+                got = oracle.delta_phi(family, obs, phi)
+                assert got == pytest.approx(bound, rel=1e-9)
 
 
 def test_delta_phi_near_balanced_closed_form():
@@ -405,7 +404,7 @@ def test_delta_phi_near_balanced_closed_form():
     for phi in (0.0, 0.2, 0.7):
         want = math.sqrt(a - c1 ** 2 * math.sin(theta * phi) ** 2) / (
             c1 * theta * abs(math.cos(theta * phi)))
-        assert delta_phi(family, obs, phi) == pytest.approx(want, rel=1e-10)
+        assert oracle.delta_phi(family, obs, phi) == pytest.approx(want, rel=1e-10)
 
 
 def test_delta_phi_large_kerr_consistency():
@@ -423,7 +422,7 @@ def test_delta_phi_degenerate_raises():
     family = PhasedFamily(NoonLikeSpec(2, 1), chi=0.0, eta=1.0)
     obs = measurement_mm(2, family.basis)
     with pytest.raises(DegenerateOperatingPointError):
-        delta_phi(family, obs, 0.3)
+        oracle.delta_phi(family, obs, 0.3)
 
 
 def test_min_delta_phi_full_coincidence():
@@ -494,7 +493,7 @@ def test_min_delta_phi_matches_pointwise_evaluation():
     grid = np.linspace(0.05, 3.0, 41)
     result = min_delta_phi(family.moment_profile(obs), grid)
     for i in (0, 13, 27, 40):
-        point = delta_phi(family, obs, float(grid[i]))
+        point = oracle.delta_phi(family, obs, float(grid[i]))
         assert result.delta_phi[i] == pytest.approx(point, rel=1e-9)
 
 

@@ -4,21 +4,11 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from kerrmet.estimation import PhasedFamily
 from kerrmet.fock import TwoModeBasis, block_split
-from kerrmet.interferometer import (
-    NoonLikeSpec,
-    SuperpositionSpec,
-    apply_phase,
-    superposition_state,
-)
-from kerrmet.loss import (
-    LossParams,
-    apply_loss,
-    kraus_amplitude,
-    kraus_element,
-    survival_table,
-)
+from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
+from kerrmet.loss import survival_table
 
 
 def spec_length(n):
@@ -27,26 +17,26 @@ def spec_length(n):
 
 def lossy(spec, eta, phi=0.0, chi=0.0, basis=None):
     """Closed-form channel output: the family's phase-rotated rho_0."""
-    return PhasedFamily(spec, chi=chi, eta=eta, basis=basis).rho(phi)
+    return oracle.rho(PhasedFamily(spec, chi=chi, eta=eta, basis=basis), phi)
 
 
 def kraus_oracle(spec, eta, phi, chi, basis):
     """Independent route: evolve the pure input, then the generic Kraus map."""
-    state = superposition_state(spec, basis)
-    evolved = apply_phase(state, phi, chi)
-    return apply_loss(evolved.to_density(), LossParams.equal(eta))
+    state = oracle.superposition_state(spec, basis)
+    evolved = oracle.apply_phase(state, phi, chi)
+    return oracle.apply_loss(evolved.to_density(), oracle.LossParams.equal(eta))
 
 
 def test_kraus_element_no_loss_limit():
     basis = TwoModeBasis(3)
-    assert np.allclose(kraus_element(1, 0, 1.0, basis), np.eye(basis.dim))
-    assert np.all(kraus_element(1, 2, 1.0, basis) == 0)
+    assert np.allclose(oracle.kraus_element(1, 0, 1.0, basis), np.eye(basis.dim))
+    assert np.all(oracle.kraus_element(1, 2, 1.0, basis) == 0)
 
 
 def test_kraus_amplitude_single_photon():
     for eta in (0.2, 0.6, 0.9):
-        assert kraus_amplitude(1, 1, eta) == pytest.approx(math.sqrt(1 - eta))
-        assert kraus_amplitude(1, 0, eta) == pytest.approx(math.sqrt(eta))
+        assert oracle.kraus_amplitude(1, 1, eta) == pytest.approx(math.sqrt(1 - eta))
+        assert oracle.kraus_amplitude(1, 0, eta) == pytest.approx(math.sqrt(eta))
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.31, 0.77, 1.0])
@@ -55,7 +45,7 @@ def test_kraus_completeness(mode, eta):
     basis = TwoModeBasis(6)
     total = np.zeros((basis.dim, basis.dim), dtype=complex)
     for q in range(basis.n_total_max + 1):
-        k = kraus_element(mode, q, eta, basis)
+        k = oracle.kraus_element(mode, q, eta, basis)
         total += k.conj().T @ k
     assert np.abs(total - np.eye(basis.dim)).max() < 1e-12
 
@@ -63,7 +53,7 @@ def test_kraus_completeness(mode, eta):
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
 def test_survival_table_matches_scalar_amplitude(eta):
     table = survival_table(30, eta)
-    scalar = np.array([[kraus_amplitude(n, q, eta) for q in range(31)]
+    scalar = np.array([[oracle.kraus_amplitude(n, q, eta) for q in range(31)]
                        for n in range(31)])
     assert np.allclose(table, scalar, rtol=1e-12, atol=0.0)
     assert np.all(np.isfinite(survival_table(100, eta)))
@@ -71,8 +61,8 @@ def test_survival_table_matches_scalar_amplitude(eta):
 
 def test_apply_loss_identity_at_unit_transmissivity():
     basis = TwoModeBasis(3)
-    rho = superposition_state(NoonLikeSpec(3, 1), basis).to_density()
-    out = apply_loss(rho, LossParams(1.0, 1.0))
+    rho = oracle.superposition_state(NoonLikeSpec(3, 1), basis).to_density()
+    out = oracle.apply_loss(rho, oracle.LossParams(1.0, 1.0))
     assert np.abs(out.matrix - rho.matrix).max() < 1e-14
 
 
@@ -80,11 +70,9 @@ def test_apply_loss_single_photon_two_terms():
     basis = TwoModeBasis(1)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of(1, 0)] = 1.0
-    from kerrmet.fock import PureState
-
-    rho = PureState(basis, amps).to_density()
+    rho = oracle.PureState(basis, amps).to_density()
     eta = 0.37
-    out = apply_loss(rho, LossParams(eta, 1.0))
+    out = oracle.apply_loss(rho, oracle.LossParams(eta, 1.0))
     want = np.zeros_like(rho.matrix)
     want[basis.index_of(1, 0), basis.index_of(1, 0)] = eta
     want[basis.index_of(0, 0), basis.index_of(0, 0)] = 1 - eta
@@ -95,10 +83,8 @@ def test_apply_loss_supports_unequal_arms():
     basis = TwoModeBasis(2)
     amps = np.zeros(basis.dim, dtype=complex)
     amps[basis.index_of(1, 1)] = 1.0
-    from kerrmet.fock import PureState
-
-    rho = PureState(basis, amps).to_density()
-    out = apply_loss(rho, LossParams(0.25, 0.75))
+    rho = oracle.PureState(basis, amps).to_density()
+    out = oracle.apply_loss(rho, oracle.LossParams(0.25, 0.75))
     ix = basis.index_of
     assert out.matrix[ix(1, 1), ix(1, 1)] == pytest.approx(0.25 * 0.75)
     assert out.matrix[ix(1, 0), ix(1, 0)] == pytest.approx(0.25 * 0.25)
@@ -109,7 +95,8 @@ def test_apply_loss_supports_unequal_arms():
 def test_lossy_noon_pure_limit():
     basis = TwoModeBasis(3)
     rho = lossy(NoonLikeSpec(3, 0), eta=1.0, phi=0.7, chi=0.1, basis=basis)
-    evolved = apply_phase(superposition_state(NoonLikeSpec(3, 0), basis), 0.7, 0.1)
+    pure = oracle.superposition_state(NoonLikeSpec(3, 0), basis)
+    evolved = oracle.apply_phase(pure, 0.7, 0.1)
     assert np.abs(rho.matrix - evolved.to_density().matrix).max() < 1e-14
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
@@ -146,8 +133,8 @@ def test_lossy_noon_matches_kraus_composition():
                     basis = TwoModeBasis(n)
                     spec = NoonLikeSpec(n, k)
                     closed = lossy(spec, eta=eta, phi=phi, chi=0.05, basis=basis)
-                    oracle = kraus_oracle(spec, eta, phi, 0.05, basis)
-                    assert np.abs(closed.matrix - oracle.matrix).max() < 1e-11
+                    dense = kraus_oracle(spec, eta, phi, 0.05, basis)
+                    assert np.abs(closed.matrix - dense.matrix).max() < 1e-11
 
 
 def test_lossy_superposition_single_term_reduction():
@@ -162,7 +149,7 @@ def test_lossy_superposition_pure_limit_is_projector():
     basis = TwoModeBasis(4)
     spec = SuperpositionSpec.normalized(4, (1.0, 0.7, 0.2))
     rho = lossy(spec, eta=1.0, phi=0.5, chi=0.02, basis=basis)
-    evolved = apply_phase(superposition_state(spec, basis), 0.5, 0.02)
+    evolved = oracle.apply_phase(oracle.superposition_state(spec, basis), 0.5, 0.02)
     assert np.abs(rho.matrix - evolved.to_density().matrix).max() < 1e-13
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
 
@@ -172,8 +159,8 @@ def test_lossy_superposition_matches_kraus_composition():
     spec = SuperpositionSpec(4, (0.5, 0.3, alpha2))
     basis = TwoModeBasis(4)
     closed = lossy(spec, eta=0.7, phi=0.2, chi=0.0, basis=basis)
-    oracle = kraus_oracle(spec, 0.7, 0.2, 0.0, basis)
-    assert np.abs(closed.matrix - oracle.matrix).max() < 1e-11
+    dense = kraus_oracle(spec, 0.7, 0.2, 0.0, basis)
+    assert np.abs(closed.matrix - dense.matrix).max() < 1e-11
 
 
 def test_lossy_superposition_random_specs_match_kraus():
@@ -183,8 +170,8 @@ def test_lossy_superposition_random_specs_match_kraus():
         for eta in (0.3, 0.7, 1.0):
             basis = TwoModeBasis(n)
             closed = lossy(spec, eta=eta, phi=0.4, chi=0.03, basis=basis)
-            oracle = kraus_oracle(spec, eta, 0.4, 0.03, basis)
-            assert np.abs(closed.matrix - oracle.matrix).max() < 1e-11
+            dense = kraus_oracle(spec, eta, 0.4, 0.03, basis)
+            assert np.abs(closed.matrix - dense.matrix).max() < 1e-11
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.9, 1.0])
@@ -219,6 +206,6 @@ def test_purity_monotone_in_loss():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        LossParams(1.2, 0.5)
+        oracle.LossParams(1.2, 0.5)
     with pytest.raises(ValueError):
         lossy(NoonLikeSpec(2, 0), eta=-0.1)

@@ -12,6 +12,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from kerrmet.estimation import (
     DegenerateOperatingPointError,
     PhasedFamily,
@@ -19,13 +20,7 @@ from kerrmet.estimation import (
     min_delta_phi,
     qcrb,
 )
-from kerrmet.interferometer import (
-    SuperpositionSpec,
-    apply_phase,
-    superposition_length,
-    superposition_state,
-)
-from kerrmet.loss import LossParams, apply_loss
+from kerrmet.interferometer import SuperpositionSpec, superposition_length
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
                              database=None)
@@ -48,9 +43,9 @@ def specs(draw):
 @given(specs(), etas, chis, phis)
 def test_family_state_matches_dense_channel(spec, eta, chi, phi):
     family = PhasedFamily(spec, chi=chi, eta=eta)
-    evolved = apply_phase(superposition_state(spec, family.basis), phi, chi)
-    oracle = apply_loss(evolved.to_density(), LossParams.equal(eta))
-    assert np.abs(family.rho(phi).matrix - oracle.matrix).max() <= 1e-12
+    evolved = oracle.apply_phase(oracle.superposition_state(spec, family.basis), phi, chi)
+    dense = oracle.apply_loss(evolved.to_density(), oracle.LossParams.equal(eta))
+    assert np.abs(oracle.rho(family, phi).matrix - dense.matrix).max() <= 1e-12
 
 
 @PROPERTY_SETTINGS

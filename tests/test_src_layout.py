@@ -1,0 +1,64 @@
+"""The package keeps one path per quantity: the dense reference versions
+live in tests/oracle.py, and no module under src/kerrmet defines or
+imports them again."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrmet"
+SRC = sorted(PACKAGE.glob("*.py"))
+
+# module-level names that belong to the dense oracle, or were deleted
+ORACLE_NAMES = {
+    "PureState", "DensityOperator", "expectation", "assemble_blocks",
+    "log_falling_factorial", "LossParams", "kraus_amplitude", "kraus_element",
+    "apply_loss", "qfi", "sld", "delta_phi", "richardson_rho_prime", "eigh",
+    "g_tilde", "generator_diagonal", "generator_h", "apply_phase",
+    "superposition_state",
+}
+# methods that belong to the dense oracle, or were deleted
+ORACLE_METHODS = {
+    ("PhasedFamily", "rho"), ("PhasedFamily", "rho_prime"),
+    ("PhasedFamily", "rho_blocks"), ("TwoModeBasis", "state_of"),
+}
+
+
+def _module_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+def test_src_defines_and_imports_no_oracle_name():
+    found = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [(path.name, name) for name in _module_level_names(tree)
+                  if name in ORACLE_NAMES]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                found += [(path.name, f"import {alias.name}") for alias in node.names
+                          if alias.name in ORACLE_NAMES]
+            elif isinstance(node, ast.ClassDef):
+                found += [(path.name, f"{node.name}.{item.name}") for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and (node.name, item.name) in ORACLE_METHODS]
+    assert not found
+
+
+def test_package_exports_only_names_defined_in_src():
+    defined = set()
+    for path in SRC:
+        defined.update(_module_level_names(ast.parse(path.read_text())))
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert exported
+    assert not set(exported) - defined
+    assert not set(exported) & ORACLE_NAMES
