@@ -6,8 +6,11 @@ derivative in the eigenbasis of each total-photon-number block T of rho,
     F^2 = sum_T sum_{j,k: p_j + p_k > eps_T} 2 |rho'_{jk}|^2 / (p_j + p_k),
 
 with eps_T relative to the block's largest eigenvalue, which on a pure
-unitary family reduces to 4 Var(H).  The quantum Cramer-Rao bound is
-delta_phi >= 1/F.  Readout performance is judged by error propagation,
+unitary family reduces to 4 Var(H).  Each block is itself block-diagonal
+over the residue classes of its index mod the branch stride of the input,
+so the eigenbasis is found class by class, one batched eigh per class
+size.  The quantum Cramer-Rao bound is delta_phi >= 1/F.  Readout
+performance is judged by error propagation,
 delta_phi = sqrt(Var O) / |d<O>/dphi|, scanned over operating points phi
 where the signal slope does not vanish.
 """
@@ -16,16 +19,21 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .fock import (
     BasisMismatchError,
+    FlatBlocks,
     HermitianOperator,
     NumericalError,
     PSD_FLOOR,
     TwoModeBasis,
+    block_diagonal,
+    block_offsets,
     block_split,
     lowering_power,
 )
@@ -64,8 +72,11 @@ class QfiResult:
     diagnostics, and the SLD blocks when they were asked for.
 
     ``rank_cutoff`` is relative and per block: an eigenvalue pair of a
-    block enters the sum and the SLD only if p_j + p_k exceeds
-    rank_cutoff times that block's largest eigenvalue.
+    residue class enters the sum and the SLD only if p_j + p_k exceeds
+    rank_cutoff times the largest eigenvalue of the class's block T.
+    ``spectrum`` holds the eigenvalues of every class, unclamped and
+    sorted: as a multiset, the spectra of the blocks T = 0..N.  ``sld``
+    holds one (T+1) x (T+1) block per T, exactly zero between classes.
     """
 
     qfi: float
@@ -115,45 +126,122 @@ def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
-def _qfi_from_block_pairs(pairs, with_sld: bool = False) -> QfiResult:
-    """QFI from matching (rho block, rho' block) pairs sharing one basis.
+class BlockPairs(Sequence):
+    """The (rho block, rho' block) pairs of a state whose blocks T = 0..N
+    lie in one flat buffer (laid out by ``block_offsets``), with
+    rho' = i[G, rho] for a diagonal generator G.
 
-    An eigenvalue pair of a block counts as kernel when p_j + p_k is at
-    most RANK_CUTOFF_FACTOR times that block's largest eigenvalue: eigh's
-    error in a block scales with the block's own norm, and under heavy
-    loss the blocks that carry the branch coherence lie wholly below any
-    cutoff taken from the largest eigenvalue over all blocks.
-
-    With ``with_sld`` the result also holds the SLD block of each pair,
-    L_jk = 2 rho'_jk / (p_j + p_k) in the eigenbasis of rho on the same
-    eigenvalue pairs the QFI sum keeps, zero elsewhere.
+    ``g_flat`` holds G's diagonal per block, block T from T(T+1)/2 on.
+    ``stride`` is a common divisor of the index offsets i - j of all
+    nonzero entries (i, j) of every block, 0 when every block is diagonal.
+    The pairs hold the Hermitian part of each block, as the spectral step
+    uses it; item T is built on demand.
     """
+
+    def __init__(self, rho_flat: np.ndarray, g_flat: np.ndarray, n_max: int,
+                 stride: int):
+        self.rho_flat = rho_flat
+        self.g_flat = g_flat
+        self.n_max = n_max
+        self.stride = stride
+
+    def __len__(self) -> int:
+        return self.n_max + 1
+
+    def __getitem__(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        t, block = FlatBlocks(self.rho_flat, self.n_max)[t]
+        block = 0.5 * (block + block.conj().T)
+        g = self.g_flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2]
+        return block, 1j * (g[:, None] - g[None, :]) * block
+
+
+@lru_cache(maxsize=2)
+def _residue_classes(n_max: int, stride: int):
+    """Block T = 0..n_max split into the classes {r, r + stride, ...} of its
+    index mod ``stride`` (singletons at stride 0), stacked by class size:
+    one stack per size s = 1, 2, ..., none missing.
+
+    A stack of c classes is the triple (blocks, gather, diag): the block T
+    of each class (c,), the positions of the class entries in the flat
+    block buffer (c, s, s), and those of the class indices in the generator
+    diagonal (c, s).
+    """
+    step = stride if 0 < stride <= n_max else n_max + 1
+    per_block = np.minimum(np.arange(1, n_max + 2), step)
+    t = np.repeat(np.arange(n_max + 1), per_block)
+    r = np.arange(t.size) - np.repeat(np.cumsum(per_block) - per_block, per_block)
+    sizes = (t - r) // step + 1
+    offsets = block_offsets(n_max)
+    stacks = []
+    for s in range(1, sizes.max() + 1):
+        blocks = t[sizes == s]
+        rows = r[sizes == s, None] + step * np.arange(s)
+        gather = (offsets[blocks, None, None] + rows[:, :, None] * (blocks + 1)[:, None, None]
+                  + rows[:, None, :])
+        diag = (blocks * (blocks + 1) // 2)[:, None] + rows
+        stacks.append((blocks, gather, diag))
+    return tuple(stacks)
+
+
+def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResult:
+    """QFI of the (rho block, rho' block) pairs, class by class.
+
+    Block T of rho is block-diagonal over the residue classes of its index
+    mod ``pairs.stride``, and so is rho' = i[G, rho]: each class is
+    eigendecomposed on its own, and the classes of one size are stacked
+    across all blocks into a single batched eigh.  The Fisher information
+    is the sum over classes of 2 |rho'_jk|^2 / (p_j + p_k) in the class
+    eigenbasis, which equals the blockwise sum.
+
+    An eigenvalue pair counts as kernel when p_j + p_k is at most
+    RANK_CUTOFF_FACTOR times the largest eigenvalue of its block T (over
+    all of the block's classes): eigh's error in a block scales with the
+    block's own norm, and under heavy loss the blocks that carry the branch
+    coherence lie wholly below any cutoff taken from the largest eigenvalue
+    over all blocks.
+
+    With ``with_sld`` the result also holds the SLD block of each T,
+    L_jk = 2 rho'_jk / (p_j + p_k) in the eigenbasis of rho on the same
+    eigenvalue pairs the QFI sum keeps, zero elsewhere (so also between
+    classes).
+    """
+    top = np.zeros(pairs.n_max + 1)  # largest eigenvalue of each block so far
     spectrum = []
     total = 0.0
-    slds = [] if with_sld else None
-    for rho_block, rhop_block in pairs:
-        if not rho_block.any():
-            # empty block: all probabilities 0, every pair is below cutoff
-            spectrum.append(np.zeros(rho_block.shape[0]))
-            if with_sld:
-                slds.append(np.zeros_like(rhop_block))
-            continue
-        vals, vecs = np.linalg.eigh(rho_block)
-        spectrum.append(vals)
-        p = _clamped_probabilities(vals, "qfi block")
-        a = vecs.conj().T @ rhop_block @ vecs
-        psum = p[:, None] + p[None, :]
-        mask = psum > RANK_CUTOFF_FACTOR * p.max()
-        if mask.any():
-            total += float((2.0 * np.abs(a[mask]) ** 2 / psum[mask]).sum())
+    sld_flat = np.zeros_like(pairs.rho_flat) if with_sld else None
+
+    def reduce_stack(blocks, gather, diag, x, p, vecs) -> float:
+        g = pairs.g_flat[diag]
+        vecs_h = vecs.conj().swapaxes(1, 2)
+        a = vecs_h @ (1j * (g[:, :, None] - g[:, None, :]) * x) @ vecs
+        psum = p[:, :, None] + p[:, None, :]
+        mask = psum > (RANK_CUTOFF_FACTOR * top[blocks])[:, None, None]
         if with_sld:
             core = np.zeros_like(a)
             core[mask] = 2.0 * a[mask] / psum[mask]
-            block = vecs @ core @ vecs.conj().T
-            slds.append(0.5 * (block + block.conj().T))
-    spectrum = np.sort(np.concatenate(spectrum)) if spectrum else np.zeros(0)
-    return QfiResult(qfi=total, rank_cutoff=RANK_CUTOFF_FACTOR, spectrum=spectrum,
-                     sld=slds)
+            block = vecs @ core @ vecs_h
+            sld_flat[gather] = 0.5 * (block + block.conj().swapaxes(1, 2))
+        return float((2.0 * np.abs(a[mask]) ** 2 / psum[mask]).sum())
+
+    # the classes of one block differ in size by at most one, so once the
+    # stack of size s + 1 is solved, every block with a class of size s has
+    # its largest eigenvalue: each stack is reduced one stack later
+    pending = None
+    for blocks, gather, diag in _residue_classes(pairs.n_max, pairs.stride):
+        x = pairs.rho_flat[gather]
+        x = 0.5 * (x + x.conj().swapaxes(1, 2))
+        vals, vecs = np.linalg.eigh(x)
+        spectrum.append(vals.ravel())
+        p = _clamped_probabilities(vals, "qfi block")
+        np.maximum.at(top, blocks, p[:, -1])
+        if pending is not None:
+            total += reduce_stack(*pending)
+        pending = blocks, gather, diag, x, p, vecs
+    total += reduce_stack(*pending)
+    spectrum = np.concatenate(spectrum)
+    slds = [b for _, b in FlatBlocks(sld_flat, pairs.n_max)] if with_sld else None
+    return QfiResult(qfi=total, rank_cutoff=RANK_CUTOFF_FACTOR,
+                     spectrum=np.sort(spectrum), sld=slds)
 
 
 def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
@@ -188,33 +276,44 @@ def _entries(matrix: np.ndarray):
     return rows, cols, matrix[rows, cols]
 
 
-def generator_blocks(N: int, chi: float) -> list[np.ndarray]:
-    """Per-T diagonals g = (1 + chi N/2)(n2 - n1)/2 of the phase generator
-    on the lossy image of an N-photon input, for T = 0..N.
+def generator_flat(N: int, chi: float) -> np.ndarray:
+    """Diagonal g = (1 + chi N/2)(n2 - n1)/2 of the phase generator on the
+    lossy image of an N-photon input, over the blocks T = 0..N in the
+    order of TwoModeBasis(N) (block T from T(T+1)/2 on).
 
     On the N-photon shell the Kerr generator (g(n2) - g(n1))/2 with
     g(n) = n + (chi/2) n^2 equals (1 + chi N/2)(n2 - n1)/2, a product of
     single-mode phase rotations, which loss commutes with; so the input's
     N sets the rate on every block, not the block's own T.
     """
-    theta = 1.0 + 0.5 * chi * N
-    return [0.5 * theta * (t - 2.0 * np.arange(t + 1)) for t in range(N + 1)]
+    basis = TwoModeBasis(N)
+    return 0.5 * (1.0 + 0.5 * chi * N) * (basis.total - 2.0 * basis.n1)
 
 
-def derivative_factors(g: list[np.ndarray]) -> list[np.ndarray]:
-    """Per-block factors i(g_r - g_c), so that rho' = i[G, rho] is the
-    elementwise product factor * rho and rho(phi) = exp(phi factor) * rho_0."""
-    return [1j * (d[:, None] - d[None, :]) for d in g]
+def derivative_factors(g_flat: np.ndarray, n_max: int) -> list[np.ndarray]:
+    """Per-block factors i(g_r - g_c) of the blocks T = 0..n_max from the
+    generator diagonal ``g_flat`` (laid out as by ``generator_flat``), so
+    that rho' = i[G, rho] is the elementwise product factor * rho and
+    rho(phi) = exp(phi factor) * rho_0."""
+    basis = TwoModeBasis(n_max)
+    return [1j * (d[:, None] - d[None, :])
+            for d in (g_flat[basis.block_slice(t)] for t in range(n_max + 1))]
 
 
 class PhasedFamily:
     """phi-parameterized lossy output family of one fixed-N input.
 
     Loss commutes with the Kerr phase, so rho(phi) = V rho_0 V^dag with
-    V = exp(i phi G): the family holds only the phi = 0 lossy state rho_0
-    as total-photon-number blocks and the generator diagonal g.  rho(phi)
-    is a blockwise phase rotation, rho'(phi) = i[G, rho(phi)], and the
-    Fisher information does not depend on phi.
+    V = exp(i phi G): the family holds only the phi = 0 lossy state rho_0,
+    its blocks T = 0..N in one flat buffer, and the generator diagonal.
+    rho(phi) is a blockwise phase rotation, rho'(phi) = i[G, rho(phi)], and
+    the Fisher information does not depend on phi.
+
+    ``stride`` is the gcd of the differences of the branch occupations n1
+    (0 for a single ket): every block entry (i, j) of rho_0 has i - j equal
+    to one such difference, so each block splits exactly into the residue
+    classes of its index mod ``stride``, which the spectral step
+    eigendecomposes separately.
     """
 
     def __init__(self, input_spec: SuperpositionSpec, chi: float = 0.0,
@@ -233,16 +332,23 @@ class PhasedFamily:
         if self.basis.n_total_max < N:
             raise ValueError("basis truncation below the input photon number")
         branches = branch_amplitudes(N, input_spec.alpha)
-        self.rho0 = [0.5 * (b + b.conj().T)
-                     for _, b in cross_lossy_blocks(branches, branches, N, self.eta)]
-        trace = sum(b.trace().real for b in self.rho0)
+        self.stride = math.gcd(*(n1 - branches[0][0] for n1, _, _ in branches))
+        self.rho0_flat = cross_lossy_blocks(branches, branches, N, self.eta).flat
+        trace = self.rho0_flat[block_diagonal(N)].real.sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"family state trace {trace!r} deviates from 1")
-        self.g = generator_blocks(N, self.chi)
+        self.g_flat = generator_flat(N, self.chi)
+
+    @property
+    def rho0(self) -> list[np.ndarray]:
+        """The blocks T = 0..N of rho_0 (Hermitian parts, built on demand)."""
+        return [rho for rho, _ in self._pairs()]
+
+    def _pairs(self) -> BlockPairs:
+        return BlockPairs(self.rho0_flat, self.g_flat, self.input_spec.N, self.stride)
 
     def qfi(self) -> QfiResult:
-        return _qfi_from_block_pairs(
-            [(b, f * b) for b, f in zip(self.rho0, derivative_factors(self.g))])
+        return _qfi_from_block_pairs(self._pairs())
 
     def moment_profile(self, obs: HermitianOperator) -> "MomentProfile":
         """Exact scan machinery: <O>(phi) = Re sum_j w_j e^{i phi theta j}

@@ -5,13 +5,17 @@ out in a graded basis: all states with total photon number T come before
 the states with total T + 1, and within a block the occupation of mode 1
 ascends.  Every operator built in this package (phase evolution, photon
 loss, coincidence observables) either conserves or only lowers the total
-photon number, so density matrices stay block-diagonal in T and the
-expensive eigendecompositions can run block by block.
+photon number, so density matrices stay block-diagonal in T.  The
+blockwise chain keeps blocks T = 0..N of such an operator one after
+another in a single flat buffer (``FlatBlocks``), and its spectral step
+splits each block further into the residue classes of its index modulo
+the branch stride of the input (see ``kerrmet.estimation``).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +106,41 @@ class TwoModeBasis:
 
     def __repr__(self) -> str:
         return f"TwoModeBasis(n_total_max={self.n_total_max})"
+
+
+def block_offsets(n_max: int) -> np.ndarray:
+    """Start of each block T = 0..n_max in a flat buffer that holds the
+    (T+1) x (T+1) blocks one after another, row-major:
+    sum_{t<T} (t+1)^2 = T(T+1)(2T+1)/6.  The last entry is the length."""
+    t = np.arange(n_max + 2)
+    return t * (t + 1) * (2 * t + 1) // 6
+
+
+def block_diagonal(n_max: int) -> np.ndarray:
+    """Positions of the diagonal entries of blocks 0..n_max in such a
+    flat buffer, block by block."""
+    t = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
+    i = np.arange(t.size) - t * (t + 1) // 2
+    return block_offsets(n_max)[t] + i * (t + 2)
+
+
+class FlatBlocks(Sequence):
+    """Blocks T = 0..n_max of a block-diagonal operator, held in one flat
+    buffer laid out by ``block_offsets``; item T is the pair (T, block)
+    with the block a view into ``flat``."""
+
+    def __init__(self, flat: np.ndarray, n_max: int):
+        self.flat = flat
+        self.n_max = n_max
+        self.offsets = block_offsets(n_max)
+
+    def __len__(self) -> int:
+        return self.n_max + 1
+
+    def __getitem__(self, t: int) -> tuple[int, np.ndarray]:
+        t = range(self.n_max + 1)[t]
+        start = self.offsets[t]
+        return t, self.flat[start:start + (t + 1) ** 2].reshape(t + 1, t + 1)
 
 
 def _band_rows(dim: int) -> int:

@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+from .fock import FlatBlocks, block_offsets
+
 
 def _xlog(count: np.ndarray, x: float) -> np.ndarray:
     """count * log(x) with 0 * log(0) = 0."""
@@ -36,28 +38,26 @@ def survival_table(n_max: int, eta: float) -> np.ndarray:
     return np.where(q <= n, np.exp(log_amp), 0.0)
 
 
-def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float):
+def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float) -> FlatBlocks:
     """Closed-form channel output for a ket/bra pair of branch lists.
 
-    Each branch is (n1, n2, amplitude) with n1 + n2 = N.  The result is
-    the list of total-photon-number blocks (T, block) of
-    sum_{q,p} K_qp |ket><bra| K_qp^dag.
+    Each branch is (n1, n2, amplitude) with n1 + n2 = N.  The result holds
+    the total-photon-number blocks (T, block) of
+    sum_{q,p} K_qp |ket><bra| K_qp^dag in one flat buffer.
 
     Losing (q, p) photons from the dyad |n1, n2><m1, m2| lands on the
-    block T = N - q - p at entry (n1 - q, m1 - q), so for fixed s = q + p
-    one branch pair fills a single diagonal of one block; the loop runs
-    per (pair, s) with the q-sweep vectorized.
+    block T = N - q - p at entry (n1 - q, m1 - q), so one branch pair fills
+    entries at index offset n1 - m1 only, and each (q, p) a distinct one:
+    the whole (q, p) sweep of a pair is one vectorized scatter.
     """
     kappa = survival_table(N, eta)
-    blocks = [np.zeros((t + 1, t + 1), dtype=complex) for t in range(N + 1)]
+    offsets = block_offsets(N)
+    flat = np.zeros(offsets[-1], dtype=complex)
     for kn1, kn2, kamp in ket_branches:
         for bn1, bn2, bamp in bra_branches:
-            weight = kamp * bamp
-            qmax = min(kn1, bn1)
-            pmax = min(kn2, bn2)
-            for s in range(qmax + pmax + 1):
-                q = np.arange(max(0, s - pmax), min(qmax, s) + 1)
-                p = s - q
-                blocks[N - s][kn1 - q, bn1 - q] += weight * (
-                    kappa[kn1, q] * kappa[bn1, q] * kappa[kn2, p] * kappa[bn2, p])
-    return list(enumerate(blocks))
+            q = np.arange(min(kn1, bn1) + 1)[:, None]
+            p = np.arange(min(kn2, bn2) + 1)[None, :]
+            t = N - q - p
+            flat[offsets[t] + (kn1 - q) * (t + 1) + (bn1 - q)] += kamp * bamp * (
+                kappa[kn1, q] * kappa[bn1, q] * kappa[kn2, p] * kappa[bn2, p])
+    return FlatBlocks(flat, N)

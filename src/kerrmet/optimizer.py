@@ -25,8 +25,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimation import _qfi_from_block_pairs, derivative_factors, generator_blocks
-from .fock import NumericalError
+from .estimation import (
+    BlockPairs,
+    _qfi_from_block_pairs,
+    derivative_factors,
+    generator_flat,
+)
+from .fock import NumericalError, block_diagonal, block_offsets
 from .interferometer import SuperpositionSpec, branch_amplitudes, superposition_length
 from .loss import cross_lossy_blocks
 
@@ -87,46 +92,37 @@ class OptimizationOutcome:
 
 class _QuadraticQfiModel:
     """The lossy output is quadratic in alpha: rho = sum_kl alpha_k alpha_l
-    R_kl.  All phi = 0 cross blocks are built once and flattened into a
-    single (S^2, sum_T (T+1)^2) matrix, so one evaluation is one
-    vector-matrix product with outer(alpha, alpha), the blockwise
-    derivative i[G, rho] and the blockwise QFI reduction; the see-saw
-    matrix M(L) is one more product with the same matrix."""
+    R_kl.  All phi = 0 cross blocks are built once, each R_kl's flat block
+    buffer one row of a single (S^2, sum_T (T+1)^2) matrix, so one
+    evaluation is one vector-matrix product with outer(alpha, alpha), the
+    blockwise derivative i[G, rho] and the QFI reduction; the see-saw
+    matrix M(L) is one more product with the same matrix.  A dense alpha
+    couples every pair of block indices, so the spectral step runs at
+    stride 1, one class per block."""
 
     def __init__(self, problem: OptimizationProblem):
         n = problem.N
         length = problem.dimension
         sets = [branch_amplitudes(n, np.eye(length)[k]) for k in range(length)]
-        tensors = [np.zeros((length, length, t + 1, t + 1), dtype=complex)
-                   for t in range(n + 1)]
+        self.matrix = np.empty((length * length, block_offsets(n)[-1]), dtype=complex)
         for k in range(length):
             for l in range(length):
-                for t, b in cross_lossy_blocks(sets[k], sets[l], n, problem.eta):
-                    tensors[t][k, l] = b
-        self.block_dims = [t + 1 for t in range(n + 1)]
-        sizes = [d * d for d in self.block_dims]
-        self.offsets = np.concatenate(([0], np.cumsum(sizes)))
-        self.matrix = np.concatenate(
-            [r.reshape(length * length, -1) for r in tensors], axis=1)
-        self.diag_idx = np.concatenate(
-            [off + np.arange(d) * (d + 1)
-             for off, d in zip(self.offsets[:-1], self.block_dims)])
-        self.factors = derivative_factors(generator_blocks(n, problem.chi))
+                self.matrix[k * length + l] = cross_lossy_blocks(
+                    sets[k], sets[l], n, problem.eta).flat
+        self.diag_idx = block_diagonal(n)
+        self.g_flat = generator_flat(n, problem.chi)
+        self.factors = derivative_factors(self.g_flat, n)
         # Tr R_kl = W_kl: the metric of SuperpositionSpec.squared_weight
         self.metric = np.array([4.0 if 2 * k == n else 2.0 for k in range(length)])
+        self.n = n
 
-    def _pairs(self, alpha: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    def _pairs(self, alpha: np.ndarray) -> BlockPairs:
         weights = np.outer(alpha, alpha).ravel()
         rho_flat = weights @ self.matrix
         trace = rho_flat[self.diag_idx].real.sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"model state trace {trace!r} deviates from 1")
-        pairs = []
-        for off, d, f in zip(self.offsets[:-1], self.block_dims, self.factors):
-            block = rho_flat[off:off + d * d].reshape(d, d)
-            block = 0.5 * (block + block.conj().T)
-            pairs.append((block, f * block))
-        return pairs
+        return BlockPairs(rho_flat, self.g_flat, self.n, 1)
 
     def qfi(self, alpha: np.ndarray) -> float:
         return _qfi_from_block_pairs(self._pairs(alpha)).qfi

@@ -7,7 +7,9 @@ Kraus composition (which also covers unequal arms), the phase is applied
 to the pure input before the channel, and the SLD, the Fisher information
 and the pointwise readout uncertainty come from one full-matrix
 eigendecomposition.  The costs grow as dim^3 with dim ~ N^2/2, so these
-are meant for N of order ten.
+are meant for N of order ten.  The one blockwise reference is
+``blockwise_qfi``, the spectral step before its residue-class split: one
+dense eigh per total-photon-number block.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from kerrmet.estimation import (
     VARIANCE_FLOOR_FACTOR,
     DegenerateOperatingPointError,
     PhasedFamily,
+    QfiResult,
     _clamped_probabilities,
     derivative_factors,
     spectral_norm,
@@ -224,10 +227,14 @@ def apply_loss(rho: DensityOperator, loss: LossParams) -> DensityOperator:
 # ---------------------------------------------------------------- family
 
 
+def _factors(family: PhasedFamily) -> list[np.ndarray]:
+    return derivative_factors(family.g_flat, family.input_spec.N)
+
+
 def rho_blocks(family: PhasedFamily, phi: float) -> list[np.ndarray]:
     """Blocks of rho(phi) = exp(phi factor) * rho_0, elementwise per T."""
     return [b * np.exp(phi * f)
-            for b, f in zip(family.rho0, derivative_factors(family.g))]
+            for b, f in zip(family.rho0, _factors(family))]
 
 
 def rho(family: PhasedFamily, phi: float) -> DensityOperator:
@@ -236,7 +243,7 @@ def rho(family: PhasedFamily, phi: float) -> DensityOperator:
 
 
 def rho_prime(family: PhasedFamily, phi: float) -> HermitianOperator:
-    blocks = zip(rho_blocks(family, phi), derivative_factors(family.g))
+    blocks = zip(rho_blocks(family, phi), _factors(family))
     return HermitianOperator(family.basis, assemble_blocks(
         family.basis, ((t, f * b) for t, (b, f) in enumerate(blocks))))
 
@@ -276,6 +283,38 @@ def sld(rho: DensityOperator, rho_prime: HermitianOperator,
     core = np.where(psum > rank_tol, 2.0 * a / np.where(psum > rank_tol, psum, 1.0), 0.0)
     matrix = vecs @ core @ vecs.conj().T
     return HermitianOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
+
+
+def blockwise_qfi(pairs, with_sld: bool = False) -> QfiResult:
+    """QFI from (rho block, rho' block) pairs with one eigh per whole block
+    and the per-block rank cutoff, the same sum the package takes over
+    residue classes; with ``with_sld`` also the SLD block of each pair."""
+    spectrum = []
+    total = 0.0
+    slds = [] if with_sld else None
+    for rho_block, rhop_block in pairs:
+        if not rho_block.any():
+            # empty block: all probabilities 0, every pair is below cutoff
+            spectrum.append(np.zeros(rho_block.shape[0]))
+            if with_sld:
+                slds.append(np.zeros_like(rhop_block))
+            continue
+        vals, vecs = np.linalg.eigh(rho_block)
+        spectrum.append(vals)
+        p = _clamped_probabilities(vals, "qfi block")
+        a = vecs.conj().T @ rhop_block @ vecs
+        psum = p[:, None] + p[None, :]
+        mask = psum > RANK_CUTOFF_FACTOR * p.max()
+        if mask.any():
+            total += float((2.0 * np.abs(a[mask]) ** 2 / psum[mask]).sum())
+        if with_sld:
+            core = np.zeros_like(a)
+            core[mask] = 2.0 * a[mask] / psum[mask]
+            block = vecs @ core @ vecs.conj().T
+            slds.append(0.5 * (block + block.conj().T))
+    spectrum = np.sort(np.concatenate(spectrum)) if spectrum else np.zeros(0)
+    return QfiResult(qfi=total, rank_cutoff=RANK_CUTOFF_FACTOR, spectrum=spectrum,
+                     sld=slds)
 
 
 def qfi(rho: DensityOperator, rho_prime: HermitianOperator) -> float:

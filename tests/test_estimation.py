@@ -6,10 +6,13 @@ import pytest
 
 import oracle
 from kerrmet.estimation import (
+    BlockPairs,
     DegenerateOperatingPointError,
     MomentProfile,
     PhasedFamily,
     UndefinedBoundError,
+    _qfi_from_block_pairs,
+    generator_flat,
     max_qfi_over_k,
     measurement_mm,
     min_delta_phi,
@@ -17,6 +20,7 @@ from kerrmet.estimation import (
     qfi_pure_analytic,
 )
 from kerrmet.fock import (
+    FlatBlocks,
     HermitianOperator,
     NumericalError,
     TwoModeBasis,
@@ -110,10 +114,98 @@ def test_qfi_lossy_noon_closed_form(eta):
     # and under heavy loss it lies wholly below 1e-12 of the largest
     # eigenvalue of the other blocks, so the rank cutoff must be per block
     chi = 1e-8
-    for n in (1, 10, 40, 50, 60, 70, 80, 90, 100):
+    larger = (150, 200) if eta in (0.5, 0.9) else ()
+    for n in (1, 10, 40, 50, 60, 70, 80, 90, 100) + larger:
         got = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=eta).qfi().qfi
         want = (n + 0.5 * chi * n * n) ** 2 * eta ** n
         assert got == pytest.approx(want, rel=1e-9), n
+
+
+def _assert_matches_unsplit(family, with_sld=False):
+    """The class-split spectral step against one eigh per whole block."""
+    pairs = family._pairs()
+    got = _qfi_from_block_pairs(pairs, with_sld=with_sld)
+    want = oracle.blockwise_qfi(pairs, with_sld=with_sld)
+    assert abs(got.qfi - want.qfi) <= max(1e-12 * abs(want.qfi), 1e-300)
+    assert got.spectrum.shape == want.spectrum.shape
+    assert np.abs(got.spectrum - want.spectrum).max() <= 1e-13
+    return got, want
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.6, 0.9, 1.0])
+def test_class_split_matches_unsplit_blocks(eta):
+    # every k up to N = 30: k = N/2 at even N is a single ket (stride 0,
+    # singleton classes), k = (N - 1)/2 at odd N has stride 1 (one class
+    # per block), the other k stride N - 2k
+    for n in range(1, 31):
+        for k in range(n // 2 + 1):
+            family = PhasedFamily(NoonLikeSpec(n, k), chi=1e-8, eta=eta)
+            assert family.stride == n - 2 * k
+            _assert_matches_unsplit(family)
+
+
+@pytest.mark.parametrize("eta", [0.3, 0.6, 0.9, 1.0])
+def test_class_split_sparse_superposition_stride_two(eta):
+    # weight on k = 0 and k = 2 only: at even N the branch n1 values N, N-2,
+    # 2, 0 differ by multiples of 2
+    for n in (4, 6, 10, 20, 30):
+        alpha = np.zeros(n // 2 + 1)
+        alpha[[0, 2]] = (0.8, 0.6)
+        family = PhasedFamily(SuperpositionSpec.normalized(n, alpha), chi=0.01, eta=eta)
+        assert family.stride == 2
+        _assert_matches_unsplit(family)
+
+
+@pytest.mark.parametrize("t, big, pair", [
+    (4, [0, 2, 4], [1, 3]), (4, [1, 3], [0, 4]), (3, [0, 2], [1, 3]), (3, [1, 3], [0, 2])])
+def test_class_cutoff_comes_from_the_whole_block(t, big, pair):
+    # block t at stride 2: one class is diagonal with weight 1, another
+    # holds a coherent pair of total weight w, whose Fisher information is
+    # w (i - j)^2.  At w = 2e-14 the pair lies below 1e-12 of the block's
+    # largest eigenvalue, though not of its own class's, whichever class
+    # size is solved first
+    blocks = FlatBlocks(np.zeros(55, dtype=complex), 4)
+    _, block = blocks[t]
+    block[big, big] = 1.0 / len(big)
+    pairs = BlockPairs(blocks.flat, generator_flat(4, 0.0), 4, 2)
+    block[np.ix_(pair, pair)] = 1e-14
+    result = _qfi_from_block_pairs(pairs, with_sld=True)
+    assert result.qfi == 0.0 == oracle.blockwise_qfi(pairs).qfi
+    assert not any(sld.any() for sld in result.sld)
+    # at w = 2e-11 the pair counts; the unsplit eigh resolves its
+    # eigenvalues only to eps times the block norm, the class split to
+    # eps times the class norm
+    block[np.ix_(pair, pair)] = 1e-11
+    result = _qfi_from_block_pairs(pairs, with_sld=True)
+    assert result.qfi == pytest.approx(2e-11 * (pair[1] - pair[0]) ** 2, rel=1e-12)
+    assert result.qfi == pytest.approx(oracle.blockwise_qfi(pairs).qfi, rel=1e-6)
+
+
+def test_channel_output_lives_on_the_residue_classes():
+    # the split is exact: rho_0 has no entry between classes
+    for n, k in ((9, 2), (12, 3), (12, 6), (20, 0)):
+        family = PhasedFamily(NoonLikeSpec(n, k), chi=0.0, eta=0.7)
+        step = family.stride or n + 1
+        for t, block in enumerate(family.rho0):
+            i, j = np.indices(block.shape)
+            assert not block[(i - j) % step != 0].any(), (n, k, t)
+
+
+@pytest.mark.parametrize("n, eta", [(7, 0.6), (13, 0.9), (21, 0.3), (29, 1.0)])
+def test_stride_one_sld_matches_unsplit_blocks(n, eta):
+    family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=0.05, eta=eta)
+    assert family.stride == 1
+    got, want = _assert_matches_unsplit(family, with_sld=True)
+    for t, (a, b) in enumerate(zip(got.sld, want.sld)):
+        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), t
+
+
+def test_class_split_sld_is_zero_between_classes():
+    family = PhasedFamily(NoonLikeSpec(14, 4), chi=0.05, eta=0.8)
+    result = _qfi_from_block_pairs(family._pairs(), with_sld=True)
+    for block in result.sld:
+        i, j = np.indices(block.shape)
+        assert np.all(block[(i - j) % family.stride != 0] == 0.0)
 
 
 def test_qfi_result_diagnostics():

@@ -7,8 +7,8 @@ import pytest
 import oracle
 from kerrmet.estimation import PhasedFamily
 from kerrmet.fock import TwoModeBasis, block_split
-from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
-from kerrmet.loss import survival_table
+from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
+from kerrmet.loss import cross_lossy_blocks, survival_table
 
 
 def spec_length(n):
@@ -187,6 +187,20 @@ def test_block_structure_of_channel_output():
     rho = lossy(NoonLikeSpec(5, 2), eta=0.6, phi=0.9, basis=basis)
     blocks = block_split(rho)  # raises if off-block mass appears
     assert sum(b.trace().real for _, b in blocks) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_cross_blocks_are_views_into_one_buffer():
+    n = 7
+    branches = branch_amplitudes(n, NoonLikeSpec(n, 2).alpha)
+    out = cross_lossy_blocks(branches, branches, n, 0.6)
+    assert out.flat.size == sum((t + 1) ** 2 for t in range(n + 1))
+    assert [t for t, _ in out] == list(range(n + 1))
+    for t, block in out:
+        assert block.shape == (t + 1, t + 1)
+        assert np.shares_memory(block, out.flat)
+    # writing through a view writes the buffer
+    out[3][1][0, 0] = 7.0
+    assert out.flat[sum((t + 1) ** 2 for t in range(3))] == 7.0
 
 
 def test_purity_monotone_in_loss():

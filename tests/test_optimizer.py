@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from kerrmet.estimation import PhasedFamily, max_qfi_over_k, qfi_pure_analytic
-from kerrmet.interferometer import SuperpositionSpec
+from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes
+from kerrmet.loss import cross_lossy_blocks
 from kerrmet.optimizer import (
     OptimizationProblem,
     _climb,
@@ -154,6 +155,21 @@ def test_never_below_nelder_mead(eta):
         outcome = optimize_alpha(OptimizationProblem(N=n, eta=eta, chi=1e-8))
         assert outcome.qfi_star >= recorded - 1e-9 * max(1.0, recorded), n
         assert outcome.converged, n
+
+
+@pytest.mark.parametrize("n, eta", [(1, 0.5), (4, 0.9), (7, 0.6), (8, 1.0)])
+def test_model_matrix_rows_are_the_cross_blocks(n, eta):
+    # row (k, l) holds the blocks T = 0..N of R_kl one after another
+    problem = OptimizationProblem(N=n, eta=eta, chi=1e-8)
+    model = _model_for(problem)
+    length = problem.dimension
+    sets = [branch_amplitudes(n, e) for e in np.eye(length)]
+    want = np.array([
+        np.concatenate([block.ravel() for _, block in
+                        cross_lossy_blocks(sets[k], sets[l], n, eta)])
+        for k in range(length) for l in range(length)])
+    assert model.matrix.shape == want.shape
+    assert np.array_equal(model.matrix, want)
 
 
 def _unit(problem, rng):

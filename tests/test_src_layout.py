@@ -1,6 +1,7 @@
 """The package keeps one path per quantity: the dense reference versions
 live in tests/oracle.py, and no module under src/kerrmet defines or
-imports them again."""
+imports them again; the spectral step is the only eigendecomposition of
+a state."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,37 @@ def test_package_exports_only_names_defined_in_src():
     assert exported
     assert not set(exported) - defined
     assert not set(exported) & ORACLE_NAMES
+
+
+# every np.linalg.eigh call in the package, by (module, enclosing function):
+# the spectral step, whose batched call covers every residue class of every
+# block, and the see-saw step, the top eigenvector of the S x S matrix M(L)
+EIGH_SITES = [("estimation.py", "_qfi_from_block_pairs"), ("optimizer.py", "_climb")]
+
+
+class _EighCalls(ast.NodeVisitor):
+    def __init__(self, module):
+        self.module = module
+        self.scope = []
+        self.sites = []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        if ast.unparse(node.func).split(".")[-1] == "eigh":
+            self.sites.append((self.module, self.scope[0] if self.scope else None))
+        self.generic_visit(node)
+
+
+def test_eigh_runs_at_one_spectral_site():
+    sites = []
+    for path in SRC:
+        visitor = _EighCalls(path.name)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        sites += visitor.sites
+    assert sorted(sites) == EIGH_SITES
