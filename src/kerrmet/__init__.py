@@ -22,12 +22,10 @@ from .estimation import (
 )
 from .fock import (
     BasisMismatchError,
-    BlockStructureError,
     HermitianOperator,
     NumericalError,
     TruncationError,
     TwoModeBasis,
-    block_split,
     falling_factorial,
     lowering_power,
 )

@@ -34,7 +34,6 @@ from .fock import (
     TwoModeBasis,
     block_diagonal,
     block_offsets,
-    block_split,
     lowering_power,
 )
 from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
@@ -45,7 +44,8 @@ logger = logging.getLogger(__name__)
 # eigenvalue pairs below this fraction of their block's largest eigenvalue
 # count as kernel
 RANK_CUTOFF_FACTOR = 1e-12
-# |d<O>/dphi| below this fraction of ||O|| marks a degenerate operating point
+# |d<O>/dphi| at most this fraction of the largest slope the profile can
+# reach, sum_j |d_j w_j|, marks a degenerate operating point
 DEGENERACY_FACTOR = 1e-12
 # variance below this fraction of <O^2> + <O>^2 is round-off, not signal:
 # <O^2> - <O>^2 cancels catastrophically right where the slope vanishes,
@@ -253,27 +253,22 @@ def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    # allocated before the lowering powers: after they are freed it would
-    # reuse their heap, which calloc must clear, making every page of O
-    # resident (readout-scan 40:45:5 peaks at 63 MB instead of 50 MB)
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    # a^m has at most one entry per row and per column, so x = (a1^m)^dag a2^m
-    # has one entry per pair of a1^m and a2^m entries sharing a row: the
-    # m-photon shift |n1, n2> -> |n1 + m, n2 - m>.  x and x^dag never overlap
-    rows1, cols1, vals1 = _entries(lowering_power(1, m, basis))
-    rows2, cols2, vals2 = _entries(lowering_power(2, m, basis))
-    _, k1, k2 = np.intersect1d(rows1, rows2, assume_unique=True,
-                               return_indices=True)
-    x = vals1[k1].conj() * vals2[k2]
-    out[cols1[k1], cols2[k2]] = 1j * x
-    out[cols2[k2], cols1[k1]] = 1j * -x.conj()
+    n_max = basis.n_total_max
+    out = np.zeros(block_offsets(n_max)[-1], dtype=complex)
+    # x = (a1^m)^dag a2^m takes |n1, n2> to |n1 + m, n2 - m> in the same block
+    # T, with the a2^m amplitude of the source times the a1^m amplitude of
+    # the target: one entry per column at in-block position (n1 + m, n1),
+    # and x^dag one at (n1, n1 + m).  Each x is at most N!/(N-m)!, so it is
+    # finite whenever the amplitudes are
+    a1 = lowering_power(1, m, basis)
+    a2 = lowering_power(2, m, basis)
+    src = np.flatnonzero(basis.n2 >= m)
+    x = a1[src + m].conj() * a2[src]
+    t, n1 = basis.total[src], basis.n1[src]
+    start = block_offsets(n_max)[t] + n1 * (t + 1) + n1
+    out[start + m * (t + 1)] = 1j * x
+    out[start + m] = 1j * -x.conj()
     return HermitianOperator(basis, out)
-
-
-def _entries(matrix: np.ndarray):
-    """Rows, columns and values of a matrix's nonzero entries."""
-    rows, cols = np.nonzero(matrix)
-    return rows, cols, matrix[rows, cols]
 
 
 def generator_flat(N: int, chi: float) -> np.ndarray:
@@ -342,7 +337,8 @@ class PhasedFamily:
     @property
     def rho0(self) -> list[np.ndarray]:
         """The blocks T = 0..N of rho_0 (Hermitian parts, built on demand)."""
-        return [rho for rho, _ in self._pairs()]
+        return [0.5 * (b + b.conj().T)
+                for _, b in FlatBlocks(self.rho0_flat, self.input_spec.N)]
 
     def _pairs(self) -> BlockPairs:
         return BlockPairs(self.rho0_flat, self.g_flat, self.input_spec.N, self.stride)
@@ -357,15 +353,14 @@ class PhasedFamily:
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
         N = self.input_spec.N
-        o_blocks = [b for _, b in block_split(obs)]
         # a power of two keeps O/scale and its square finite (|O| reaches N!,
         # whose square overflows from N = 99) and scales exactly
-        obs_norm = max(spectral_norm(b) for b in o_blocks)
+        obs_norm = max(spectral_norm(b) for _, b in obs.blocks)
         scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
-        o_blocks = [b / scale for b in o_blocks]
         w_mean = np.zeros(2 * N + 1, dtype=complex)
         w_sq = np.zeros(2 * N + 1, dtype=complex)
-        for t, (rho_block, o_block) in enumerate(zip(self.rho0, o_blocks)):
+        for t, (rho_block, (_, o_block)) in enumerate(zip(self.rho0, obs.blocks)):
+            o_block = o_block / scale
             offset = (np.arange(t + 1)[None, :] - np.arange(t + 1)[:, None] + N).ravel()
             for w, o in ((w_mean, o_block), (w_sq, o_block @ o_block)):
                 terms = (rho_block * o.T).ravel()
@@ -390,7 +385,9 @@ class MomentProfile:
         self.w_sq = w_sq.astype(complex)
         self.obs_norm = obs_norm
         self.scale = scale
-        self.slope_floor = DEGENERACY_FACTOR * obs_norm
+        # relative to the signal, not to ||O||: under heavy loss the branch
+        # coherence, and with it every slope, lies many orders below ||O||
+        self.slope_floor = DEGENERACY_FACTOR * float(np.abs(freqs * self.w_mean).sum())
 
     def _phases(self, phi):
         return np.exp(1j * np.multiply.outer(np.asarray(phi, dtype=float),
@@ -441,7 +438,7 @@ class MomentProfile:
         second = (phases @ self.w_sq).real
         slope = np.abs((phases @ (1j * self.freqs * self.w_mean)).real)
         var = self._checked_variance(mean, second)
-        good = (slope >= self.slope_floor) & (
+        good = (slope > self.slope_floor) & (
             var >= VARIANCE_FLOOR_FACTOR * (np.abs(second) + mean ** 2))
         out = np.full(np.shape(phi), np.nan, dtype=float)
         np.divide(np.sqrt(var), slope, out=out, where=good)

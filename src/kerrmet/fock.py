@@ -5,11 +5,14 @@ out in a graded basis: all states with total photon number T come before
 the states with total T + 1, and within a block the occupation of mode 1
 ascends.  Every operator built in this package (phase evolution, photon
 loss, coincidence observables) either conserves or only lowers the total
-photon number, so density matrices stay block-diagonal in T.  The
-blockwise chain keeps blocks T = 0..N of such an operator one after
-another in a single flat buffer (``FlatBlocks``), and its spectral step
-splits each block further into the residue classes of its index modulo
-the branch stride of the input (see ``kerrmet.estimation``).
+photon number, so density matrices and observables stay block-diagonal in
+T.  Both keep their blocks T = 0..N one after another in a single flat
+buffer (``FlatBlocks``; an observable is a ``HermitianOperator`` over
+such a buffer), and no dim x dim matrix is built: a lowering power a^m,
+which shifts every state by m photons in one mode, is held as one
+amplitude per column.  The spectral step splits each block of a state
+further into the residue classes of its index modulo the branch stride
+of the input (see ``kerrmet.estimation``).
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ PSD_FLOOR = -1e-10
 
 # above this occupation, scalar combinatorics switch to log-gamma floats
 _EXACT_FACTORIAL_LIMIT = 20
-# entries per row band in the banded Hermiticity check
-_BAND_ENTRIES = 1 << 18
 
 
 class TruncationError(ValueError):
@@ -35,10 +36,6 @@ class TruncationError(ValueError):
 
 class BasisMismatchError(ValueError):
     """Objects defined on different bases were combined."""
-
-
-class BlockStructureError(ValueError):
-    """A matrix expected to be block-diagonal in total photon number is not."""
 
 
 class NumericalError(RuntimeError):
@@ -143,83 +140,48 @@ class FlatBlocks(Sequence):
         return t, self.flat[start:start + (t + 1) ** 2].reshape(t + 1, t + 1)
 
 
-def _band_rows(dim: int) -> int:
-    """Rows per band of the Hermiticity check: about 2^18 entries a band."""
-    return max(1, _BAND_ENTRIES // max(dim, 1))
-
-
-def _check_hermitian(matrix: np.ndarray, what: str) -> None:
-    """Compare each band of rows with the conjugate of the matching band of
-    columns, so the check needs no dim x dim temporary."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"{what} is not a square matrix: shape {matrix.shape}")
-    dim = matrix.shape[0]
-    band = _band_rows(dim)
-    dev = 0.0
-    for i in range(0, dim, band):
-        dev = max(dev, np.abs(matrix[i:i + band]
-                              - matrix[:, i:i + band].conj().T).max(initial=0.0))
-    if dev > HERMITICITY_ATOL:
-        raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e}")
-
-
 @dataclass(eq=False)
 class HermitianOperator:
-    """Hermitian matrix over a basis (observables, generators, SLDs)."""
+    """Hermitian operator that conserves the total photon number
+    (observables), held as its blocks T = 0..n_total_max in one flat buffer
+    laid out by ``block_offsets``; ``matrix`` is that buffer and ``blocks``
+    views it block by block."""
 
     basis: TwoModeBasis
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        dim = self.basis.dim
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} does not match dim {dim}")
-        _check_hermitian(self.matrix, "operator")
+        size = block_offsets(self.basis.n_total_max)[-1]
+        if self.matrix.shape != (size,):
+            raise ValueError(f"block buffer shape {self.matrix.shape} does not match "
+                             f"length {size}")
+        dev = max(np.abs(b - b.conj().T).max() for _, b in self.blocks)
+        if dev > HERMITICITY_ATOL:
+            raise ValueError(f"operator is not Hermitian: max deviation {dev:.3e}")
+
+    @property
+    def blocks(self) -> FlatBlocks:
+        return FlatBlocks(self.matrix, self.basis.n_total_max)
 
 
 def lowering_power(mode: int, m: int, basis: TwoModeBasis) -> np.ndarray:
-    """Matrix of a^m in the chosen mode (1 or 2).
+    """Amplitudes of a^m in the chosen mode (1 or 2), one per basis state.
 
-    The only nonzero entries connect |n> -> |n - m| in that mode with
-    amplitude sqrt(n!/(n-m)!); states with n < m are annihilated.
+    a^m has at most one nonzero entry per column: it takes |n> to |n - m>
+    in that mode with amplitude sqrt(n!/(n-m)!), and annihilates states
+    with n < m, whose amplitude here is 0.  Entry j is the amplitude of
+    column j; the row it sits in follows from the shift.
     """
     if mode not in (1, 2):
         raise ValueError(f"mode must be 1 or 2, got {mode}")
     if m < 0:
         raise ValueError("power m must be non-negative")
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    occ = basis.n1 if mode == 1 else basis.n2
-    src = np.flatnonzero(occ >= m)
-    # the target |n1', n2'> sits at T'(T'+1)/2 + n1' with T' = T - m
-    total = basis.total[src] - m
-    n1 = basis.n1[src] - (m if mode == 1 else 0)
-    amplitude = np.sqrt([falling_factorial(n, m)
-                         for n in range(m, basis.n_total_max + 1)])
-    out[total * (total + 1) // 2 + n1, src] = amplitude[occ[src] - m]
-    return out
-
-
-def block_split(rho) -> list[tuple[int, np.ndarray]]:
-    """Split an operator (anything with ``basis`` and ``matrix``) into
-    total-photon-number blocks.
-
-    Off-block elements must vanish to 1e-12; the returned blocks reassemble
-    the matrix exactly (any off-block mass below tolerance is discarded).
-    The check runs one block row at a time, so it needs no dim x dim
-    temporary.
-    """
-    basis, matrix = rho.basis, rho.matrix
-    blocks = []
-    off = 0.0
-    for t in range(basis.n_total_max + 1):
-        sl = basis.block_slice(t)
-        rows = matrix[sl]
-        off = max(off, np.abs(rows[:, :sl.start]).max(initial=0.0),
-                  np.abs(rows[:, sl.stop:]).max(initial=0.0))
-        blocks.append((t, rows[:, sl].copy()))
-    if off > 1e-12:
-        raise BlockStructureError(
-            f"matrix is not block-diagonal in total photon number "
-            f"(off-block magnitude {off:.3e})")
-    return blocks
+    n_max = basis.n_total_max
+    amplitude = np.zeros(n_max + 1)
+    try:
+        amplitude[m:] = np.sqrt([falling_factorial(n, m) for n in range(m, n_max + 1)])
+    except OverflowError:
+        raise OverflowError(f"a^m amplitudes sqrt(n!/(n-m)!) exceed the float range "
+                            f"at N = {n_max}, m = {m}") from None
+    return amplitude[basis.n1 if mode == 1 else basis.n2]

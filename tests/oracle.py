@@ -2,14 +2,17 @@
 
 Everything here works on full dim x dim matrices over a TwoModeBasis and
 shares no code path with the per-total-photon-number chain in
-``kerrmet``: states are dense vectors and matrices, loss is the generic
-Kraus composition (which also covers unequal arms), the phase is applied
-to the pure input before the channel, and the SLD, the Fisher information
-and the pointwise readout uncertainty come from one full-matrix
-eigendecomposition.  The costs grow as dim^3 with dim ~ N^2/2, so these
-are meant for N of order ten.  The one blockwise reference is
-``blockwise_qfi``, the spectral step before its residue-class split: one
-dense eigh per total-photon-number block.
+``kerrmet``: operators are dense matrices (``DenseOperator``, with a
+banded Hermiticity check, and ``block_split`` back into blocks), lowering
+powers are dense matrices, states are dense vectors and matrices, loss is
+the generic Kraus composition (which also covers unequal arms), the phase
+is applied to the pure input before the channel, and the SLD, the Fisher
+information and the pointwise readout uncertainty come from one
+full-matrix eigendecomposition.  ``dense`` turns the package's flat-block
+observables into dense operators.  The costs grow as dim^3 with
+dim ~ N^2/2, so these are meant for N of order ten.  The one blockwise
+reference is ``blockwise_qfi``, the spectral step before its
+residue-class split: one dense eigh per total-photon-number block.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ from kerrmet.estimation import (
     derivative_factors,
     spectral_norm,
 )
+from kerrmet import fock
 from kerrmet.fock import (
+    HERMITICITY_ATOL,
     PSD_FLOOR,
     BasisMismatchError,
     HermitianOperator,
@@ -42,6 +47,102 @@ from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes
 
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
+# entries per row band in the banded Hermiticity check
+_BAND_ENTRIES = 1 << 18
+
+
+class BlockStructureError(ValueError):
+    """A matrix expected to be block-diagonal in total photon number is not."""
+
+
+# ---------------------------------------------------------------- operators
+
+
+def _band_rows(dim: int) -> int:
+    """Rows per band of the Hermiticity check: about 2^18 entries a band."""
+    return max(1, _BAND_ENTRIES // max(dim, 1))
+
+
+def _check_hermitian(matrix: np.ndarray, what: str) -> None:
+    """Compare each band of rows with the conjugate of the matching band of
+    columns, so the check needs no dim x dim temporary."""
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what} is not a square matrix: shape {matrix.shape}")
+    dim = matrix.shape[0]
+    band = _band_rows(dim)
+    dev = 0.0
+    for i in range(0, dim, band):
+        dev = max(dev, np.abs(matrix[i:i + band]
+                              - matrix[:, i:i + band].conj().T).max(initial=0.0))
+    if dev > HERMITICITY_ATOL:
+        raise ValueError(f"{what} is not Hermitian: max deviation {dev:.3e}")
+
+
+@dataclass(eq=False)
+class DenseOperator:
+    """Hermitian dim x dim matrix over a basis (observables, generators, SLDs)."""
+
+    basis: TwoModeBasis
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        self.matrix = np.asarray(self.matrix, dtype=complex)
+        dim = self.basis.dim
+        if self.matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {self.matrix.shape} does not match dim {dim}")
+        _check_hermitian(self.matrix, "operator")
+
+
+def assemble_blocks(basis: TwoModeBasis, blocks) -> np.ndarray:
+    """Direct sum of (T, block) pairs back into a dense matrix."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    for t, block in blocks:
+        sl = basis.block_slice(t)
+        out[sl, sl] = block
+    return out
+
+
+def dense(op) -> DenseOperator:
+    """A package HermitianOperator (flat blocks) as a dense operator; a
+    DenseOperator passes through."""
+    if isinstance(op, HermitianOperator):
+        return DenseOperator(op.basis, assemble_blocks(op.basis, op.blocks))
+    return op
+
+
+def block_split(rho) -> list[tuple[int, np.ndarray]]:
+    """Split a dense operator (anything with ``basis`` and ``matrix``) into
+    total-photon-number blocks.
+
+    Off-block elements must vanish to 1e-12; the returned blocks reassemble
+    the matrix exactly (any off-block mass below tolerance is discarded).
+    """
+    basis, matrix = rho.basis, rho.matrix
+    blocks = []
+    off = 0.0
+    for t in range(basis.n_total_max + 1):
+        sl = basis.block_slice(t)
+        rows = matrix[sl]
+        off = max(off, np.abs(rows[:, :sl.start]).max(initial=0.0),
+                  np.abs(rows[:, sl.stop:]).max(initial=0.0))
+        blocks.append((t, rows[:, sl].copy()))
+    if off > 1e-12:
+        raise BlockStructureError(
+            f"matrix is not block-diagonal in total photon number "
+            f"(off-block magnitude {off:.3e})")
+    return blocks
+
+
+def lowering_power(mode: int, m: int, basis: TwoModeBasis) -> np.ndarray:
+    """Dense matrix of a^m in the chosen mode: the package's amplitude of
+    each column written at its target row |n - m> in that mode."""
+    out = np.zeros((basis.dim, basis.dim), dtype=complex)
+    occ = basis.n1 if mode == 1 else basis.n2
+    src = np.flatnonzero(occ >= m)
+    total = basis.total[src] - m
+    n1 = basis.n1[src] - (m if mode == 1 else 0)
+    out[total * (total + 1) // 2 + n1, src] = fock.lowering_power(mode, m, basis)[src]
+    return out
 
 
 # ---------------------------------------------------------------- states
@@ -69,7 +170,7 @@ class PureState:
                                                     self.amplitudes.conj()))
 
 
-class DensityOperator(HermitianOperator):
+class DensityOperator(DenseOperator):
     """Hermitian, trace-one, positive-semidefinite operator over a basis;
     the PSD check is one dense eigvalsh."""
 
@@ -86,9 +187,10 @@ class DensityOperator(HermitianOperator):
         return float(np.sum(self.matrix * self.matrix.T).real)
 
 
-def expectation(state, obs: HermitianOperator) -> float:
+def expectation(state, obs) -> float:
     """<O> in a PureState or DensityOperator; the tiny imaginary residue
     left by rounding is asserted below 1e-10 and discarded."""
+    obs = dense(obs)
     if state.basis != obs.basis:
         raise BasisMismatchError("state and observable live on different bases")
     if isinstance(state, PureState):
@@ -100,15 +202,6 @@ def expectation(state, obs: HermitianOperator) -> float:
     if abs(value.imag) > 1e-10:
         raise NumericalError(f"expectation has imaginary residue {value.imag:.3e}")
     return float(value.real)
-
-
-def assemble_blocks(basis: TwoModeBasis, blocks) -> np.ndarray:
-    """Direct sum of (T, block) pairs back into a dense matrix."""
-    out = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for t, block in blocks:
-        sl = basis.block_slice(t)
-        out[sl, sl] = block
-    return out
 
 
 # ---------------------------------------------------------------- phase
@@ -126,9 +219,9 @@ def generator_diagonal(basis: TwoModeBasis, chi: float) -> np.ndarray:
     return 0.5 * (g[basis.n2] - g[basis.n1])
 
 
-def generator_h(basis: TwoModeBasis, chi: float) -> HermitianOperator:
+def generator_h(basis: TwoModeBasis, chi: float) -> DenseOperator:
     """Relative-phase generator: diagonal with (g_tilde(n2) - g_tilde(n1))/2."""
-    return HermitianOperator(basis, np.diag(generator_diagonal(basis, chi)))
+    return DenseOperator(basis, np.diag(generator_diagonal(basis, chi)))
 
 
 def apply_phase(state: PureState, phi: float, chi: float) -> PureState:
@@ -242,9 +335,9 @@ def rho(family: PhasedFamily, phi: float) -> DensityOperator:
         family.basis, enumerate(rho_blocks(family, phi))))
 
 
-def rho_prime(family: PhasedFamily, phi: float) -> HermitianOperator:
+def rho_prime(family: PhasedFamily, phi: float) -> DenseOperator:
     blocks = zip(rho_blocks(family, phi), _factors(family))
-    return HermitianOperator(family.basis, assemble_blocks(
+    return DenseOperator(family.basis, assemble_blocks(
         family.basis, ((t, f * b) for t, (b, f) in enumerate(blocks))))
 
 
@@ -264,8 +357,8 @@ def richardson_rho_prime(family: PhasedFamily, phi: float,
 # ---------------------------------------------------------------- estimation
 
 
-def sld(rho: DensityOperator, rho_prime: HermitianOperator,
-        rank_tol: float | None = None) -> HermitianOperator:
+def sld(rho: DensityOperator, rho_prime: DenseOperator,
+        rank_tol: float | None = None) -> DenseOperator:
     """Symmetric logarithmic derivative L solving rho' = (L rho + rho L)/2.
 
     Built in the eigenbasis of the full matrix rho as
@@ -282,7 +375,7 @@ def sld(rho: DensityOperator, rho_prime: HermitianOperator,
     psum = probs[:, None] + probs[None, :]
     core = np.where(psum > rank_tol, 2.0 * a / np.where(psum > rank_tol, psum, 1.0), 0.0)
     matrix = vecs @ core @ vecs.conj().T
-    return HermitianOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
+    return DenseOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
 
 
 def blockwise_qfi(pairs, with_sld: bool = False) -> QfiResult:
@@ -317,24 +410,24 @@ def blockwise_qfi(pairs, with_sld: bool = False) -> QfiResult:
                      sld=slds)
 
 
-def qfi(rho: DensityOperator, rho_prime: HermitianOperator) -> float:
+def qfi(rho: DensityOperator, rho_prime: DenseOperator) -> float:
     """Fisher information Tr[rho' L] with L the full-matrix SLD."""
     return float(np.sum(rho_prime.matrix * sld(rho, rho_prime).matrix.T).real)
 
 
-def delta_phi(family: PhasedFamily, obs: HermitianOperator, phi: float) -> float:
+def delta_phi(family: PhasedFamily, obs, phi: float) -> float:
     """Error-propagation uncertainty sqrt(Var O)/|d<O>/dphi| at one phi from
     the dense rho(phi) and rho'(phi).
 
     Raises at degenerate operating points: vanishing signal slope, or a
     variance so small that its computed value is round-off noise.
     """
+    obs = dense(obs)
     if obs.basis != family.basis:
         raise BasisMismatchError("observable basis does not match the family")
     state = rho(family, phi)
     mean = expectation(state, obs)
-    second = expectation(state, HermitianOperator(obs.basis,
-                                                  obs.matrix @ obs.matrix))
+    second = expectation(state, DenseOperator(obs.basis, obs.matrix @ obs.matrix))
     variance = max(second - mean * mean, 0.0)
     slope = float(np.sum(rho_prime(family, phi).matrix * obs.matrix.T).real)
     if abs(slope) < DEGENERACY_FACTOR * spectral_norm(obs.matrix):

@@ -142,7 +142,6 @@ def test_single_matches_dense_oracle(tmp_path):
     # state and the pointwise delta_phi are the independent check
     import oracle
     from kerrmet.estimation import PhasedFamily, measurement_mm
-    from kerrmet.fock import HermitianOperator
     from kerrmet.interferometer import NoonLikeSpec
 
     n, k, eta, m, phi, chi = 4, 1, 0.8, 2, 0.3, 0.05
@@ -156,7 +155,8 @@ def test_single_matches_dense_oracle(tmp_path):
     obs = measurement_mm(m, family.basis)
     rho = oracle.rho(family, phi)
     mean = oracle.expectation(rho, obs)
-    square = HermitianOperator(obs.basis, obs.matrix @ obs.matrix)
+    dense = oracle.dense(obs).matrix
+    square = oracle.DenseOperator(obs.basis, dense @ dense)
     second = oracle.expectation(rho, square)
     assert float(row["mean"]) == pytest.approx(mean, rel=1e-10)
     assert float(row["variance"]) == pytest.approx(second - mean * mean, rel=1e-10)
@@ -241,6 +241,40 @@ def test_single_past_the_float_range_is_numerical(tmp_path, capsys):
     assert math.isfinite(float(row["mean"]))
     assert float(row["delta_phi_min"]) >= float(row["qcrb"]) - 1e-9
     assert float(row["delta_phi_at_phi"]) == float(row["delta_phi_min"])
+
+
+def test_readout_scan_past_the_factorial_range_is_numerical(tmp_path, capsys):
+    # from N = 171 the m = N observable's entries (up to N!) leave the
+    # float range: exit 3 naming N and m, never a traceback
+    out = tmp_path / "readout175.csv"
+    code = main(["--command", "readout-scan", "--n-range", "175", "--k", "0",
+                 "--eta", "0.9", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and "Traceback" not in err
+    assert "N = 175" in err and "m = 175" in err
+    comments, rows = read_csv(out)
+    assert rows == []
+    assert any(c.startswith("# error ") and "N = 175" in c for c in comments)
+
+
+def test_readout_scan_heavy_loss_at_large_n_is_not_degenerate(tmp_path):
+    # at eta = 0.6 every slope of the k = 0 profile lies far below ||O||;
+    # the profile is still a clean sinusoid whose readout saturates the
+    # closed-form bound 1/((N + chi N^2/2) eta^(N/2))
+    out = tmp_path / "readout_heavy.csv"
+    assert main(["--command", "readout-scan", "--n-range", "70:100:10", "--eta", "0.6",
+                 "--k", "0", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [int(row["N"]) for row in rows] == [70, 80, 90, 100]
+    for row in rows:
+        n, chi = int(row["N"]), float(row["chi"])
+        assert row["status"] == "ok"
+        want = 1.0 / ((n + chi * n * n / 2) * 0.6 ** (n / 2))
+        got = float(row["delta_phi_min"])
+        assert got == pytest.approx(want, rel=1e-9)
+        # the bound is of order 1e9 here, so round-off is relative
+        assert got >= float(row["qcrb"]) * (1 - 1e-9)
 
 
 def test_readout_scan_heavy_loss_respects_qcrb(tmp_path):

@@ -24,13 +24,14 @@ from kerrmet.fock import (
     HermitianOperator,
     NumericalError,
     TwoModeBasis,
+    block_diagonal,
+    block_offsets,
     falling_factorial,
-    lowering_power,
 )
 from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
 
 
-def qfi_pinv_oracle(rho: oracle.DensityOperator, rhop: HermitianOperator) -> float:
+def qfi_pinv_oracle(rho: oracle.DensityOperator, rhop: oracle.DenseOperator) -> float:
     """Brute-force full-matrix route: solve (L rho + rho L)/2 = rho' by a
     pseudo-inverse in the vectorized representation, then Tr[rho' L]."""
     dim = rho.basis.dim
@@ -44,7 +45,7 @@ def qfi_pinv_oracle(rho: oracle.DensityOperator, rhop: HermitianOperator) -> flo
 def commutator_derivative(basis, rho, chi):
     h = oracle.generator_h(basis, chi).matrix
     mat = 1j * (h @ rho.matrix - rho.matrix @ h)
-    return HermitianOperator(basis, mat)
+    return oracle.DenseOperator(basis, mat)
 
 
 # ---------------------------------------------------------------- pure QFI
@@ -102,7 +103,7 @@ def test_qfi_equals_four_variance_on_rank_one():
     rho = state.to_density()
     rhop = commutator_derivative(basis, rho, 0.05)
     h = oracle.generator_h(basis, 0.05)
-    hsq = HermitianOperator(basis, h.matrix @ h.matrix)
+    hsq = oracle.DenseOperator(basis, h.matrix @ h.matrix)
     var = oracle.expectation(state, hsq) - oracle.expectation(state, h) ** 2
     assert oracle.qfi(rho, rhop) == pytest.approx(4 * var, rel=1e-12)
 
@@ -231,7 +232,7 @@ def test_sld_pure_family_is_twice_derivative():
 def test_sld_zero_derivative():
     basis = TwoModeBasis(2)
     rho = oracle.superposition_state(NoonLikeSpec(2, 1), basis).to_density()
-    zero = HermitianOperator(basis, np.zeros((basis.dim, basis.dim)))
+    zero = oracle.DenseOperator(basis, np.zeros((basis.dim, basis.dim)))
     assert np.abs(oracle.sld(rho, zero).matrix).max() == 0.0
 
 
@@ -373,19 +374,27 @@ def test_measurement_mm_vanishes_without_enough_photons():
 
 def test_measurement_mm_order_one_is_negated_photon_difference():
     basis = TwoModeBasis(3)
-    x = lowering_power(2, 1, basis).conj().T @ lowering_power(1, 1, basis)
+    x = oracle.lowering_power(2, 1, basis).conj().T @ oracle.lowering_power(1, 1, basis)
     difference = 1j * (x - x.conj().T)  # i(a2^dag a1 - a1^dag a2)
-    assert np.abs(measurement_mm(1, basis).matrix + difference).max() < 1e-14
+    obs = oracle.dense(measurement_mm(1, basis))
+    assert np.abs(obs.matrix + difference).max() < 1e-14
 
 
 def test_measurement_mm_equals_dense_product():
-    # the dense product stays here as the oracle for the entrywise build
+    # the dense product stays here as the oracle for the flat-block build
     for n_max in range(0, 13):
         basis = TwoModeBasis(n_max)
         for m in range(1, n_max + 2):
-            x = lowering_power(1, m, basis).conj().T @ lowering_power(2, m, basis)
-            assert np.array_equal(measurement_mm(m, basis).matrix,
+            x = (oracle.lowering_power(1, m, basis).conj().T
+                 @ oracle.lowering_power(2, m, basis))
+            assert np.array_equal(oracle.dense(measurement_mm(m, basis)).matrix,
                                   1j * (x - x.conj().T)), (n_max, m)
+
+
+def flat_bound(n: int) -> int:
+    """Four complex flat block buffers: O(N^3) bytes, where one dense
+    dim x dim complex matrix takes O(N^4)."""
+    return 4 * int(block_offsets(n)[-1]) * 16
 
 
 def test_measurement_mm_peak_memory():
@@ -396,7 +405,19 @@ def test_measurement_mm_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * basis.dim ** 2 * 16
+    assert peak <= flat_bound(40)
+
+
+def test_moment_profile_peak_memory():
+    # the readout path from the observable to its profile stays O(N^3)
+    family = PhasedFamily(NoonLikeSpec(80, 3), chi=0.0, eta=0.9)
+    tracemalloc.start()
+    try:
+        family.moment_profile(measurement_mm(20, family.basis))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= flat_bound(80)
 
 
 def test_moment_profile_scale_is_exact():
@@ -449,7 +470,9 @@ def test_moments_examples():
     assert mean == pytest.approx(0.0, abs=1e-10)
     assert var == pytest.approx(math.factorial(n) ** 2, rel=1e-12)
 
-    identity = HermitianOperator(family.basis, np.eye(family.basis.dim))
+    identity_flat = np.zeros(block_offsets(n)[-1])
+    identity_flat[block_diagonal(n)] = 1.0
+    identity = HermitianOperator(family.basis, identity_flat)
     mean, var = profile_moments(family, identity, 0.0)
     assert mean == pytest.approx(1.0, abs=1e-12)
     assert var == pytest.approx(0.0, abs=1e-12)
@@ -548,6 +571,17 @@ def test_min_delta_phi_rejects_degenerate_grid():
     # cos(2 phi) = 0 at phi = pi/4: slope of <M_2> vanishes there
     with pytest.raises(DegenerateOperatingPointError):
         min_delta_phi(family.moment_profile(obs), np.array([np.pi / 4]))
+
+
+def test_min_delta_phi_all_zero_profile_is_degenerate():
+    # at eta = 0 only the vacuum survives: every weight, slope and slope
+    # floor is exactly zero, and no point may divide by it
+    family = PhasedFamily(NoonLikeSpec(4, 0), chi=0.0, eta=0.0)
+    profile = family.moment_profile(measurement_mm(4, family.basis))
+    assert not profile.w_mean.any() and profile.slope_floor == 0.0
+    assert np.isnan(profile.delta_phi(np.linspace(0.0, np.pi, 11))).all()
+    with pytest.raises(DegenerateOperatingPointError):
+        min_delta_phi(profile)
 
 
 def test_min_delta_phi_rejects_negative_variance():

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 import oracle
-from kerrmet import fock
 from kerrmet.fock import (
     BasisMismatchError,
-    BlockStructureError,
     HermitianOperator,
     TruncationError,
     TwoModeBasis,
-    block_split,
+    block_diagonal,
+    block_offsets,
     falling_factorial,
     lowering_power,
 )
 from kerrmet.estimation import PhasedFamily
 from kerrmet.interferometer import NoonLikeSpec
+from oracle import BlockStructureError, DenseOperator, block_split
 
 
 def test_flat_index_layout():
@@ -65,7 +65,7 @@ def test_falling_factorial_large_matches_product():
 
 def test_lowering_single_photon():
     basis = TwoModeBasis(3)
-    a1 = lowering_power(1, 1, basis)
+    a1 = oracle.lowering_power(1, 1, basis)
     vec = np.zeros(basis.dim)
     vec[basis.index_of(1, 0)] = 1.0
     out = a1 @ vec
@@ -75,7 +75,7 @@ def test_lowering_single_photon():
 
 def test_lowering_two_photons_amplitude():
     basis = TwoModeBasis(3)
-    a1_sq = lowering_power(1, 2, basis)
+    a1_sq = oracle.lowering_power(1, 2, basis)
     vec = np.zeros(basis.dim)
     vec[basis.index_of(3, 0)] = 1.0
     out = a1_sq @ vec
@@ -85,7 +85,7 @@ def test_lowering_two_photons_amplitude():
 
 def test_lowering_annihilates_vacuum_mode():
     basis = TwoModeBasis(5)
-    a2 = lowering_power(2, 1, basis)
+    a2 = oracle.lowering_power(2, 1, basis)
     vec = np.zeros(basis.dim)
     vec[basis.index_of(5, 0)] = 1.0
     assert np.all(a2 @ vec == 0)
@@ -96,9 +96,9 @@ def test_lowering_power_is_iterated_single_lowering():
     m = 3
     padded = TwoModeBasis(8 + m)
     for mode in (1, 2):
-        single = lowering_power(mode, 1, padded)
+        single = oracle.lowering_power(mode, 1, padded)
         product = np.linalg.matrix_power(single, m)
-        direct = lowering_power(mode, m, padded)
+        direct = oracle.lowering_power(mode, m, padded)
         assert np.allclose(product, direct, atol=1e-12)
 
 
@@ -115,7 +115,10 @@ def test_lowering_power_matches_elementwise_definition():
                     if n >= m:
                         tgt = (n1 - m, n2) if mode == 1 else (n1, n2 - m)
                         want[basis.index_of(*tgt), src] = math.sqrt(falling_factorial(n, m))
-                assert np.array_equal(lowering_power(mode, m, basis), want)
+                assert np.array_equal(oracle.lowering_power(mode, m, basis), want)
+                # the package's amplitudes: zero on every annihilated column
+                assert np.array_equal(lowering_power(mode, m, basis),
+                                      want.sum(axis=0).real), (n_max, mode, m)
 
 
 def test_expectation_trivials():
@@ -123,13 +126,13 @@ def test_expectation_trivials():
     vacuum = np.zeros(basis.dim, dtype=complex)
     vacuum[basis.index_of(0, 0)] = 1.0
     rho = oracle.PureState(basis, vacuum).to_density()
-    identity = HermitianOperator(basis, np.eye(basis.dim))
+    identity = DenseOperator(basis, np.eye(basis.dim))
     assert oracle.expectation(rho, identity) == pytest.approx(1.0)
 
     one_two = np.zeros(basis.dim, dtype=complex)
     one_two[basis.index_of(1, 2)] = 1.0
-    a2 = lowering_power(2, 1, basis)
-    number2 = HermitianOperator(basis, a2.conj().T @ a2)
+    a2 = oracle.lowering_power(2, 1, basis)
+    number2 = DenseOperator(basis, a2.conj().T @ a2)
     state = oracle.PureState(basis, one_two)
     assert oracle.expectation(state, number2) == pytest.approx(2.0)
 
@@ -143,8 +146,8 @@ def test_expectation_m_squared():
     amps[basis.index_of(1, 2)] = 1 / math.sqrt(2)
     amps[basis.index_of(2, 1)] = 1 / math.sqrt(2)
     state = oracle.PureState(basis, amps)
-    m = measurement_mm(1, basis).matrix  # M^2 does not depend on M's sign
-    msq = HermitianOperator(basis, m @ m)
+    m = oracle.dense(measurement_mm(1, basis)).matrix  # M^2 does not depend on M's sign
+    msq = DenseOperator(basis, m @ m)
     assert oracle.expectation(state, msq) == pytest.approx(7.0, abs=1e-12)
 
 
@@ -153,7 +156,7 @@ def test_expectation_basis_mismatch():
     vec = np.zeros(basis_a.dim, dtype=complex)
     vec[0] = 1.0
     state = oracle.PureState(basis_a, vec)
-    obs = HermitianOperator(basis_b, np.eye(basis_b.dim))
+    obs = DenseOperator(basis_b, np.eye(basis_b.dim))
     with pytest.raises(BasisMismatchError):
         oracle.expectation(state, obs)
 
@@ -193,7 +196,7 @@ def test_block_split_rejects_off_block_mass():
     matrix = np.eye(3, dtype=complex) / 3.0
     matrix[0, 1] = matrix[1, 0] = 1e-6
     with pytest.raises(BlockStructureError):
-        block_split(HermitianOperator(basis, matrix))
+        block_split(DenseOperator(basis, matrix))
 
 
 def test_eigh_channel_output_trace():
@@ -229,7 +232,7 @@ def test_density_operator_psd_check_inside_a_block():
 
 def test_hermiticity_check_covers_every_band():
     dim = 1000
-    band = fock._band_rows(dim)
+    band = oracle._band_rows(dim)
     assert band < dim // 3  # at least four bands, the last one partial
     assert dim % band
     last = dim - 1
@@ -238,15 +241,15 @@ def test_hermiticity_check_covers_every_band():
                      (1, 2 * band + 1),  # crosses two bands
                      (2 * band + 1, 1)):
         matrix = np.diag(np.arange(dim, dtype=complex))
-        fock._check_hermitian(matrix, "diagonal")
+        oracle._check_hermitian(matrix, "diagonal")
         matrix[row, col] = 1e-6
         with pytest.raises(ValueError, match="not Hermitian"):
-            fock._check_hermitian(matrix, "perturbed")
+            oracle._check_hermitian(matrix, "perturbed")
 
 
 def test_hermiticity_check_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
-        fock._check_hermitian(np.zeros((2, 3)), "input")
+        oracle._check_hermitian(np.zeros((2, 3)), "input")
 
 
 def test_pure_state_norm_validation():
@@ -255,3 +258,42 @@ def test_pure_state_norm_validation():
         oracle.PureState(basis, np.array([0.5, 0.5, 0.5]))
     state = oracle.PureState(basis, np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
+
+
+def flat_identity(n_max: int) -> np.ndarray:
+    flat = np.zeros(block_offsets(n_max)[-1], dtype=complex)
+    flat[block_diagonal(n_max)] = 1.0
+    return flat
+
+
+def test_operator_blocks_view_the_flat_buffer():
+    basis = TwoModeBasis(4)
+    op = HermitianOperator(basis, flat_identity(4))
+    assert [t for t, _ in op.blocks] == list(range(5))
+    for t, block in op.blocks:
+        assert np.array_equal(block, np.eye(t + 1))
+        assert np.shares_memory(block, op.matrix)
+    assert np.array_equal(oracle.dense(op).matrix, np.eye(basis.dim))
+
+
+def test_operator_rejects_a_wrong_buffer_length():
+    basis = TwoModeBasis(3)
+    with pytest.raises(ValueError, match="does not match"):
+        HermitianOperator(basis, flat_identity(4))
+    with pytest.raises(ValueError, match="does not match"):
+        HermitianOperator(basis, np.eye(basis.dim))
+
+
+@pytest.mark.parametrize("t", [1, 2, 4])
+def test_operator_hermiticity_is_checked_in_every_block(t):
+    basis = TwoModeBasis(4)
+    flat = flat_identity(4)
+    HermitianOperator(basis, flat)
+    flat[block_offsets(4)[t] + 1] = 1e-6  # entry (0, 1) of block t alone
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(basis, flat)
+    flat[block_offsets(4)[t] + t + 1] = 1e-6  # its mirror (1, 0)
+    HermitianOperator(basis, flat)
+    flat[block_offsets(4)[t]] = 1j  # an imaginary diagonal entry
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianOperator(basis, flat)

@@ -5,7 +5,7 @@ import pytest
 
 import oracle
 from kerrmet.estimation import PhasedFamily, measurement_mm, qfi_pure_analytic
-from kerrmet.fock import HermitianOperator, TwoModeBasis
+from kerrmet.fock import TwoModeBasis
 from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
 
 
@@ -141,7 +141,7 @@ def test_variance_of_generator_matches_pure_qfi():
     for n in (2, 5, 9):
         basis = TwoModeBasis(n)
         h = oracle.generator_h(basis, 0.07)
-        hsq = HermitianOperator(basis, h.matrix @ h.matrix)
+        hsq = oracle.DenseOperator(basis, h.matrix @ h.matrix)
         for k in range(n + 1):
             state = oracle.superposition_state(NoonLikeSpec(n, k), basis)
             var = oracle.expectation(state, hsq) - oracle.expectation(state, h) ** 2

@@ -1,10 +1,13 @@
 """The package keeps one path per quantity: the dense reference versions
 live in tests/oracle.py, and no module under src/kerrmet defines or
-imports them again; the spectral step is the only eigendecomposition of
-a state."""
+imports them again, nor allocates a dim x dim array; the spectral step is
+the only eigendecomposition of a state."""
 
 import ast
+import re
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kerrmet"
 SRC = sorted(PACKAGE.glob("*.py"))
@@ -15,7 +18,8 @@ ORACLE_NAMES = {
     "log_falling_factorial", "LossParams", "kraus_amplitude", "kraus_element",
     "apply_loss", "qfi", "sld", "delta_phi", "richardson_rho_prime", "eigh",
     "g_tilde", "generator_diagonal", "generator_h", "apply_phase",
-    "superposition_state",
+    "superposition_state", "DenseOperator", "BlockStructureError", "block_split",
+    "_check_hermitian", "_band_rows", "_entries",
 }
 # methods that belong to the dense oracle, or were deleted
 ORACLE_METHODS = {
@@ -51,6 +55,41 @@ def test_src_defines_and_imports_no_oracle_name():
                           if isinstance(item, ast.FunctionDef)
                           and (node.name, item.name) in ORACLE_METHODS]
     assert not found
+
+
+# a (dim, dim) shape over the basis dimension, or a dense identity over it
+DENSE_ALLOCATION = re.compile(r"\(\s*((?:\w+\.)*dim)\s*,\s*\1\s*\)"
+                              r"|\b(?:eye|identity)\(\s*(?:\w+\.)+dim\b")
+
+
+def dense_allocations(text: str) -> list[tuple[int, str]]:
+    return [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)
+            if DENSE_ALLOCATION.search(line)]
+
+
+def test_src_allocates_no_dim_by_dim_array():
+    found = [(path.name, *hit) for path in SRC for hit in dense_allocations(path.read_text())]
+    assert not found
+
+
+@pytest.mark.parametrize("line", [
+    "    out = np.zeros((basis.dim, basis.dim), dtype=complex)",
+    "        if self.matrix.shape != (dim, dim):",
+    "x = np.empty(( self.basis.dim ,self.basis.dim ))",
+    "identity = np.eye(family.basis.dim)",
+])
+def test_dense_allocation_guard_flags(line):
+    assert dense_allocations(line)
+
+
+@pytest.mark.parametrize("line", [
+    "    out = np.zeros(basis.dim, dtype=complex)",
+    "    out = np.zeros(block_offsets(n_max)[-1], dtype=complex)",
+    "    one_hots = [e for e in np.eye(dim)]",
+    "    shape = (dim, length)",
+])
+def test_dense_allocation_guard_passes(line):
+    assert not dense_allocations(line)
 
 
 def test_package_exports_only_names_defined_in_src():
