@@ -13,8 +13,9 @@ Commands
 Records carry a fixed column order; re-running a command with the same
 configuration and cache reproduces every column byte for byte except
 wall_time_ms.  Exit codes: 0 success (including rows flagged
-non-converged or degenerate), 2 configuration error, 3 unrecoverable
-numerical error (partial results are flushed).
+non-converged or degenerate), 2 configuration error (a bad value, or a
+--config, --out or --cache path that cannot be used, reported before any
+work), 3 unrecoverable numerical error (partial results are flushed).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,30 +49,10 @@ from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha,
 
 ALGO_VERSION = 3
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
-COMMANDS = ("pure-qfi", "qfi-scan", "optimize-scan", "readout-scan", "single")
+FORMATS = ("csv", "json")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",
                 "qfi", "qcrb", "delta_phi_min", "wall_time_ms", "seed",
                 "code_version")
-_DEFAULT_RANGES = {
-    "pure-qfi": (1, 20, 1),
-    "qfi-scan": (10, 100, 10),
-    "optimize-scan": (1, 15, 1),
-    "readout-scan": (1, 15, 1),
-    "single": (1, 1, 1),
-}
-_DEFAULT_ETAS = {
-    "pure-qfi": (1.0,),
-    "qfi-scan": (0.9, 1.0),
-    "optimize-scan": (0.9, 1.0),
-    "readout-scan": (0.9, 1.0),
-    "single": (1.0,),
-}
-
-
-# config-file fields that must hold numbers; flags are typed by argparse
-_SCALAR_FIELDS = {"chi": float, "phi": float, "k": int, "m": int,
-                  "grid_points": int, "seed": int, "max_n": int}
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
@@ -111,7 +92,7 @@ class ExperimentConfig:
             raise ConfigError("phi must be finite")
         if self.grid_points < 1:
             raise ConfigError("grid_points must be >= 1")
-        if self.format not in ("csv", "json"):
+        if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.command == "single" and self.k is None and self.alpha is None:
             raise ConfigError("single needs a fully specified input: --k or alpha")
@@ -141,6 +122,16 @@ class ExperimentConfig:
         return data
 
 
+# per annotated scalar type: the flag's parser, the JSON types a config
+# file may give, and the name used in the error
+_KINDS = {"str": (str, str, "a string"), "int": (int, int, "an integer"),
+          "float": (float, (int, float), "a number")}
+# each scalar config field's kind, read off its annotation, and whether it
+# may be null ("int | None"); n_range, eta_list and alpha are parsed apart
+_SCALAR_FIELDS = {f.name: (*_KINDS[f.type.split(" | ")[0]], f.type.endswith("| None"))
+                  for f in fields(ExperimentConfig) if not f.type.startswith("tuple")}
+
+
 @dataclass
 class ResultRecord:
     command: str
@@ -150,12 +141,15 @@ class ResultRecord:
     chi: float
     phi_star: float
     qfi: float
-    qcrb: float
-    delta_phi_min: float
     wall_time_ms: float
     seed: int
+    delta_phi_min: float = np.nan  # set by the readout commands
     code_version: str = __version__
     extras: dict = field(default_factory=dict)
+
+    @property
+    def qcrb(self) -> float:
+        return 1.0 / math.sqrt(self.qfi) if self.qfi > 0 else math.inf
 
     def as_dict(self) -> dict:
         data = {name: getattr(self, name) for name in CORE_COLUMNS}
@@ -178,8 +172,12 @@ def _alpha_digest(alpha) -> str:
     return "a:" + hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _qcrb_or_inf(qfi_value: float) -> float:
-    return float(1.0 / np.sqrt(qfi_value)) if qfi_value > 0 else float("inf")
+def _row(config: ExperimentConfig, t0: float, **columns) -> ResultRecord:
+    """A record with the columns every command takes from the config, timed
+    from t0; phi_star is --phi unless given."""
+    columns.setdefault("phi_star", config.phi)
+    return ResultRecord(command=config.command, chi=config.chi, seed=config.seed,
+                        wall_time_ms=1e3 * (time.perf_counter() - t0), **columns)
 
 
 def _grid(config: ExperimentConfig) -> np.ndarray:
@@ -198,13 +196,14 @@ class OptimizeCache:
     def __init__(self, directory: str | Path | None):
         self.directory = Path(directory) if directory else None
         if self.directory is not None:
-            self.directory.mkdir(parents=True, exist_ok=True)
+            try:
+                self.directory.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"cache {self.directory} is not a usable directory: "
+                                  f"{err.strerror}") from err
 
     def _path(self, problem: OptimizationProblem) -> Path:
-        payload = {"N": problem.N, "eta": problem.eta, "chi": problem.chi,
-                   "seed": problem.seed,
-                   "restarts": problem.restarts, "max_evals": problem.max_evals,
-                   "tol": problem.tol, "algo": ALGO_VERSION}
+        payload = {**asdict(problem), "algo": ALGO_VERSION}
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
         return self.directory / f"opt-{digest}.json"
@@ -230,16 +229,11 @@ class OptimizeCache:
     def store(self, problem: OptimizationProblem, outcome: OptimizationOutcome) -> None:
         if self.directory is None:
             return
-        payload = {"alpha_star": list(outcome.alpha_star),
-                   "qfi_star": outcome.qfi_star,
-                   "evaluations": outcome.evaluations,
-                   "converged": outcome.converged,
-                   "per_restart": [[s, v] for s, v in outcome.per_restart]}
         path = self._path(problem)
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as stream:
-                stream.write(json.dumps(payload, sort_keys=True))
+                stream.write(json.dumps(asdict(outcome), sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -266,12 +260,9 @@ def run_pure_qfi(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
                 raise NumericalError(
                     f"pure QFI mismatch at N={n}, k={k}: "
                     f"{numerical!r} vs analytic {analytic!r}")
-            records.append(ResultRecord(
-                command=config.command, N=n, k_or_alpha_digest=f"k={k}",
-                eta=1.0, chi=config.chi, phi_star=config.phi, qfi=numerical,
-                qcrb=_qcrb_or_inf(numerical), delta_phi_min=np.nan,
-                wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed,
-                extras={"qfi_analytic": analytic}))
+            records.append(_row(config, t0, N=n, k_or_alpha_digest=f"k={k}",
+                                eta=1.0, qfi=numerical,
+                                extras={"qfi_analytic": analytic}))
     return {}
 
 
@@ -291,11 +282,8 @@ def run_qfi_scan(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
             t0 = time.perf_counter()
             k_star, qfi_star = max_qfi_over_k(n, eta, config.chi)
             per_eta.append((n, qfi_star))
-            records.append(ResultRecord(
-                command=config.command, N=n, k_or_alpha_digest=f"k={k_star}",
-                eta=eta, chi=config.chi, phi_star=config.phi, qfi=qfi_star,
-                qcrb=_qcrb_or_inf(qfi_star), delta_phi_min=np.nan,
-                wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed))
+            records.append(_row(config, t0, N=n, k_or_alpha_digest=f"k={k_star}",
+                                eta=eta, qfi=qfi_star))
         upper = per_eta[len(per_eta) // 2:]
         slopes[eta] = {"slope": _loglog_slope(*zip(*upper)),
                        "n_min": upper[0][0], "n_max": upper[-1][0]}
@@ -310,13 +298,9 @@ def run_optimize_scan(config: ExperimentConfig, records: list[ResultRecord]) -> 
             problem = OptimizationProblem(N=n, eta=eta, chi=config.chi,
                                           seed=config.seed)
             outcome, from_cache = cache.get_or_run(problem)
-            records.append(ResultRecord(
-                command=config.command, N=n,
-                k_or_alpha_digest=_alpha_digest(outcome.alpha_star),
-                eta=eta, chi=config.chi, phi_star=config.phi,
-                qfi=outcome.qfi_star, qcrb=_qcrb_or_inf(outcome.qfi_star),
-                delta_phi_min=np.nan,
-                wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed,
+            records.append(_row(
+                config, t0, N=n, k_or_alpha_digest=_alpha_digest(outcome.alpha_star),
+                eta=eta, qfi=outcome.qfi_star,
                 extras={"converged": outcome.converged,
                         "evaluations": outcome.evaluations,
                         "cached": from_cache,
@@ -360,12 +344,8 @@ def _readout_point(config: ExperimentConfig, n: int, eta: float,
     except DegenerateOperatingPointError:
         phi_star, best = np.nan, np.nan
         extras["status"] = "degenerate"
-    record = ResultRecord(
-        command=config.command, N=n, k_or_alpha_digest=digest,
-        eta=eta, chi=config.chi, phi_star=phi_star, qfi=qfi_value,
-        qcrb=_qcrb_or_inf(qfi_value), delta_phi_min=best,
-        wall_time_ms=1e3 * (time.perf_counter() - t0), seed=config.seed,
-        extras=extras)
+    record = _row(config, t0, N=n, k_or_alpha_digest=digest, eta=eta,
+                  phi_star=phi_star, qfi=qfi_value, delta_phi_min=best, extras=extras)
     return record, profile
 
 
@@ -393,13 +373,16 @@ def run_single(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     return {"config_echo": config.echo()}
 
 
-_RUNNERS = {
-    "pure-qfi": run_pure_qfi,
-    "qfi-scan": run_qfi_scan,
-    "optimize-scan": run_optimize_scan,
-    "readout-scan": run_readout_scan,
-    "single": run_single,
+# per command: the runner, and the N range and eta list used when the
+# config gives none, written as --n-range and --eta would give them
+_COMMANDS = {
+    "pure-qfi": (run_pure_qfi, "1:20", "1.0"),
+    "qfi-scan": (run_qfi_scan, "10:100:10", "0.9,1.0"),
+    "optimize-scan": (run_optimize_scan, "1:15", "0.9,1.0"),
+    "readout-scan": (run_readout_scan, "1:15", "0.9,1.0"),
+    "single": (run_single, "1", "1.0"),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def write_csv(records: list[ResultRecord], summary: dict,
@@ -461,97 +444,83 @@ def parse_eta_list(text: str) -> tuple[float, ...]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # dests are the config field names, and unset flags stay out of the
+    # namespace, so vars(args) holds exactly the fields the flags set
     parser = argparse.ArgumentParser(
-        prog="kerrmet",
+        prog="kerrmet", argument_default=argparse.SUPPRESS,
         description="Parameter scans for Kerr-nonlinear interferometer metrology")
-    parser.add_argument("--command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override its values")
     parser.add_argument("--n-range", help="A:B:S inclusive range or a single N")
-    parser.add_argument("--eta", help="comma-separated transmissivities, e.g. 0.9,1.0")
-    parser.add_argument("--chi", type=float)
-    parser.add_argument("--phi", type=float)
-    parser.add_argument("--k", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--grid-points", type=int, dest="grid_points")
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--cache")
-    parser.add_argument("--format", choices=("csv", "json"))
-    parser.add_argument("--max-n", type=int, dest="max_n")
+    parser.add_argument("--eta", dest="eta_list",
+                        help="comma-separated transmissivities, e.g. 0.9,1.0")
+    choices = {"command": COMMANDS, "format": FORMATS}
+    for name, (parse, *_) in _SCALAR_FIELDS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=parse,
+                            choices=choices.get(name))
     return parser
 
 
 def _check_scalar_types(values: dict) -> None:
-    for name, kind in _SCALAR_FIELDS.items():
+    for name, (_, kinds, noun, nullable) in _SCALAR_FIELDS.items():
         value = values.get(name)
-        if value is None:
+        if value is None and (nullable or name not in values):
             continue
-        ok = isinstance(value, int) if kind is int else isinstance(value, (int, float))
-        if isinstance(value, bool) or not ok:
-            raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
-                              f"got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"{name} must be {noun}, got {value!r}")
+
+
+def _read_config_file(path: Path) -> dict:
+    if not path.exists():
+        raise ConfigError(f"config file {path} does not exist")
+    try:
+        loaded = json.loads(path.read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+    except (OSError, ValueError) as err:
+        raise ConfigError(f"config file {path} cannot be read: {err}") from err
+    if not isinstance(loaded, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return loaded
 
 
 def build_config(argv=None) -> ExperimentConfig:
-    args = build_parser().parse_args(argv)
-    values: dict = {}
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        try:
-            loaded = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
-        if not isinstance(loaded, dict):
-            raise ConfigError(f"config file {path} must hold a JSON object")
-        values.update(loaded)
-    overrides = {
-        "command": args.command,
-        "n_range": args.n_range,
-        "eta_list": args.eta,
-        "chi": args.chi,
-        "phi": args.phi,
-        "k": args.k,
-        "m": args.m,
-        "grid_points": args.grid_points,
-        "seed": args.seed,
-        "out": args.out,
-        "cache": args.cache,
-        "format": args.format,
-        "max_n": args.max_n,
-    }
-    values.update({key: val for key, val in overrides.items() if val is not None})
-    known = {f for f in ExperimentConfig.__dataclass_fields__}
-    unknown = set(values) - known
+    values = vars(build_parser().parse_args(argv))
+    path = values.pop("config", None)
+    if path:
+        values = {**_read_config_file(Path(path)), **values}
+    unknown = set(values) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    command = values.get("command")
-    if command is None:
+    if values.get("command") is None:
         raise ConfigError("no command given (flag --command or config file)")
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
     _check_scalar_types(values)
-    if isinstance(values.get("n_range"), str):
-        values["n_range"] = parse_n_range(values["n_range"])
-    if isinstance(values.get("eta_list"), str):
-        values["eta_list"] = parse_eta_list(values["eta_list"])
-    if values.get("n_range") is None:
-        start, stop, step = _DEFAULT_RANGES[command]
-        values["n_range"] = tuple(range(start, stop + 1, step))
-    if values.get("eta_list") is None:
-        values["eta_list"] = _DEFAULT_ETAS[command]
+    if values["command"] not in COMMANDS:
+        raise ConfigError(f"unknown command {values['command']!r}")
+    _, default_ns, default_etas = _COMMANDS[values["command"]]
+    for name, parse, default in (("n_range", parse_n_range, default_ns),
+                                 ("eta_list", parse_eta_list, default_etas)):
+        if values.get(name) is None:
+            values[name] = default
+        if isinstance(values[name], str):
+            values[name] = parse(values[name])
     try:
         values["n_range"] = tuple(int(n) for n in values["n_range"])
         values["eta_list"] = tuple(float(e) for e in values["eta_list"])
         if values.get("alpha") is not None:
             values["alpha"] = tuple(float(a) for a in values["alpha"])
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"n_range, eta_list and alpha must be lists of numbers: {err}") from err
     if values.get("max_n") is not None and values["n_range"]:
         ns = values["n_range"]
         step = ns[1] - ns[0] if len(ns) > 1 else 1
         values["n_range"] = tuple(range(min(ns), values["max_n"] + 1, step))
+    # a bad destination fails here, before any work, not after the scan
+    if values.get("out"):
+        out = Path(values["out"])
+        if out.is_dir():
+            raise ConfigError(f"output {out} is a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"output {out}: directory {out.parent} does not exist")
     return ExperimentConfig(**values)
 
 
@@ -564,7 +533,7 @@ def main(argv=None) -> int:
     records: list[ResultRecord] = []
     summary: dict = {}
     try:
-        summary = _RUNNERS[config.command](config, records)
+        summary = _COMMANDS[config.command][0](config, records)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

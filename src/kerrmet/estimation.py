@@ -89,7 +89,6 @@ class QfiResult:
 class ReadoutResult:
     """Uncertainty scan of one observable over a phase grid."""
 
-    phi_grid: np.ndarray
     delta_phi: np.ndarray
     min_delta_phi: float
     argmin_phi: float
@@ -312,7 +311,7 @@ class PhasedFamily:
     """
 
     def __init__(self, input_spec: SuperpositionSpec, chi: float = 0.0,
-                 eta: float = 1.0, basis: TwoModeBasis | None = None):
+                 eta: float = 1.0):
         if not isinstance(input_spec, SuperpositionSpec):
             raise TypeError(f"unsupported input spec {type(input_spec).__name__}")
         if not 0.0 <= eta <= 1.0:
@@ -323,9 +322,7 @@ class PhasedFamily:
         self.chi = float(chi)
         self.eta = float(eta)
         N = input_spec.N
-        self.basis = basis if basis is not None else TwoModeBasis(N)
-        if self.basis.n_total_max < N:
-            raise ValueError("basis truncation below the input photon number")
+        self.basis = TwoModeBasis(N)
         branches = branch_amplitudes(N, input_spec.alpha)
         self.stride = math.gcd(*(n1 - branches[0][0] for n1, _, _ in branches))
         self.rho0_flat = cross_lossy_blocks(branches, branches, N, self.eta).flat
@@ -461,11 +458,7 @@ def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
 
 def _golden_section(f, lo: float, hi: float, tol: float):
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    best_x, best_f = lo, f(lo)
-    for x in (hi,):
-        fx = f(x)
-        if fx < best_f:
-            best_x, best_f = x, fx
+    best_f, best_x = min((f(lo), lo), (f(hi), hi))  # a tie keeps lo
     a, b = lo, hi
     c, d = b - inv * (b - a), a + inv * (b - a)
     fc, fd = f(c), f(d)
@@ -518,5 +511,5 @@ def min_delta_phi(profile: MomentProfile,
         x_star, f_star = float(grid[i_best]), float(f_grid)
     if f_star >= f_grid * (1.0 - TIE_RTOL):
         x_star = float(grid[np.argmax(deltas <= f_grid * (1.0 + TIE_RTOL))])
-    return ReadoutResult(phi_grid=grid, delta_phi=deltas,
+    return ReadoutResult(delta_phi=deltas,
                          min_delta_phi=float(f_star), argmin_phi=float(x_star))

@@ -65,10 +65,6 @@ class SuperpositionSpec:
             raise ValueError("cannot normalize an all-zero coefficient vector")
         return cls(N, tuple(alpha / math.sqrt(weight)))
 
-    @property
-    def tau(self) -> int:
-        return len(self.alpha) - 1
-
 
 def NoonLikeSpec(N: int, k: int) -> SuperpositionSpec:
     """Two-branch input (|N-k, k> + |k, N-k>)/sqrt(2), k in [0, N], as a

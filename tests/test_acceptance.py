@@ -78,7 +78,7 @@ def test_criterion_2_channel_correctness():
         for spec in specs:
             pure = oracle.superposition_state(spec, basis)
             for eta in (0.3, 0.7, 1.0):
-                family = PhasedFamily(spec, chi=CHI_DEFAULT, eta=eta, basis=basis)
+                family = PhasedFamily(spec, chi=CHI_DEFAULT, eta=eta)
                 for phi in (0.0, 0.4):
                     closed = oracle.rho(family, phi)
                     worst_trace = max(worst_trace,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from kerrmet.cli import (
     ExperimentConfig,
     OptimizeCache,
     build_config,
+    build_parser,
     main,
     parse_eta_list,
     parse_n_range,
@@ -381,12 +383,45 @@ def test_cache_concurrent_writers(tmp_path):
     assert [p.name for p in cache.directory.iterdir()] == [cache._path(problem).name]
 
 
-def test_rerun_reproduces_csv_body(tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    args = ["--command", "pure-qfi", "--n-range", "1:5:2", "--chi", "1e-8"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    assert body_without_timing(out1) == body_without_timing(out2)
+def without_timing(path):
+    if path.suffix == ".csv":
+        return body_without_timing(path)
+    doc = json.loads(path.read_text())
+    for record in doc["records"]:
+        record.pop("wall_time_ms")
+    return doc
+
+
+# per case, the commands one run makes in order, all on one --cache
+_RERUNS = {
+    "pure-qfi": [["--command", "pure-qfi", "--n-range", "1:5:2", "--chi", "1e-8"]],
+    "qfi-scan": [["--command", "qfi-scan", "--n-range", "2:6:2", "--eta", "0.6,1.0"]],
+    "optimize-then-readout": [
+        ["--command", "optimize-scan", "--n-range", "1:3", "--eta", "0.9"],
+        ["--command", "readout-scan", "--n-range", "1:3", "--eta", "0.9"]],
+    "single": [["--command", "single", "--n-range", "4", "--k", "1", "--eta", "0.8",
+                "--m", "2", "--phi", "0.3"]],
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", list(_RERUNS))
+def test_rerun_reproduces_body(tmp_path, case, fmt):
+    # two runs from empty caches agree in every column but wall_time_ms,
+    # and leave the same cache files
+    runs = []
+    for run in (tmp_path / "a", tmp_path / "b"):
+        run.mkdir()
+        cache, outputs = run / "cache", []
+        for index, argv in enumerate(_RERUNS[case]):
+            out = run / f"{index}.{fmt}"
+            assert main(argv + ["--cache", str(cache), "--format", fmt,
+                                "--out", str(out)]) == 0
+            outputs.append(without_timing(out))
+        files = {p.name: p.read_bytes() for p in cache.iterdir()} if cache.exists() else {}
+        runs.append((outputs, files))
+    assert runs[0] == runs[1]
+    assert bool(runs[0][1]) == (case == "optimize-then-readout")
 
 
 def test_json_output_mirror(tmp_path):
@@ -404,26 +439,59 @@ def test_json_output_mirror(tmp_path):
 
 
 def test_bad_flag_values_exit_2(tmp_path, capsys):
-    assert main(["--command", "pure-qfi", "--n-range", "oops"]) == 2
-    assert main(["--command", "pure-qfi", "--eta", "2.0"]) == 2
-    assert main(["--command", "single", "--n-range", "2"]) == 2
-    assert main(["--command", "readout-scan", "--n-range", "2", "--k", "0",
-                 "--m", "0"]) == 2
-    assert main(["--command", "single", "--n-range", "2", "--k", "0",
-                 "--m", "0"]) == 2
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    missing_out = tmp_path / "missing" / "x.csv"
+    # each case, and the path its error must name (None: no path involved)
+    cases = [
+        (["--command", "pure-qfi", "--n-range", "oops"], None),
+        (["--command", "pure-qfi", "--eta", "2.0"], None),
+        (["--command", "single", "--n-range", "2"], None),
+        (["--command", "readout-scan", "--n-range", "2", "--k", "0", "--m", "0"], None),
+        (["--command", "single", "--n-range", "2", "--k", "0", "--m", "0"], None),
+        (["--config", str(tmp_path)], str(tmp_path)),
+        (["--command", "readout-scan", "--n-range", "2", "--k", "0",
+          "--cache", str(a_file), "--out", str(tmp_path / "out.csv")], str(a_file)),
+        (["--command", "pure-qfi", "--n-range", "2", "--out", str(missing_out)],
+         str(missing_out)),
+        (["--command", "pure-qfi", "--n-range", "2", "--out", str(tmp_path)],
+         str(tmp_path)),
+    ]
     bad_files = [
         {"command": "single", "n_range": "3", "alpha": [0.0, 0.0]},
         {"command": "single", "n_range": "3", "alpha": [1.0, 0.5, 0.2]},
         ["command", "pure-qfi"],
         {"command": "pure-qfi", "chi": "x"},
+        {"command": "pure-qfi", "n_range": "2", "cache": 5},
+        {"command": "pure-qfi", "n_range": "2", "out": 7},
+        {"command": "pure-qfi", "n_range": "2", "eta_list": [10 ** 400]},
     ]
     for index, content in enumerate(bad_files):
         config_file = tmp_path / f"bad{index}.json"
         config_file.write_text(json.dumps(content))
-        assert main(["--config", str(config_file)]) == 2, content
-    errors = capsys.readouterr().err.splitlines()
-    assert len(errors) == 9
-    assert all(line.startswith("config error: ") for line in errors)
+        cases.append((["--config", str(config_file)], None))
+    before = sorted(tmp_path.iterdir())
+    for argv, named in cases:
+        assert main(argv) == 2, argv
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: "), argv
+        assert named is None or named in line, line
+    # every case fails before it writes anything
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_every_flag_is_a_config_field():
+    # one name per setting: argparse dests are the config fields, so the
+    # parsed flags are the overrides, and every scalar field is type-checked
+    import kerrmet.cli as cli
+
+    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    dests = {action.dest for action in build_parser()._actions} - {"help", "config"}
+    assert dests <= config_fields
+    assert config_fields - dests == {"alpha"}  # set only in config files
+    assert set(cli._SCALAR_FIELDS) == config_fields - {"n_range", "eta_list", "alpha"}
+    assert vars(build_parser().parse_args(["--eta", "0.5", "--n-range", "2"])) == {
+        "eta_list": "0.5", "n_range": "2"}
 
 
 def test_max_n_extends_range(tmp_path):

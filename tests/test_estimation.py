@@ -628,6 +628,3 @@ def test_phased_family_validation():
         PhasedFamily(NoonLikeSpec(2, 0), eta=1.5)
     with pytest.raises(TypeError):
         PhasedFamily("not a spec")
-    basis = TwoModeBasis(1)
-    with pytest.raises(ValueError):
-        PhasedFamily(NoonLikeSpec(3, 0), basis=basis)

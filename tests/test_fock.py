@@ -171,7 +171,7 @@ def test_block_split_pure_ket():
 
 def test_block_split_channel_output():
     basis = TwoModeBasis(2)
-    rho = oracle.rho(PhasedFamily(NoonLikeSpec(2, 0), eta=0.5, basis=basis), 0.0)
+    rho = oracle.rho(PhasedFamily(NoonLikeSpec(2, 0), eta=0.5), 0.0)
     blocks = block_split(rho)
     populated = [t for t, b in blocks if np.abs(b).max() > 1e-15]
     assert populated == [0, 1, 2]
@@ -200,8 +200,7 @@ def test_block_split_rejects_off_block_mass():
 
 
 def test_eigh_channel_output_trace():
-    basis = TwoModeBasis(3)
-    rho = oracle.rho(PhasedFamily(NoonLikeSpec(3, 1), eta=0.8, basis=basis), 0.0)
+    rho = oracle.rho(PhasedFamily(NoonLikeSpec(3, 1), eta=0.8), 0.0)
     vals = np.linalg.eigvalsh(rho.matrix)
     assert vals.sum() == pytest.approx(1.0, abs=1e-12)
 

@@ -15,9 +15,9 @@ def spec_length(n):
     return ((n - 1) // 2 if n % 2 else n // 2) + 1
 
 
-def lossy(spec, eta, phi=0.0, chi=0.0, basis=None):
+def lossy(spec, eta, phi=0.0, chi=0.0):
     """Closed-form channel output: the family's phase-rotated rho_0."""
-    return oracle.rho(PhasedFamily(spec, chi=chi, eta=eta, basis=basis), phi)
+    return oracle.rho(PhasedFamily(spec, chi=chi, eta=eta), phi)
 
 
 def kraus_oracle(spec, eta, phi, chi, basis):
@@ -94,7 +94,7 @@ def test_apply_loss_supports_unequal_arms():
 
 def test_lossy_noon_pure_limit():
     basis = TwoModeBasis(3)
-    rho = lossy(NoonLikeSpec(3, 0), eta=1.0, phi=0.7, chi=0.1, basis=basis)
+    rho = lossy(NoonLikeSpec(3, 0), eta=1.0, phi=0.7, chi=0.1)
     pure = oracle.superposition_state(NoonLikeSpec(3, 0), basis)
     evolved = oracle.apply_phase(pure, 0.7, 0.1)
     assert np.abs(rho.matrix - evolved.to_density().matrix).max() < 1e-14
@@ -105,7 +105,7 @@ def test_lossy_noon_hand_values():
     # N=2, k=0, eta=0.5: survival weights eta^2/2 on |2,0> and |0,2>,
     # coherence eta^2/2, one-photon weights eta(1-eta), vacuum (1-eta)^2
     basis = TwoModeBasis(2)
-    rho = lossy(NoonLikeSpec(2, 0), eta=0.5, basis=basis)
+    rho = lossy(NoonLikeSpec(2, 0), eta=0.5)
     ix = basis.index_of
     assert rho.matrix[ix(2, 0), ix(2, 0)] == pytest.approx(0.125, abs=1e-14)
     assert rho.matrix[ix(0, 2), ix(0, 2)] == pytest.approx(0.125, abs=1e-14)
@@ -119,7 +119,7 @@ def test_lossy_noon_coherence_phase():
     # the surviving two-branch coherence rotates at the full branch splitting
     basis = TwoModeBasis(2)
     phi = 0.7
-    rho = lossy(NoonLikeSpec(2, 0), eta=0.5, phi=phi, basis=basis)
+    rho = lossy(NoonLikeSpec(2, 0), eta=0.5, phi=phi)
     ix = basis.index_of
     want = 0.125 * cmath.exp(-2j * phi)
     assert rho.matrix[ix(2, 0), ix(0, 2)] == pytest.approx(want, abs=1e-14)
@@ -132,23 +132,22 @@ def test_lossy_noon_matches_kraus_composition():
                 for phi in (0.0, 0.4):
                     basis = TwoModeBasis(n)
                     spec = NoonLikeSpec(n, k)
-                    closed = lossy(spec, eta=eta, phi=phi, chi=0.05, basis=basis)
+                    closed = lossy(spec, eta=eta, phi=phi, chi=0.05)
                     dense = kraus_oracle(spec, eta, phi, 0.05, basis)
                     assert np.abs(closed.matrix - dense.matrix).max() < 1e-11
 
 
 def test_lossy_superposition_single_term_reduction():
-    basis = TwoModeBasis(5)
     one_hot = SuperpositionSpec(5, (0.0, 1 / math.sqrt(2), 0.0))
-    via_superposition = lossy(one_hot, eta=0.6, phi=0.3, chi=0.01, basis=basis)
-    via_noon = lossy(NoonLikeSpec(5, 1), eta=0.6, phi=0.3, chi=0.01, basis=basis)
+    via_superposition = lossy(one_hot, eta=0.6, phi=0.3, chi=0.01)
+    via_noon = lossy(NoonLikeSpec(5, 1), eta=0.6, phi=0.3, chi=0.01)
     assert np.abs(via_superposition.matrix - via_noon.matrix).max() < 1e-12
 
 
 def test_lossy_superposition_pure_limit_is_projector():
     basis = TwoModeBasis(4)
     spec = SuperpositionSpec.normalized(4, (1.0, 0.7, 0.2))
-    rho = lossy(spec, eta=1.0, phi=0.5, chi=0.02, basis=basis)
+    rho = lossy(spec, eta=1.0, phi=0.5, chi=0.02)
     evolved = oracle.apply_phase(oracle.superposition_state(spec, basis), 0.5, 0.02)
     assert np.abs(rho.matrix - evolved.to_density().matrix).max() < 1e-13
     assert rho.purity() == pytest.approx(1.0, abs=1e-12)
@@ -158,7 +157,7 @@ def test_lossy_superposition_matches_kraus_composition():
     alpha2 = math.sqrt(1 - 2 * 0.25 - 2 * 0.09) / 2
     spec = SuperpositionSpec(4, (0.5, 0.3, alpha2))
     basis = TwoModeBasis(4)
-    closed = lossy(spec, eta=0.7, phi=0.2, chi=0.0, basis=basis)
+    closed = lossy(spec, eta=0.7, phi=0.2, chi=0.0)
     dense = kraus_oracle(spec, 0.7, 0.2, 0.0, basis)
     assert np.abs(closed.matrix - dense.matrix).max() < 1e-11
 
@@ -169,7 +168,7 @@ def test_lossy_superposition_random_specs_match_kraus():
         spec = SuperpositionSpec.normalized(n, rng.normal(size=spec_length(n)))
         for eta in (0.3, 0.7, 1.0):
             basis = TwoModeBasis(n)
-            closed = lossy(spec, eta=eta, phi=0.4, chi=0.03, basis=basis)
+            closed = lossy(spec, eta=eta, phi=0.4, chi=0.03)
             dense = kraus_oracle(spec, eta, 0.4, 0.03, basis)
             assert np.abs(closed.matrix - dense.matrix).max() < 1e-11
 
@@ -177,14 +176,12 @@ def test_lossy_superposition_random_specs_match_kraus():
 @pytest.mark.parametrize("eta", [0.0, 0.25, 0.5, 0.9, 1.0])
 def test_trace_preserved_across_loss_grid(eta):
     for n in (1, 4, 9, 12):
-        basis = TwoModeBasis(n)
-        rho = lossy(NoonLikeSpec(n, n // 3), eta=eta, phi=0.2, basis=basis)
+        rho = lossy(NoonLikeSpec(n, n // 3), eta=eta, phi=0.2)
         assert abs(rho.matrix.trace().real - 1.0) < 1e-10
 
 
 def test_block_structure_of_channel_output():
-    basis = TwoModeBasis(5)
-    rho = lossy(NoonLikeSpec(5, 2), eta=0.6, phi=0.9, basis=basis)
+    rho = lossy(NoonLikeSpec(5, 2), eta=0.6, phi=0.9)
     blocks = oracle.block_split(rho)  # raises if off-block mass appears
     assert sum(b.trace().real for _, b in blocks) == pytest.approx(1.0, abs=1e-12)
 
@@ -207,14 +204,13 @@ def test_purity_monotone_in_loss():
     # purity falls monotonically with moderate loss; at strong loss it
     # turns around again because eta -> 0 collapses onto the pure vacuum
     spec = NoonLikeSpec(6, 1)
-    basis = TwoModeBasis(6)
     purities = []
     for eta in (1.0, 0.9, 0.7, 0.5):
-        rho = lossy(spec, eta=eta, phi=0.1, basis=basis)
+        rho = lossy(spec, eta=eta, phi=0.1)
         purities.append(rho.purity())
     assert purities[0] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(purities) <= 1e-12)
-    vacuum_limit = lossy(spec, eta=0.0, phi=0.1, basis=basis)
+    vacuum_limit = lossy(spec, eta=0.0, phi=0.1)
     assert vacuum_limit.purity() == pytest.approx(1.0, abs=1e-12)
 
 

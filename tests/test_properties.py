@@ -2,8 +2,9 @@
 
 Each property is drawn over random real coefficients alpha at N <= 8,
 transmissivity eta in [0, 1], Kerr strength chi in [0, 0.5] and phase
-phi in [0, pi].  The examples are derandomized, so every run checks the
-same inputs.
+phi in [0, pi]; the readout bound, which needs no dense oracle, is also
+drawn at 9 <= N <= 30 over random alpha and two-branch inputs.  The
+examples are derandomized, so every run checks the same inputs.
 """
 
 import math
@@ -20,7 +21,7 @@ from kerrmet.estimation import (
     min_delta_phi,
     qcrb,
 )
-from kerrmet.interferometer import SuperpositionSpec, superposition_length
+from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=40,
                              database=None)
@@ -31,12 +32,18 @@ phis = st.floats(0.0, math.pi)
 
 
 @st.composite
-def specs(draw):
-    n = draw(st.integers(1, 8))
+def specs(draw, n_min=1, n_max=8):
+    n = draw(st.integers(n_min, n_max))
     raw = draw(st.lists(st.floats(-1.0, 1.0), min_size=superposition_length(n),
                         max_size=superposition_length(n))
                .filter(lambda a: SuperpositionSpec.squared_weight(n, a) > 1e-6))
     return SuperpositionSpec.normalized(n, raw)
+
+
+@st.composite
+def two_branch_specs(draw, n_min, n_max):
+    n = draw(st.integers(n_min, n_max))
+    return NoonLikeSpec(n, draw(st.integers(0, n)))
 
 
 @PROPERTY_SETTINGS
@@ -87,3 +94,17 @@ def test_full_coincidence_readout_respects_qcrb(spec, eta, chi):
         return
     assert fisher > 0.0
     assert scan.min_delta_phi >= qcrb(fisher) - 1e-9
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(specs(9, 30), two_branch_specs(9, 30)), etas, chis)
+def test_full_coincidence_readout_respects_qcrb_at_larger_n(spec, eta, chi):
+    family = PhasedFamily(spec, chi=chi, eta=eta)
+    fisher = family.qfi().qfi
+    try:
+        scan = min_delta_phi(family.moment_profile(measurement_mm(spec.N, family.basis)))
+    except DegenerateOperatingPointError:
+        return
+    assert fisher > 0.0
+    # relative: bounds reach 1e9 here, where 1e-9 is below the float spacing
+    assert scan.min_delta_phi >= qcrb(fisher) * (1 - 1e-9)
