@@ -86,8 +86,9 @@ class ExperimentConfig:
             raise ConfigError("empty eta list")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_list):
             raise ConfigError("eta values must lie in [0, 1]")
-        if not 0.0 <= self.chi < math.inf:
-            raise ConfigError("chi must be finite and non-negative")
+        spread = max(self.n_range) * (1.0 + 0.5 * self.chi * max(self.n_range))  # F <= spread^2
+        if not (self.chi >= 0.0 and math.isfinite(spread * spread)):
+            raise ConfigError("chi must be >= 0 with (N + chi N^2/2)^2 finite at the largest N")
         if not math.isfinite(self.phi):
             raise ConfigError("phi must be finite")
         if self.grid_points < 1:
@@ -460,13 +461,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_scalar_types(values: dict) -> None:
-    for name, (_, kinds, noun, nullable) in _SCALAR_FIELDS.items():
+def _coerce_scalars(values: dict) -> None:
+    # type-check each scalar field and convert it as its flag's parser would
+    for name, (parse, kinds, noun, nullable) in _SCALAR_FIELDS.items():
         value = values.get(name)
         if value is None and (nullable or name not in values):
             continue
         if isinstance(value, bool) or not isinstance(value, kinds):
             raise ConfigError(f"{name} must be {noun}, got {value!r}")
+        try:
+            values[name] = parse(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
 
 
 def _read_config_file(path: Path) -> dict:
@@ -493,7 +499,7 @@ def build_config(argv=None) -> ExperimentConfig:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if values.get("command") is None:
         raise ConfigError("no command given (flag --command or config file)")
-    _check_scalar_types(values)
+    _coerce_scalars(values)
     if values["command"] not in COMMANDS:
         raise ConfigError(f"unknown command {values['command']!r}")
     _, default_ns, default_etas = _COMMANDS[values["command"]]

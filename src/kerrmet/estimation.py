@@ -284,16 +284,6 @@ def generator_flat(N: int, chi: float) -> np.ndarray:
     return 0.5 * (1.0 + 0.5 * chi * N) * (basis.total - 2.0 * basis.n1)
 
 
-def derivative_factors(g_flat: np.ndarray, n_max: int) -> list[np.ndarray]:
-    """Per-block factors i(g_r - g_c) of the blocks T = 0..n_max from the
-    generator diagonal ``g_flat`` (laid out as by ``generator_flat``), so
-    that rho' = i[G, rho] is the elementwise product factor * rho and
-    rho(phi) = exp(phi factor) * rho_0."""
-    basis = TwoModeBasis(n_max)
-    return [1j * (d[:, None] - d[None, :])
-            for d in (g_flat[basis.block_slice(t)] for t in range(n_max + 1))]
-
-
 class PhasedFamily:
     """phi-parameterized lossy output family of one fixed-N input.
 

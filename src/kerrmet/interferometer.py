@@ -20,19 +20,14 @@ NORMALIZATION_ATOL = 1e-12
 
 
 def superposition_length(N: int) -> int:
-    """Number of independent coefficients: tau + 1 with tau = (N-1)//2
-    for odd N and N/2 for even N."""
-    return ((N - 1) // 2 if N % 2 else N // 2) + 1
+    """Number of independent coefficients alpha_0..alpha_{N//2}."""
+    return N // 2 + 1
 
 
 @dataclass(frozen=True)
 class SuperpositionSpec:
-    """Fixed-N input sum_k alpha_k {|N-k, k> + |k, N-k>} with real alpha.
-
-    For even N the k = N/2 term contributes the single ket |N/2, N/2>
-    with amplitude 2 alpha_{N/2}, so the normalization constraint reads
-    sum_{k < N/2} 2 alpha_k^2 + 4 alpha_{N/2}^2 = 1.
-    """
+    """Fixed-N input sum_k alpha_k {|N-k, k> + |k, N-k>} with real alpha, ket
+    amplitudes B alpha (B = ``ket_fold(N)``) and squared_weight |B alpha|^2 = 1."""
 
     N: int
     alpha: tuple[float, ...]
@@ -82,15 +77,18 @@ def NoonLikeSpec(N: int, k: int) -> SuperpositionSpec:
     return SuperpositionSpec(N, tuple(alpha))
 
 
+def ket_fold(N: int) -> np.ndarray:
+    """The (N+1) x S matrix B taking alpha to the amplitudes B alpha of the
+    kets |n1, N - n1>, n1 = 0..N: alpha_k enters n1 = k and n1 = N - k, one
+    ket at the even-N midpoint k = N/2, whose amplitude is so 2 alpha_k."""
+    eye = np.eye(N + 1)[:, :superposition_length(N)]
+    return eye + eye[::-1]
+
+
 def branch_amplitudes(N: int, alpha) -> list[tuple[int, int, float]]:
     """Kets and real amplitudes of sum_k alpha_k {|N-k, k> + |k, N-k>}
-    as (n1, n2, amplitude); alpha need not be normalized.
-
-    The two branch slots of a degenerate k = N/2 term point at the same
-    ket, so their amplitudes accumulate.
-    """
-    acc: dict[tuple[int, int], float] = {}
-    for k, a in enumerate(alpha):
-        for ket in ((N - k, k), (k, N - k)):
-            acc[ket] = acc.get(ket, 0.0) + a
-    return [(n1, n2, amp) for (n1, n2), amp in sorted(acc.items()) if amp != 0.0]
+    as (n1, n2, amplitude), the nonzero entries of ket_fold(N) @ alpha in
+    ascending n1; alpha need not be normalized."""
+    amplitudes = ket_fold(N) @ np.asarray(alpha, dtype=float)
+    return [(int(n1), N - int(n1), float(amplitudes[n1]))
+            for n1 in np.flatnonzero(amplitudes)]

@@ -1,11 +1,11 @@
 """Photon loss as a beam-splitter channel on each arm, in closed form.
 
-``cross_lossy_blocks`` builds the channel output of fixed-N branch dyads:
-losing (q, p) photons maps each input ket |n1, n2> to |n1-q, n2-p> with
+Losing (q, p) photons maps each input ket |n1, n2> to |n1-q, n2-p> with
 survival amplitude sqrt((1-eta)^q eta^(n1-q) n1!/((n1-q)! q!)) per mode,
 and summing the resulting rank-one contributions over (q, p) reproduces
-the channel exactly.  The closed form assumes equal loss in both arms.
-Loss commutes with the Kerr phase, so the closed form needs no phase.
+the channel exactly.  ``ChannelMap`` lists those terms for fixed-N ket
+dyads once.  The closed form assumes equal loss in both arms, and loss
+commutes with the Kerr phase, so it needs no phase.
 """
 
 from __future__ import annotations
@@ -38,26 +38,48 @@ def survival_table(n_max: int, eta: float) -> np.ndarray:
     return np.where(q <= n, np.exp(log_amp), 0.0)
 
 
+class ChannelMap:
+    """The channel on the dyads |n1, N-n1><m1, N-m1|, dyad i * len(bras) + j
+    for the mode-1 occupations n1 = kets[i], m1 = bras[j].  Losing (q, p)
+    photons from a dyad lands on block T = N - q - p at entry (n1 - q, m1 - q)
+    with kappa[n1, q] kappa[m1, q] kappa[N - n1, p] kappa[N - m1, p]: each term
+    records that flat position, its dyad and that product, dyad by dyad."""
+
+    def __init__(self, kets, bras, N: int, eta: float):
+        kappa = survival_table(N, eta)
+        offsets = block_offsets(N)
+        positions, products = [], []
+        for n1 in kets:
+            for m1 in bras:
+                q = np.arange(min(n1, m1) + 1)[:, None]
+                p = np.arange(N - max(n1, m1) + 1)[None, :]
+                t = N - q - p
+                positions.append((offsets[t] + (n1 - q) * (t + 1) + (m1 - q)).ravel())
+                products.append((kappa[n1, q] * kappa[m1, q]
+                                 * kappa[N - n1, p] * kappa[N - m1, p]).ravel())
+        self.positions = np.concatenate(positions)
+        self.kappa = np.concatenate(products)
+        self.dyads = np.repeat(np.arange(len(positions)), [x.size for x in positions])
+        self.size = int(offsets[-1])
+
+    def scatter(self, weights: np.ndarray) -> np.ndarray:
+        """Flat blocks T = 0..N of the output for the real combination
+        sum_d weights[d] |dyad d>: one in-order scatter-add of the terms."""
+        flat = np.zeros(self.size, dtype=complex)
+        np.add.at(flat.real, self.positions, weights[self.dyads] * self.kappa)
+        return flat
+
+    def real_adjoint(self, dual: np.ndarray) -> np.ndarray:
+        """Re Tr[C(|dyad d>) Z] for each dyad d (every dyad has a q = p = 0
+        term), with ``dual`` the flat blocks of Z^T."""
+        return np.bincount(self.dyads, dual.real[self.positions] * self.kappa)
+
+
 def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float) -> FlatBlocks:
-    """Closed-form channel output for a ket/bra pair of branch lists.
-
-    Each branch is (n1, n2, amplitude) with n1 + n2 = N.  The result holds
-    the total-photon-number blocks (T, block) of
-    sum_{q,p} K_qp |ket><bra| K_qp^dag in one flat buffer.
-
-    Losing (q, p) photons from the dyad |n1, n2><m1, m2| lands on the
-    block T = N - q - p at entry (n1 - q, m1 - q), so one branch pair fills
-    entries at index offset n1 - m1 only, and each (q, p) a distinct one:
-    the whole (q, p) sweep of a pair is one vectorized scatter.
-    """
-    kappa = survival_table(N, eta)
-    offsets = block_offsets(N)
-    flat = np.zeros(offsets[-1], dtype=complex)
-    for kn1, kn2, kamp in ket_branches:
-        for bn1, bn2, bamp in bra_branches:
-            q = np.arange(min(kn1, bn1) + 1)[:, None]
-            p = np.arange(min(kn2, bn2) + 1)[None, :]
-            t = N - q - p
-            flat[offsets[t] + (kn1 - q) * (t + 1) + (bn1 - q)] += kamp * bamp * (
-                kappa[kn1, q] * kappa[bn1, q] * kappa[kn2, p] * kappa[bn2, p])
-    return FlatBlocks(flat, N)
+    """Blocks T = 0..N of sum_{q,p} K_qp |ket><bra| K_qp^dag in one flat
+    buffer, for ket and bra lists of branches (n1, n2, real amplitude) with
+    n1 + n2 = N: the channel map's scatter of the branch dyads."""
+    kets, _, ket_amps = zip(*ket_branches)
+    bras, _, bra_amps = zip(*bra_branches)
+    channel = ChannelMap(kets, bras, N, eta)
+    return FlatBlocks(channel.scatter(np.outer(ket_amps, bra_amps).ravel()), N)

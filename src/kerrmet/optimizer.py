@@ -25,15 +25,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimation import (
-    BlockPairs,
-    _qfi_from_block_pairs,
-    derivative_factors,
-    generator_flat,
-)
-from .fock import NumericalError, block_diagonal, block_offsets
-from .interferometer import SuperpositionSpec, branch_amplitudes, superposition_length
-from .loss import cross_lossy_blocks
+from .estimation import BlockPairs, _qfi_from_block_pairs, generator_flat
+from .fock import NumericalError, block_diagonal
+from .interferometer import SuperpositionSpec, ket_fold, superposition_length
+from .loss import ChannelMap
 
 logger = logging.getLogger(__name__)
 
@@ -91,34 +86,28 @@ class OptimizationOutcome:
 
 
 class _QuadraticQfiModel:
-    """The lossy output is quadratic in alpha: rho = sum_kl alpha_k alpha_l
-    R_kl.  All phi = 0 cross blocks are built once, each R_kl's flat block
-    buffer one row of a single (S^2, sum_T (T+1)^2) matrix, so one
-    evaluation is one vector-matrix product with outer(alpha, alpha), the
-    blockwise derivative i[G, rho] and the QFI reduction; the see-saw
-    matrix M(L) is one more product with the same matrix.  A dense alpha
-    couples every pair of block indices, so the spectral step runs at
-    stride 1, one class per block."""
+    """rho(alpha) is the channel map's scatter of the ket dyads a a^T with
+    a = B alpha (B the ket fold), as in ``PhasedFamily``; the see-saw matrix
+    is M(L) = B^T A B with A_nm = Re Tr[C(|n><m|) Z], Z = 2i[L, G] - L^2, one
+    gather of the map.  The spectral step runs at stride 1, as a dense
+    alpha couples every pair of block indices."""
 
     def __init__(self, problem: OptimizationProblem):
         n = problem.N
-        length = problem.dimension
-        sets = [branch_amplitudes(n, np.eye(length)[k]) for k in range(length)]
-        self.matrix = np.empty((length * length, block_offsets(n)[-1]), dtype=complex)
-        for k in range(length):
-            for l in range(length):
-                self.matrix[k * length + l] = cross_lossy_blocks(
-                    sets[k], sets[l], n, problem.eta).flat
+        self.fold = ket_fold(n)
+        self.channel = ChannelMap(range(n + 1), range(n + 1), n, problem.eta)
         self.diag_idx = block_diagonal(n)
         self.g_flat = generator_flat(n, problem.chi)
-        self.factors = derivative_factors(self.g_flat, n)
+        # per block, i(g_r - g_c): rho' = i[G, rho] entrywise
+        self.factors = [1j * (g[:, None] - g[None, :])
+                        for g in np.split(self.g_flat, np.cumsum(np.arange(1, n + 1)))]
         # Tr R_kl = W_kl: the metric of SuperpositionSpec.squared_weight
-        self.metric = np.array([4.0 if 2 * k == n else 2.0 for k in range(length)])
+        self.metric = (self.fold ** 2).sum(0)
         self.n = n
 
     def _pairs(self, alpha: np.ndarray) -> BlockPairs:
-        weights = np.outer(alpha, alpha).ravel()
-        rho_flat = weights @ self.matrix
+        amplitudes = self.fold @ alpha
+        rho_flat = self.channel.scatter(np.outer(amplitudes, amplitudes).ravel())
         trace = rho_flat[self.diag_idx].real.sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"model state trace {trace!r} deviates from 1")
@@ -136,24 +125,18 @@ class _QuadraticQfiModel:
         dual = np.concatenate(
             [(2.0 * f * sld.T - (sld @ sld).T).ravel()
              for f, sld in zip(self.factors, result.sld)])
-        length = alpha.size
-        m = (self.matrix @ dual).real.reshape(length, length)
+        m = self.fold.T @ self.channel.real_adjoint(dual).reshape(self.n + 1, -1) @ self.fold
         m = 0.5 * (m + m.T)
         gradient = 2.0 * (m @ alpha - result.qfi * self.metric * alpha)
         return result.qfi, m, gradient
 
 
-@lru_cache(maxsize=8)
-def _model_for(problem: OptimizationProblem) -> _QuadraticQfiModel:
-    return _QuadraticQfiModel(problem)
+_model_for = lru_cache(maxsize=8)(_QuadraticQfiModel)  # one model per problem
 
 
 def qfi_objective(alpha, problem: OptimizationProblem) -> float:
-    """Fisher information of the lossy output for raw coefficients alpha.
-
-    The coefficients are normalized inside, so the objective is invariant
-    under positive rescaling of alpha.
-    """
+    """Fisher information of the lossy output for raw coefficients alpha,
+    normalized inside, so invariant under positive rescaling of alpha."""
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (problem.dimension,):
         raise ValueError(

@@ -13,6 +13,8 @@ observables into dense operators.  The costs grow as dim^3 with
 dim ~ N^2/2, so these are meant for N of order ten.  The one blockwise
 reference is ``blockwise_qfi``, the spectral step before its
 residue-class split: one dense eigh per total-photon-number block.
+``model_rows`` is the see-saw model before its channel map: one dense row
+of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from kerrmet.estimation import (
     PhasedFamily,
     QfiResult,
     _clamped_probabilities,
-    derivative_factors,
     spectral_norm,
 )
 from kerrmet import fock
@@ -43,7 +44,8 @@ from kerrmet.fock import (
     TwoModeBasis,
     falling_factorial,
 )
-from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes
+from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes, superposition_length
+from kerrmet.loss import cross_lossy_blocks
 
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
@@ -320,6 +322,16 @@ def apply_loss(rho: DensityOperator, loss: LossParams) -> DensityOperator:
 # ---------------------------------------------------------------- family
 
 
+def derivative_factors(g_flat: np.ndarray, n_max: int) -> list[np.ndarray]:
+    """Per-block factors i(g_r - g_c) of the blocks T = 0..n_max from the
+    generator diagonal ``g_flat`` (laid out as by ``generator_flat``), so
+    that rho' = i[G, rho] is the elementwise product factor * rho and
+    rho(phi) = exp(phi factor) * rho_0."""
+    basis = TwoModeBasis(n_max)
+    return [1j * (d[:, None] - d[None, :])
+            for d in (g_flat[basis.block_slice(t)] for t in range(n_max + 1))]
+
+
 def _factors(family: PhasedFamily) -> list[np.ndarray]:
     return derivative_factors(family.g_flat, family.input_spec.N)
 
@@ -437,3 +449,25 @@ def delta_phi(family: PhasedFamily, obs, phi: float) -> float:
         raise DegenerateOperatingPointError(
             f"variance {variance:.3e} at phi={phi} is below its round-off floor")
     return math.sqrt(variance) / abs(slope)
+
+
+# ---------------------------------------------------------------- optimizer
+
+
+def model_rows(N: int, eta: float) -> np.ndarray:
+    """The see-saw model as one dense (S^2, sum_T (T+1)^2) matrix: row
+    k S + l holds the flat blocks of R_kl, the channel output of the
+    one-hot branch sets e_k and e_l from ``cross_lossy_blocks``."""
+    sets = [branch_amplitudes(N, e) for e in np.eye(superposition_length(N))]
+    return np.array([cross_lossy_blocks(ket, bra, N, eta).flat
+                     for ket in sets for bra in sets])
+
+
+def seesaw_matrix(rows: np.ndarray, slds, g_flat: np.ndarray, N: int) -> np.ndarray:
+    """M(L)_kl = Re(2 Tr[rho'_kl L] - Tr[R_kl L^2]) from the dense model
+    rows, with L given by its blocks T = 0..N."""
+    dual = np.concatenate([(2.0 * f * sld.T - (sld @ sld).T).ravel()
+                           for f, sld in zip(derivative_factors(g_flat, N), slds)])
+    length = superposition_length(N)
+    m = (rows @ dual).real.reshape(length, length)
+    return 0.5 * (m + m.T)

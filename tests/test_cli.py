@@ -480,6 +480,29 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+# a float config field beyond the float range, or a chi whose Fisher
+# information bound (N + chi N^2/2)^2 overflows at the largest N
+@pytest.mark.parametrize("field, text", [
+    ("chi", "1e300"), ("chi", "1" + "0" * 400), ("phi", "1" + "0" * 400)],
+    ids=["chi-float", "chi-int", "phi-int"])
+def test_overflowing_float_config_exits_2(tmp_path, capsys, field, text):
+    config_file = tmp_path / "config.json"
+    config_file.write_text('{"command": "qfi-scan", "n_range": "2", '
+                           f'"eta_list": [0.9], "{field}": {text}}}')
+    assert main(["--config", str(config_file)]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("config error: ") and field in line
+    assert captured.out == ""
+
+
+def test_integer_float_fields_become_floats(tmp_path):
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"command": "pure-qfi", "chi": 1, "phi": 0}))
+    config = build_config(["--config", str(config_file)])
+    assert type(config.chi) is float and type(config.phi) is float
+
+
 def test_every_flag_is_a_config_field():
     # one name per setting: argparse dests are the config fields, so the
     # parsed flags are the overrides, and every scalar field is type-checked

@@ -1,13 +1,20 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kerrmet.estimation import PhasedFamily, max_qfi_over_k, qfi_pure_analytic
-from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes
-from kerrmet.loss import cross_lossy_blocks
+import oracle
+from kerrmet.estimation import (
+    PhasedFamily,
+    _qfi_from_block_pairs,
+    max_qfi_over_k,
+    qfi_pure_analytic,
+)
+from kerrmet.interferometer import SuperpositionSpec
 from kerrmet.optimizer import (
     OptimizationProblem,
+    _QuadraticQfiModel,
     _climb,
     _model_for,
     optimize_alpha,
@@ -73,11 +80,15 @@ def test_objective_one_hot_reproduces_pure_values():
 def test_objective_matches_direct_construction():
     problem = OptimizationProblem(N=4, eta=0.9, chi=1e-8)
     rng = np.random.default_rng(2)
-    for raw in (np.array([1.0, 0.0, 0.0]), rng.normal(size=3)):
-        fast = qfi_objective(raw, problem)
-        spec = SuperpositionSpec.normalized(4, raw)
-        direct = PhasedFamily(spec, chi=1e-8, eta=0.9).qfi().qfi
-        assert fast == pytest.approx(direct, rel=1e-10)
+    one_hot = np.array([1.0, 0.0, 0.0])
+    direct = PhasedFamily(SuperpositionSpec.normalized(4, one_hot), chi=1e-8,
+                          eta=0.9).qfi().qfi
+    assert qfi_objective(one_hot, problem) == pytest.approx(direct, rel=1e-10)
+    # a dense alpha has stride 1 on both paths: the same computation
+    raw = rng.normal(size=3)
+    direct = PhasedFamily(SuperpositionSpec.normalized(4, raw), chi=1e-8,
+                          eta=0.9).qfi().qfi
+    assert qfi_objective(raw, problem) == direct
 
 
 def test_objective_scale_invariance():
@@ -158,18 +169,43 @@ def test_never_below_nelder_mead(eta):
 
 
 @pytest.mark.parametrize("n, eta", [(1, 0.5), (4, 0.9), (7, 0.6), (8, 1.0)])
-def test_model_matrix_rows_are_the_cross_blocks(n, eta):
-    # row (k, l) holds the blocks T = 0..N of R_kl one after another
+def test_model_rho_is_the_family_rho0(n, eta):
+    # one channel path: for a dense alpha (every ket, the even-N midpoint
+    # included) the model scatters the same terms in the same order
     problem = OptimizationProblem(N=n, eta=eta, chi=1e-8)
     model = _model_for(problem)
-    length = problem.dimension
-    sets = [branch_amplitudes(n, e) for e in np.eye(length)]
-    want = np.array([
-        np.concatenate([block.ravel() for _, block in
-                        cross_lossy_blocks(sets[k], sets[l], n, eta)])
-        for k in range(length) for l in range(length)])
-    assert model.matrix.shape == want.shape
-    assert np.array_equal(model.matrix, want)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        spec = SuperpositionSpec.normalized(n, rng.normal(size=problem.dimension))
+        got = model._pairs(np.array(spec.alpha)).rho_flat
+        want = PhasedFamily(spec, chi=1e-8, eta=eta).rho0_flat
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, eta", [(1, 0.5), (4, 0.9), (7, 0.6), (8, 1.0), (12, 0.7)])
+def test_seesaw_matrix_matches_dense_model_rows(n, eta):
+    problem = OptimizationProblem(N=n, eta=eta, chi=1e-4)
+    model = _model_for(problem)
+    rows = oracle.model_rows(n, eta)
+    for seed in range(3):
+        alpha = _unit(problem, np.random.default_rng(seed))
+        _, m, _ = model.seesaw(alpha)
+        slds = _qfi_from_block_pairs(model._pairs(alpha), with_sld=True).sld
+        want = oracle.seesaw_matrix(rows, slds, model.g_flat, n)
+        assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_model_build_memory_stays_below_the_dense_rows():
+    # the dense model rows would take 168 MB at N = 40; the channel map
+    # holds sum_T (T+1)^2 (N-T+1) terms, about 6 MB
+    problem = OptimizationProblem(N=40, eta=0.9, chi=1e-8)
+    tracemalloc.start()
+    try:
+        _QuadraticQfiModel(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak
 
 
 def _unit(problem, rng):

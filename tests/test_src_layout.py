@@ -19,7 +19,7 @@ ORACLE_NAMES = {
     "apply_loss", "qfi", "sld", "delta_phi", "richardson_rho_prime", "eigh",
     "g_tilde", "generator_diagonal", "generator_h", "apply_phase",
     "superposition_state", "DenseOperator", "BlockStructureError", "block_split",
-    "_check_hermitian", "_band_rows", "_entries",
+    "_check_hermitian", "_band_rows", "_entries", "derivative_factors",
 }
 # methods that belong to the dense oracle, or were deleted
 ORACLE_METHODS = {
