@@ -76,7 +76,8 @@ class QfiResult:
     rank_cutoff times the largest eigenvalue of the class's block T.
     ``spectrum`` holds the eigenvalues of every class, unclamped and
     sorted: as a multiset, the spectra of the blocks T = 0..N.  ``sld``
-    holds one (T+1) x (T+1) block per T, exactly zero between classes.
+    holds one (T+1) x (T+1) block per T, exactly zero between classes: the
+    real antisymmetric J of the SLD L = iJ, with no complex copy of L.
     """
 
     qfi: float
@@ -127,14 +128,15 @@ def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
 
 class BlockPairs(Sequence):
     """The (rho block, rho' block) pairs of a state whose blocks T = 0..N
-    lie in one flat buffer (laid out by ``block_offsets``), with
+    lie in one flat float64 buffer (laid out by ``block_offsets``), with
     rho' = i[G, rho] for a diagonal generator G.
 
-    ``g_flat`` holds G's diagonal per block, block T from T(T+1)/2 on.
-    ``stride`` is a common divisor of the index offsets i - j of all
-    nonzero entries (i, j) of every block, 0 when every block is diagonal.
-    The pairs hold the Hermitian part of each block, as the spectral step
-    uses it; item T is built on demand.
+    The inputs and the Kraus elements are real, so rho is real symmetric
+    and rho' = iK with K real antisymmetric.  ``g_flat`` holds G's diagonal
+    per block, block T from T(T+1)/2 on.  ``stride`` is a common divisor of
+    the index offsets i - j of all nonzero entries (i, j) of every block, 0
+    when every block is diagonal.  Item T, built on demand, is the
+    symmetric part of block T, as the spectral step uses it, and rho'.
     """
 
     def __init__(self, rho_flat: np.ndarray, g_flat: np.ndarray, n_max: int,
@@ -149,48 +151,49 @@ class BlockPairs(Sequence):
 
     def __getitem__(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         t, block = FlatBlocks(self.rho_flat, self.n_max)[t]
-        block = 0.5 * (block + block.conj().T)
+        block = 0.5 * (block + block.T)
         g = self.g_flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2]
         return block, 1j * (g[:, None] - g[None, :]) * block
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=4)
 def _residue_classes(n_max: int, stride: int):
     """Block T = 0..n_max split into the classes {r, r + stride, ...} of its
     index mod ``stride`` (singletons at stride 0), stacked by class size:
-    one stack per size s = 1, 2, ..., none missing.
+    one stack per size s = 1, 2, ..., none missing, each in (T, r) order.
 
     A stack of c classes is the triple (blocks, gather, diag): the block T
     of each class (c,), the positions of the class entries in the flat
     block buffer (c, s, s), and those of the class indices in the generator
-    diagonal (c, s).
+    diagonal (c, s).  The classes are listed and ordered by size in one
+    pass; each stack then only broadcasts its slice of that list.
     """
     step = stride if 0 < stride <= n_max else n_max + 1
-    per_block = np.minimum(np.arange(1, n_max + 2), step)
-    t = np.repeat(np.arange(n_max + 1), per_block)
-    r = np.arange(t.size) - np.repeat(np.cumsum(per_block) - per_block, per_block)
+    t, r = np.nonzero(np.arange(step) <= np.arange(n_max + 1)[:, None])
     sizes = (t - r) // step + 1
-    offsets = block_offsets(n_max)
+    order = np.argsort(sizes, kind="stable")
+    t, r = t[order], r[order]
+    corner = block_offsets(n_max)[t] + r * (t + 2)  # entry (r, r) of block T
+    first = t * (t + 1) // 2 + r  # index r of block T in the generator diagonal
+    ends = np.cumsum(np.bincount(sizes))  # classes of size at most s: ends[s]
     stacks = []
-    for s in range(1, sizes.max() + 1):
-        blocks = t[sizes == s]
-        rows = r[sizes == s, None] + step * np.arange(s)
-        gather = (offsets[blocks, None, None] + rows[:, :, None] * (blocks + 1)[:, None, None]
-                  + rows[:, None, :])
-        diag = (blocks * (blocks + 1) // 2)[:, None] + rows
-        stacks.append((blocks, gather, diag))
+    for s in range(1, ends.size):
+        cls = slice(ends[s - 1], ends[s])
+        span = step * np.arange(s)
+        rows = corner[cls, None] + span * (t[cls, None] + 1)
+        stacks.append((t[cls], rows[:, :, None] + span, first[cls, None] + span))
     return tuple(stacks)
 
 
 def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResult:
-    """QFI of the (rho block, rho' block) pairs, class by class.
+    """Real-arithmetic QFI of the (rho block, rho' block) pairs, by class.
 
     Block T of rho is block-diagonal over the residue classes of its index
-    mod ``pairs.stride``, and so is rho' = i[G, rho]: each class is
-    eigendecomposed on its own, and the classes of one size are stacked
-    across all blocks into a single batched eigh.  The Fisher information
-    is the sum over classes of 2 |rho'_jk|^2 / (p_j + p_k) in the class
-    eigenbasis, which equals the blockwise sum.
+    mod ``pairs.stride``, and so is rho' = iK with K = (g_r - g_c) rho:
+    each class is eigendecomposed on its own, and the classes of one size
+    are stacked across all blocks into a single batched real eigh.  In the
+    class eigenbasis V, rho' = i a with a = V^T K V real, and the sum over
+    classes of 2 a_jk^2 / (p_j + p_k) equals the blockwise Fisher information.
 
     An eigenvalue pair counts as kernel when p_j + p_k is at most
     RANK_CUTOFF_FACTOR times the largest eigenvalue of its block T (over
@@ -199,48 +202,43 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     coherence lie wholly below any cutoff taken from the largest eigenvalue
     over all blocks.
 
-    With ``with_sld`` the result also holds the SLD block of each T,
-    L_jk = 2 rho'_jk / (p_j + p_k) in the eigenbasis of rho on the same
-    eigenvalue pairs the QFI sum keeps, zero elsewhere (so also between
-    classes).
+    With ``with_sld`` the result also holds each block T of the SLD L = iJ
+    as the real antisymmetric J = V (2 a_jk / (p_j + p_k)) V^T on the
+    eigenvalue pairs the QFI sum keeps, zero elsewhere (also between classes).
     """
-    top = np.zeros(pairs.n_max + 1)  # largest eigenvalue of each block so far
-    spectrum = []
+    stacks = _residue_classes(pairs.n_max, pairs.stride)
+
+    def classes(gather):  # symmetric parts of the class matrices of a stack
+        x = pairs.rho_flat[gather]
+        return 0.5 * (x + x.swapaxes(1, 2))
+
+    # stack 0 holds the 1 x 1 classes: each is its own eigenbasis, with
+    # rho' entry (g_r - g_r) rho_rr = 0, so no Fisher information
+    solved = [np.linalg.eigh(classes(gather)) for _, gather, _ in stacks[1:]]
+    spectrum = [pairs.rho_flat[stacks[0][1]][:, 0]] + [vals for vals, _ in solved]
+    probs = [_clamped_probabilities(vals, "qfi block") for vals in spectrum]
+    # largest eigenvalue of each block, over all of its classes
+    top = np.zeros(pairs.n_max + 1)
+    np.maximum.at(top, np.concatenate([blocks for blocks, _, _ in stacks]),
+                  np.concatenate([p[:, -1] for p in probs]))
     total = 0.0
     sld_flat = np.zeros_like(pairs.rho_flat) if with_sld else None
-
-    def reduce_stack(blocks, gather, diag, x, p, vecs) -> float:
+    for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
         g = pairs.g_flat[diag]
-        vecs_h = vecs.conj().swapaxes(1, 2)
-        a = vecs_h @ (1j * (g[:, :, None] - g[:, None, :]) * x) @ vecs
+        vecs_t = vecs.swapaxes(1, 2)
+        a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather)) @ vecs
         psum = p[:, :, None] + p[:, None, :]
         mask = psum > (RANK_CUTOFF_FACTOR * top[blocks])[:, None, None]
+        total += float((2.0 * a[mask] ** 2 / psum[mask]).sum())
         if with_sld:
             core = np.zeros_like(a)
             core[mask] = 2.0 * a[mask] / psum[mask]
-            block = vecs @ core @ vecs_h
-            sld_flat[gather] = 0.5 * (block + block.conj().swapaxes(1, 2))
-        return float((2.0 * np.abs(a[mask]) ** 2 / psum[mask]).sum())
-
-    # the classes of one block differ in size by at most one, so once the
-    # stack of size s + 1 is solved, every block with a class of size s has
-    # its largest eigenvalue: each stack is reduced one stack later
-    pending = None
-    for blocks, gather, diag in _residue_classes(pairs.n_max, pairs.stride):
-        x = pairs.rho_flat[gather]
-        x = 0.5 * (x + x.conj().swapaxes(1, 2))
-        vals, vecs = np.linalg.eigh(x)
-        spectrum.append(vals.ravel())
-        p = _clamped_probabilities(vals, "qfi block")
-        np.maximum.at(top, blocks, p[:, -1])
-        if pending is not None:
-            total += reduce_stack(*pending)
-        pending = blocks, gather, diag, x, p, vecs
-    total += reduce_stack(*pending)
-    spectrum = np.concatenate(spectrum)
+            block = vecs @ core @ vecs_t
+            sld_flat[gather] = 0.5 * (block - block.swapaxes(1, 2))
+    spectrum = np.sort(np.concatenate([vals.ravel() for vals in spectrum]))
     slds = [b for _, b in FlatBlocks(sld_flat, pairs.n_max)] if with_sld else None
     return QfiResult(qfi=total, rank_cutoff=RANK_CUTOFF_FACTOR,
-                     spectrum=np.sort(spectrum), sld=slds)
+                     spectrum=spectrum, sld=slds)
 
 
 def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
@@ -289,9 +287,9 @@ class PhasedFamily:
 
     Loss commutes with the Kerr phase, so rho(phi) = V rho_0 V^dag with
     V = exp(i phi G): the family holds only the phi = 0 lossy state rho_0,
-    its blocks T = 0..N in one flat buffer, and the generator diagonal.
-    rho(phi) is a blockwise phase rotation, rho'(phi) = i[G, rho(phi)], and
-    the Fisher information does not depend on phi.
+    its blocks T = 0..N in one flat float64 buffer, and the generator
+    diagonal.  rho(phi) is a blockwise phase rotation, rho'(phi) =
+    i[G, rho(phi)], and the Fisher information does not depend on phi.
 
     ``stride`` is the gcd of the differences of the branch occupations n1
     (0 for a single ket): every block entry (i, j) of rho_0 has i - j equal
@@ -316,15 +314,15 @@ class PhasedFamily:
         branches = branch_amplitudes(N, input_spec.alpha)
         self.stride = math.gcd(*(n1 - branches[0][0] for n1, _, _ in branches))
         self.rho0_flat = cross_lossy_blocks(branches, branches, N, self.eta).flat
-        trace = self.rho0_flat[block_diagonal(N)].real.sum()
+        trace = self.rho0_flat[block_diagonal(N)].sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"family state trace {trace!r} deviates from 1")
         self.g_flat = generator_flat(N, self.chi)
 
     @property
     def rho0(self) -> list[np.ndarray]:
-        """The blocks T = 0..N of rho_0 (Hermitian parts, built on demand)."""
-        return [0.5 * (b + b.conj().T)
+        """The blocks T = 0..N of rho_0 (symmetric parts, built on demand)."""
+        return [0.5 * (b + b.T)
                 for _, b in FlatBlocks(self.rho0_flat, self.input_spec.N)]
 
     def _pairs(self) -> BlockPairs:

@@ -11,6 +11,7 @@ commutes with the Kerr phase, so it needs no phase.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,10 +25,12 @@ def _xlog(count: np.ndarray, x: float) -> np.ndarray:
     return np.where(count > 0, -np.inf, 0.0)
 
 
+@lru_cache(maxsize=4)
 def survival_table(n_max: int, eta: float) -> np.ndarray:
     """kappa[n, q] = single-mode amplitude for losing q of n photons,
     sqrt(C(n, q) (1-eta)^q eta^(n-q)), for all n, q <= n_max at once;
-    0 * log(0) counts as 0, so eta = 0 and eta = 1 are exact.
+    0 * log(0) counts as 0, so eta = 0 and eta = 1 are exact.  Built once
+    per (n_max, eta) and read-only, so the families of a k-scan share it.
     """
     log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
     n = np.arange(n_max + 1)[:, None]
@@ -35,7 +38,9 @@ def survival_table(n_max: int, eta: float) -> np.ndarray:
     kept = np.maximum(n - q, 0)
     log_amp = 0.5 * (log_fact[n] - log_fact[q] - log_fact[kept]
                      + _xlog(q, 1.0 - eta) + _xlog(kept, eta))
-    return np.where(q <= n, np.exp(log_amp), 0.0)
+    table = np.where(q <= n, np.exp(log_amp), 0.0)
+    table.flags.writeable = False
+    return table
 
 
 class ChannelMap:
@@ -63,22 +68,20 @@ class ChannelMap:
         self.size = int(offsets[-1])
 
     def scatter(self, weights: np.ndarray) -> np.ndarray:
-        """Flat blocks T = 0..N of the output for the real combination
-        sum_d weights[d] |dyad d>: one in-order scatter-add of the terms."""
-        flat = np.zeros(self.size, dtype=complex)
-        np.add.at(flat.real, self.positions, weights[self.dyads] * self.kappa)
-        return flat
+        """Flat float64 blocks T = 0..N of the output for the real
+        combination sum_d weights[d] |dyad d>: one in-order sum of the terms."""
+        return np.bincount(self.positions, weights[self.dyads] * self.kappa, self.size)
 
     def real_adjoint(self, dual: np.ndarray) -> np.ndarray:
-        """Re Tr[C(|dyad d>) Z] for each dyad d (every dyad has a q = p = 0
-        term), with ``dual`` the flat blocks of Z^T."""
-        return np.bincount(self.dyads, dual.real[self.positions] * self.kappa)
+        """Tr[C(|dyad d>) Z] for each dyad d (every dyad has a q = p = 0
+        term), with ``dual`` the flat real blocks of Z^T."""
+        return np.bincount(self.dyads, dual[self.positions] * self.kappa)
 
 
 def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float) -> FlatBlocks:
     """Blocks T = 0..N of sum_{q,p} K_qp |ket><bra| K_qp^dag in one flat
-    buffer, for ket and bra lists of branches (n1, n2, real amplitude) with
-    n1 + n2 = N: the channel map's scatter of the branch dyads."""
+    float64 buffer, for ket and bra lists of branches (n1, n2, real
+    amplitude) with n1 + n2 = N: the channel map's scatter of the dyads."""
     kets, _, ket_amps = zip(*ket_branches)
     bras, _, bra_amps = zip(*bra_branches)
     channel = ChannelMap(kets, bras, N, eta)

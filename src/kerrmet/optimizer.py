@@ -88,9 +88,9 @@ class OptimizationOutcome:
 class _QuadraticQfiModel:
     """rho(alpha) is the channel map's scatter of the ket dyads a a^T with
     a = B alpha (B the ket fold), as in ``PhasedFamily``; the see-saw matrix
-    is M(L) = B^T A B with A_nm = Re Tr[C(|n><m|) Z], Z = 2i[L, G] - L^2, one
-    gather of the map.  The spectral step runs at stride 1, as a dense
-    alpha couples every pair of block indices."""
+    is M(L) = B^T A B with A_nm = Tr[C(|n><m|) Z], Z = 2i[L, G] - L^2, one
+    gather of the map; Z = 2(g_r - g_c) J + J^2 is real for the SLD L = iJ.
+    A dense alpha couples all block indices, so the spectral step runs at stride 1."""
 
     def __init__(self, problem: OptimizationProblem):
         n = problem.N
@@ -98,8 +98,8 @@ class _QuadraticQfiModel:
         self.channel = ChannelMap(range(n + 1), range(n + 1), n, problem.eta)
         self.diag_idx = block_diagonal(n)
         self.g_flat = generator_flat(n, problem.chi)
-        # per block, i(g_r - g_c): rho' = i[G, rho] entrywise
-        self.factors = [1j * (g[:, None] - g[None, :])
+        # per block, g_r - g_c: rho' = i[G, rho] = i (g_r - g_c) rho entrywise
+        self.factors = [g[:, None] - g[None, :]
                         for g in np.split(self.g_flat, np.cumsum(np.arange(1, n + 1)))]
         # Tr R_kl = W_kl: the metric of SuperpositionSpec.squared_weight
         self.metric = (self.fold ** 2).sum(0)
@@ -108,7 +108,7 @@ class _QuadraticQfiModel:
     def _pairs(self, alpha: np.ndarray) -> BlockPairs:
         amplitudes = self.fold @ alpha
         rho_flat = self.channel.scatter(np.outer(amplitudes, amplitudes).ravel())
-        trace = rho_flat[self.diag_idx].real.sum()
+        trace = rho_flat[self.diag_idx].sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"model state trace {trace!r} deviates from 1")
         return BlockPairs(rho_flat, self.g_flat, self.n, 1)
@@ -121,10 +121,9 @@ class _QuadraticQfiModel:
         at the SLD L of rho(alpha), and the gradient 2(M alpha - F W alpha)
         of F(alpha / sqrt(alpha^T W alpha)) there."""
         result = _qfi_from_block_pairs(self._pairs(alpha), with_sld=True)
-        # Tr[X L] = sum_ij X_ij L_ji, and rho'_kl = factor * R_kl per block
+        # Tr[X L] = sum_ij X_ij L_ji; with L = iJ the blocks of Z^T are 2 f J + J J
         dual = np.concatenate(
-            [(2.0 * f * sld.T - (sld @ sld).T).ravel()
-             for f, sld in zip(self.factors, result.sld)])
+            [(2.0 * f * j + j @ j).ravel() for f, j in zip(self.factors, result.sld)])
         m = self.fold.T @ self.channel.real_adjoint(dual).reshape(self.n + 1, -1) @ self.fold
         m = 0.5 * (m + m.T)
         gradient = 2.0 * (m @ alpha - result.qfi * self.metric * alpha)

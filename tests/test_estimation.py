@@ -165,7 +165,7 @@ def test_class_cutoff_comes_from_the_whole_block(t, big, pair):
     # w (i - j)^2.  At w = 2e-14 the pair lies below 1e-12 of the block's
     # largest eigenvalue, though not of its own class's, whichever class
     # size is solved first
-    blocks = FlatBlocks(np.zeros(55, dtype=complex), 4)
+    blocks = FlatBlocks(np.zeros(55), 4)
     _, block = blocks[t]
     block[big, big] = 1.0 / len(big)
     pairs = BlockPairs(blocks.flat, generator_flat(4, 0.0), 4, 2)
@@ -197,8 +197,8 @@ def test_stride_one_sld_matches_unsplit_blocks(n, eta):
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=0.05, eta=eta)
     assert family.stride == 1
     got, want = _assert_matches_unsplit(family, with_sld=True)
-    for t, (a, b) in enumerate(zip(got.sld, want.sld)):
-        assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), t
+    for t, (j, b) in enumerate(zip(got.sld, want.sld)):
+        assert np.abs(1j * j - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), t
 
 
 def test_class_split_sld_is_zero_between_classes():

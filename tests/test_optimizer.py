@@ -190,7 +190,7 @@ def test_seesaw_matrix_matches_dense_model_rows(n, eta):
     for seed in range(3):
         alpha = _unit(problem, np.random.default_rng(seed))
         _, m, _ = model.seesaw(alpha)
-        slds = _qfi_from_block_pairs(model._pairs(alpha), with_sld=True).sld
+        slds = [1j * j for j in _qfi_from_block_pairs(model._pairs(alpha), with_sld=True).sld]
         want = oracle.seesaw_matrix(rows, slds, model.g_flat, n)
         assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
 

@@ -75,12 +75,16 @@ def test_qfi_does_not_grow_with_loss(spec, eta_a, eta_b, chi):
 
 
 @PROPERTY_SETTINGS
-@given(specs(), st.floats(0.0, 0.99))
-def test_qfi_below_linear_loss_bound(spec, eta):
+@given(specs(), st.floats(0.0, 0.99), chis)
+def test_qfi_below_linear_loss_bound(spec, eta, chi):
     # without Kerr, loss caps the Fisher information of any N-photon input
-    # at eta N / (1 - eta) (Demkowicz-Dobrzanski, Kolodynski and Guta 2012)
-    bound = eta * spec.N / (1.0 - eta)
-    assert PhasedFamily(spec, chi=0.0, eta=eta).qfi().qfi <= bound * (1 + 1e-12) + 1e-12
+    # at eta N / (1 - eta) (Demkowicz-Dobrzanski, Kolodynski and Guta 2012).
+    # On the N-photon shell the Kerr generator is theta (n2 - n1)/2 with
+    # theta = 1 + chi N/2, and loss commutes with it, so the bound holds
+    # times theta^2
+    theta = 1.0 + 0.5 * chi * spec.N
+    bound = theta ** 2 * eta * spec.N / (1.0 - eta)
+    assert PhasedFamily(spec, chi=chi, eta=eta).qfi().qfi <= bound * (1 + 1e-12) + 1e-12
 
 
 @PROPERTY_SETTINGS
