@@ -33,6 +33,7 @@ from .fock import (
     PSD_FLOOR,
     TwoModeBasis,
     block_diagonal,
+    block_entries,
     block_offsets,
     lowering_power,
 )
@@ -47,15 +48,20 @@ RANK_CUTOFF_FACTOR = 1e-12
 # |d<O>/dphi| at most this fraction of the largest slope the profile can
 # reach, sum_j |d_j w_j|, marks a degenerate operating point
 DEGENERACY_FACTOR = 1e-12
-# variance below this fraction of <O^2> + <O>^2 is round-off, not signal:
-# <O^2> - <O>^2 cancels catastrophically right where the slope vanishes,
-# so such points belong to the degenerate neighborhood as well
-VARIANCE_FLOOR_FACTOR = 1e-8
 GOLDEN_TOL = 1e-10
+# class entries per chunk of the readout weights
+CHUNK_ENTRIES = 1 << 16
 # delta_phi values this close (relative) tie.  On a flat profile (eta = 1,
-# k = 0, m = N) the default grid spreads by round-off up to 9.4e-11 for
+# k = 0, m = N) the default grid spreads by round-off up to 1.2e-10 for
 # N <= 60, mostly next to the degenerate points, where Var O cancels
 TIE_RTOL = 1e-9
+# variance below this fraction of <O^2> + <O>^2 is round-off, not signal:
+# <O^2> - <O>^2 cancels catastrophically right where the slope vanishes,
+# so such points belong to the degenerate neighborhood as well.  Var O
+# carries a relative round-off of about eps (|<O^2>| + <O>^2) / Var, so
+# above this floor delta_phi moves by round-off at most ~1e-10, a decade
+# below TIE_RTOL: no point next to a degenerate one can undercut a tie
+VARIANCE_FLOOR_FACTOR = 1e3 * TIE_RTOL
 
 
 class DegenerateOperatingPointError(RuntimeError):
@@ -93,10 +99,6 @@ class ReadoutResult:
     delta_phi: np.ndarray
     min_delta_phi: float
     argmin_phi: float
-
-
-def spectral_norm(matrix: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
 
 
 def qfi_pure_analytic(N: int, k: int, chi: float) -> float:
@@ -334,25 +336,79 @@ class PhasedFamily:
     def moment_profile(self, obs: HermitianOperator) -> "MomentProfile":
         """Exact scan machinery: <O>(phi) = Re sum_j w_j e^{i phi theta j}
         with theta = 1 + chi N/2 and w_j = sum_T sum_{c-r=j} rho_0[r, c] O[c, r],
-        and likewise for <O^2>."""
+        and likewise for <O^2>.
+
+        Each block of O, and of O^2, splits into the residue classes of its
+        index mod the observable's own stride, so ||O||, O^2 and the terms
+        rho_0[r, c] O[c, r] come class by class, one batched call per class
+        size.  The terms are then summed per (T, j) in flat-buffer order and
+        the rows added in T order: the sums a block-by-block bincount forms,
+        in the same order.
+        """
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
         N = self.input_spec.N
-        # a power of two keeps O/scale and its square finite (|O| reaches N!,
-        # whose square overflows from N = 99) and scales exactly
-        obs_norm = max(spectral_norm(b) for _, b in obs.blocks)
+        # the gcd of c - r over the nonzero entries (r, c): m for
+        # measurement_mm(m), 0 for a diagonal observable, 1 in general
+        _, r, c = block_entries(N, obs.support)
+        stride = int(np.gcd.reduce(c - r))
+        # the eigenvalues of a block are those of its classes.  A power of
+        # two keeps O/scale and its square finite (|O| reaches N!, whose
+        # square overflows from N = 99) and scales exactly
+        obs_norm = max(float(np.abs(np.linalg.eigvalsh(obs.matrix[gather])).max())
+                       for _, gather, _ in _residue_classes(N, stride))
         scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
-        w_mean = np.zeros(2 * N + 1, dtype=complex)
-        w_sq = np.zeros(2 * N + 1, dtype=complex)
-        for t, (rho_block, (_, o_block)) in enumerate(zip(self.rho0, obs.blocks)):
-            o_block = o_block / scale
-            offset = (np.arange(t + 1)[None, :] - np.arange(t + 1)[:, None] + N).ravel()
-            for w, o in ((w_mean, o_block), (w_sq, o_block @ o_block)):
-                terms = (rho_block * o.T).ravel()
-                w += (np.bincount(offset, terms.real, 2 * N + 1)
-                      + 1j * np.bincount(offset, terms.imag, 2 * N + 1))
+        width = 2 * N + 1
+        # per (T, j): the real and imaginary sums of the mean terms, then
+        # those of the second-moment terms
+        rows = np.zeros((4, N + 1, width))
+        for t0, t1, gathers, order, bins in _class_chunks(N, stride):
+            mean_terms, sq_terms = [], []
+            for gather in gathers:
+                rho = self.rho0_flat[gather]
+                rho = 0.5 * (rho + rho.swapaxes(1, 2))
+                o = obs.matrix[gather] / scale
+                mean_terms.append((rho * o.swapaxes(1, 2)).ravel())
+                sq_terms.append((rho * (o @ o).swapaxes(1, 2)).ravel())
+            mean, sq = (np.concatenate(terms)[order] for terms in (mean_terms, sq_terms))
+            for i, part in enumerate((mean.real, mean.imag, sq.real, sq.imag)):
+                rows[i, t0:t1] = np.bincount(bins, part, (t1 - t0) * width).reshape(-1, width)
+        # row by row in T order
+        w_mean_re, w_mean_im, w_sq_re, w_sq_im = (row.sum(axis=0) for row in rows)
         freqs = (1.0 + 0.5 * self.chi * N) * np.arange(-N, N + 1)
-        return MomentProfile(freqs, w_mean, w_sq, obs_norm / scale, scale)
+        return MomentProfile(freqs, w_mean_re + 1j * w_mean_im, w_sq_re + 1j * w_sq_im,
+                             obs_norm / scale, scale)
+
+
+def _class_chunks(n_max: int, stride: int):
+    """The classes of ``_residue_classes(n_max, stride)`` in chunks of
+    consecutive blocks t0 <= T < t1 with about CHUNK_ENTRIES class entries
+    (one block at least), which bound the readout's temporaries.
+
+    Yields (t0, t1, gathers, order, bins): the chunk's slice of each
+    stack's gather (a stack lists its classes in T order); the permutation
+    that puts the chunk's class entries, gather by gather and raveled, in
+    flat-buffer order (a plain slice when they are in it already); and the
+    bin (T - t0)(2 n_max + 1) + n_max + c - r of each sorted entry (r, c).
+    """
+    stacks = _residue_classes(n_max, stride)
+    entries = sum(np.bincount(blocks, minlength=n_max + 1) * gather.shape[1] ** 2
+                  for blocks, gather, _ in stacks)
+    bounds = [0]
+    while bounds[-1] <= n_max:
+        total = np.cumsum(entries[bounds[-1]:])
+        bounds.append(bounds[-1] + max(1, int(np.searchsorted(total, CHUNK_ENTRIES,
+                                                              side="right"))))
+    cuts = [np.searchsorted(blocks, bounds).tolist() for blocks, _, _ in stacks]
+    for i, (t0, t1) in enumerate(zip(bounds, bounds[1:])):
+        gathers = [gather[cut[i]:cut[i + 1]] for (_, gather, _), cut in zip(stacks, cuts)
+                   if cut[i] < cut[i + 1]]
+        positions = np.concatenate([gather.ravel() for gather in gathers])
+        # classes that are whole blocks (stride 1) come in flat order already
+        order = (slice(None) if (positions[1:] > positions[:-1]).all()
+                 else np.argsort(positions, kind="stable"))
+        t, r, c = block_entries(n_max, positions[order])
+        yield t0, t1, gathers, order, (t - t0) * (2 * n_max + 1) + n_max + c - r
 
 
 class MomentProfile:
@@ -365,14 +421,16 @@ class MomentProfile:
 
     def __init__(self, freqs: np.ndarray, w_mean: np.ndarray,
                  w_sq: np.ndarray, obs_norm: float, scale: float):
-        self.freqs = freqs
-        self.w_mean = w_mean.astype(complex)
-        self.w_sq = w_sq.astype(complex)
+        w_mean = np.asarray(w_mean, dtype=complex)
+        w_sq = np.asarray(w_sq, dtype=complex)
+        # a frequency whose weights are both zero adds exact zeros: drop it
+        keep = (w_mean != 0) | (w_sq != 0)
+        self.freqs, self.w_mean, self.w_sq = np.asarray(freqs)[keep], w_mean[keep], w_sq[keep]
         self.obs_norm = obs_norm
         self.scale = scale
         # relative to the signal, not to ||O||: under heavy loss the branch
         # coherence, and with it every slope, lies many orders below ||O||
-        self.slope_floor = DEGENERACY_FACTOR * float(np.abs(freqs * self.w_mean).sum())
+        self.slope_floor = DEGENERACY_FACTOR * float(np.abs(self.freqs * self.w_mean).sum())
 
     def _phases(self, phi):
         return np.exp(1j * np.multiply.outer(np.asarray(phi, dtype=float),
@@ -489,8 +547,10 @@ def min_delta_phi(profile: MomentProfile,
     f_grid = deltas[i_best]
     lo = grid[max(i_best - 1, 0)]
     hi = grid[min(i_best + 1, grid.size - 1)]
-    guarded = lambda x: np.nan_to_num(
-        float(profile.delta_phi(np.atleast_1d(x))[0]), nan=np.inf)
+    def guarded(x):
+        value = float(profile.delta_phi(np.atleast_1d(x))[0])
+        return math.inf if math.isnan(value) else value
+
     if hi > lo:
         x_star, f_star = _golden_section(guarded, lo, hi, GOLDEN_TOL)
     else:

@@ -15,6 +15,8 @@ reference is ``blockwise_qfi``, the spectral step before its
 residue-class split: one dense eigh per total-photon-number block.
 ``model_rows`` is the see-saw model before its channel map: one dense row
 of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
+``moment_profile`` is the readout's moment profile before its residue-class
+split: one dense ``spectral_norm``, product and bincount per block.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from kerrmet.estimation import (
     PhasedFamily,
     QfiResult,
     _clamped_probabilities,
-    spectral_norm,
 )
 from kerrmet import fock
 from kerrmet.fock import (
@@ -425,6 +426,43 @@ def blockwise_qfi(pairs, with_sld: bool = False) -> QfiResult:
 def qfi(rho: DensityOperator, rho_prime: DenseOperator) -> float:
     """Fisher information Tr[rho' L] with L the full-matrix SLD."""
     return float(np.sum(rho_prime.matrix * sld(rho, rho_prime).matrix.T).real)
+
+
+def spectral_norm(matrix: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvalsh(matrix)).max())
+
+
+@dataclass
+class BlockwiseProfile:
+    """The weights of a moment profile at every frequency j = -N..N,
+    zeros included, with the profile's ||O|| (in units of the scale) and
+    scale."""
+
+    freqs: np.ndarray
+    w_mean: np.ndarray
+    w_sq: np.ndarray
+    obs_norm: float
+    scale: float
+
+
+def moment_profile(family: PhasedFamily, obs: HermitianOperator) -> BlockwiseProfile:
+    """The moment profile block by block, before its residue-class split:
+    ||O|| from one dense eigvalsh per block, O^2 from one dense product per
+    block, and the weights from one bincount per block, added in T order."""
+    N = family.input_spec.N
+    obs_norm = max(spectral_norm(b) for _, b in obs.blocks)
+    scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
+    w_mean = np.zeros(2 * N + 1, dtype=complex)
+    w_sq = np.zeros(2 * N + 1, dtype=complex)
+    for t, (rho_block, (_, o_block)) in enumerate(zip(family.rho0, obs.blocks)):
+        o_block = o_block / scale
+        offset = (np.arange(t + 1)[None, :] - np.arange(t + 1)[:, None] + N).ravel()
+        for w, o in ((w_mean, o_block), (w_sq, o_block @ o_block)):
+            terms = (rho_block * o.T).ravel()
+            w += (np.bincount(offset, terms.real, 2 * N + 1)
+                  + 1j * np.bincount(offset, terms.imag, 2 * N + 1))
+    freqs = (1.0 + 0.5 * family.chi * N) * np.arange(-N, N + 1)
+    return BlockwiseProfile(freqs, w_mean, w_sq, obs_norm / scale, scale)
 
 
 def delta_phi(family: PhasedFamily, obs, phi: float) -> float:

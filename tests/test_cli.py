@@ -207,16 +207,33 @@ def test_readout_scan_near_balanced_single_photon_counting(tmp_path):
     assert float(row["inv_delta_phi"]) == pytest.approx(c1 / math.sqrt(a), rel=1e-9)
 
 
+def assert_flat_rows_report_smallest_phi(out):
+    _, rows = read_csv(out)
+    assert rows and [row["phi_star"] for row in rows] == ["0.0"] * len(rows)
+    for row in rows:
+        assert float(row["delta_phi_min"]) == pytest.approx(float(row["qcrb"]), rel=1e-9)
+
+
 def test_readout_scan_flat_profile_reports_smallest_phi(tmp_path):
     # at eta = 1, k = 0, m = N delta_phi equals the QCRB at every phi, so
     # the grid points tie and the smallest phi is reported, not one picked
-    # by round-off
+    # by round-off next to a degenerate point (N = 21 and 41 did so before
+    # the variance floor followed TIE_RTOL)
     out = tmp_path / "flat.csv"
-    code = main(["--command", "readout-scan", "--n-range", "10:30:10",
+    code = main(["--command", "readout-scan", "--n-range", "1:60",
                  "--eta", "1.0", "--k", "0", "--out", str(out)])
     assert code == 0
-    _, rows = read_csv(out)
-    assert [row["phi_star"] for row in rows] == ["0.0"] * 3
+    assert_flat_rows_report_smallest_phi(out)
+
+
+def test_readout_scan_flat_profile_without_kerr_reports_smallest_phi(tmp_path):
+    # at chi = 0 the N = 23 row reported phi_star 1.844 with delta_phi_min
+    # 2.5e-9 below its QCRB before the variance floor followed TIE_RTOL
+    out = tmp_path / "flat.csv"
+    code = main(["--command", "readout-scan", "--n-range", "23", "--eta", "1.0",
+                 "--k", "0", "--chi", "0", "--out", str(out)])
+    assert code == 0
+    assert_flat_rows_report_smallest_phi(out)
 
 
 def test_readout_scan_reaches_n_100(tmp_path):

@@ -11,6 +11,7 @@ from kerrmet.estimation import (
     MomentProfile,
     PhasedFamily,
     UndefinedBoundError,
+    _class_chunks,
     _qfi_from_block_pairs,
     generator_flat,
     max_qfi_over_k,
@@ -28,7 +29,7 @@ from kerrmet.fock import (
     block_offsets,
     falling_factorial,
 )
-from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
+from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 
 
 def qfi_pinv_oracle(rho: oracle.DensityOperator, rhop: oracle.DenseOperator) -> float:
@@ -450,6 +451,78 @@ def test_moment_profile_past_the_float_range():
         profile.variance(phi)
     scan = min_delta_phi(profile)
     assert scan.min_delta_phi >= qcrb(family.qfi().qfi) - 1e-9
+
+
+def random_block_hermitian(basis: TwoModeBasis, rng) -> HermitianOperator:
+    """Dense random Hermitian blocks: every offset c - r occurs (stride 1)."""
+    blocks = []
+    for t in range(basis.n_total_max + 1):
+        a = rng.normal(size=(t + 1, t + 1)) + 1j * rng.normal(size=(t + 1, t + 1))
+        blocks.append((a + a.conj().T).ravel())
+    return HermitianOperator(basis, np.concatenate(blocks))
+
+
+def assert_profile_matches_oracle(family, obs):
+    got = family.moment_profile(obs)
+    want = oracle.moment_profile(family, obs)
+    kept = np.isin(want.freqs, got.freqs)
+    assert np.array_equal(got.freqs, want.freqs[kept])
+    assert np.array_equal(got.w_mean, want.w_mean[kept])
+    assert np.array_equal(got.w_sq, want.w_sq[kept])
+    assert not want.w_mean[~kept].any() and not want.w_sq[~kept].any()
+    assert got.scale == want.scale
+    # eigvalsh of a class and of its whole block round differently: ||O||
+    # agrees to the eigensolver's error, at most (N + 1) eps ||O||
+    n = family.input_spec.N
+    assert abs(got.obs_norm - want.obs_norm) <= (n + 1) * np.finfo(float).eps * want.obs_norm
+    return got
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.05])
+@pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
+def test_moment_profile_matches_the_blockwise_oracle(eta, chi):
+    # class-by-class weights equal the per-block bincount bit for bit: every
+    # m on a random dense input, plus the identity (stride 0) and a random
+    # block-Hermitian observable (stride 1); every k at the readout m = N - 2k
+    rng = np.random.default_rng(12)
+    for n in range(1, 25):
+        basis = TwoModeBasis(n)
+        alpha = rng.normal(size=superposition_length(n))
+        family = PhasedFamily(SuperpositionSpec.normalized(n, alpha), chi=chi, eta=eta)
+        identity = np.zeros(block_offsets(n)[-1])
+        identity[block_diagonal(n)] = 1.0
+        observables = [measurement_mm(m, basis) for m in range(1, n + 2)]
+        for obs in observables + [HermitianOperator(basis, identity),
+                                  random_block_hermitian(basis, rng)]:
+            assert_profile_matches_oracle(family, obs)
+        for k in range(n // 2 + 1):
+            family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
+            profile = assert_profile_matches_oracle(family, observables[(n - 2 * k or n) - 1])
+            assert len(profile.freqs) <= 5
+
+
+def test_moment_profile_matches_the_oracle_across_chunks():
+    # at N = 60 a stride-1 observable has more class entries than one chunk
+    # holds: the chunks' bins join into the same weights
+    rng = np.random.default_rng(60)
+    n = 60
+    assert len(list(_class_chunks(n, 1))) > 1
+    alpha = rng.normal(size=superposition_length(n))
+    family = PhasedFamily(SuperpositionSpec.normalized(n, alpha), chi=0.05, eta=0.8)
+    for obs in (measurement_mm(1, family.basis), random_block_hermitian(family.basis, rng),
+                measurement_mm(3, family.basis)):
+        assert_profile_matches_oracle(family, obs)
+
+
+def test_coincidence_profile_keeps_at_most_five_frequencies():
+    # mean at offsets +-m, second moment at 0 and +-2m: the other 2N - 4
+    # frequencies carry exact zeros and are dropped
+    for n, k, m in ((40, 0, 40), (45, 3, 39), (80, 30, 20), (12, 2, 3), (9, 1, 1)):
+        family = PhasedFamily(NoonLikeSpec(n, k), chi=1e-8, eta=0.9)
+        profile = family.moment_profile(measurement_mm(m, family.basis))
+        assert 0 < len(profile.freqs) <= 5
+        assert set(np.round(profile.freqs / (1 + 0.5e-8 * n)).astype(int)) <= {
+            -2 * m, -m, 0, m, 2 * m}
 
 
 def profile_moments(family, obs, phi):

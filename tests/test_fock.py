@@ -6,10 +6,12 @@ import pytest
 import oracle
 from kerrmet.fock import (
     BasisMismatchError,
+    FlatBlocks,
     HermitianOperator,
     TruncationError,
     TwoModeBasis,
     block_diagonal,
+    block_entries,
     block_offsets,
     falling_factorial,
     lowering_power,
@@ -296,3 +298,32 @@ def test_operator_hermiticity_is_checked_in_every_block(t):
     flat[block_offsets(4)[t]] = 1j  # an imaginary diagonal entry
     with pytest.raises(ValueError, match="not Hermitian"):
         HermitianOperator(basis, flat)
+
+
+def test_block_entries_locate_every_flat_position():
+    n_max = 6
+    positions = np.arange(block_offsets(n_max)[-1])
+    t, r, c = block_entries(n_max, positions)
+    for block, view in FlatBlocks(positions, n_max):
+        rows, cols = np.indices(view.shape)
+        assert (t[view] == block).all()
+        assert np.array_equal(r[view], rows) and np.array_equal(c[view], cols)
+
+
+def test_operator_check_reports_the_largest_blockwise_deviation():
+    basis = TwoModeBasis(5)
+    flat = flat_identity(5)
+    flat[block_offsets(5)[3] + 2] = 3e-6  # entry (0, 2) of block 3
+    flat[block_offsets(5)[5] + 6 * 4 + 1] = 1e-6j  # entry (4, 1) of block 5
+    want = max(np.abs(b - b.conj().T).max() for _, b in FlatBlocks(flat, 5))
+    with pytest.raises(ValueError, match=f"max deviation {want:.3e}"):
+        HermitianOperator(basis, flat)
+
+
+def test_operator_support_lists_the_nonzero_entries():
+    basis = TwoModeBasis(5)
+    flat = flat_identity(5)
+    flat[block_offsets(5)[4] + 3] = 2j  # entry (0, 3) of block 4
+    flat[block_offsets(5)[4] + 3 * 5] = -2j  # and its mirror (3, 0)
+    op = HermitianOperator(basis, flat)
+    assert np.array_equal(op.support, np.flatnonzero(flat))

@@ -20,6 +20,7 @@ ORACLE_NAMES = {
     "g_tilde", "generator_diagonal", "generator_h", "apply_phase",
     "superposition_state", "DenseOperator", "BlockStructureError", "block_split",
     "_check_hermitian", "_band_rows", "_entries", "derivative_factors",
+    "spectral_norm",
 }
 # methods that belong to the dense oracle, or were deleted
 ORACLE_METHODS = {
