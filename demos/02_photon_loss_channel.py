@@ -19,18 +19,21 @@ linearly in N.
 import numpy as np
 
 from kerrmet import NoonLikeSpec, PhasedFamily, max_qfi_over_k
+from kerrmet.fock import FlatBlocks
 
 # ----------------------------------------------------------------------
 # The lossy state block by block: weight and purity.
 
 N, k, eta, chi = 6, 1, 0.7, 1e-2
 family = PhasedFamily(NoonLikeSpec(N, k), chi=chi, eta=eta)
+# rho_0 holds its blocks T = 0..N one after another in one flat buffer
+blocks = [block for _, block in FlatBlocks(family.rho0_flat, N)]
 print(f"N = {N}, k = {k}, eta = {eta}: weight of each surviving photon number T")
-for t, block in enumerate(family.rho0):
+for t, block in enumerate(blocks):
     print(f"  T = {t}: {block.trace().real:.6f}")
-trace = sum(block.trace().real for block in family.rho0)
+trace = sum(block.trace().real for block in blocks)
 # Tr rho^2 = sum_T sum_ij |rho_T[i, j]|^2, since each block is Hermitian
-purity = sum(np.sum(np.abs(block) ** 2) for block in family.rho0)
+purity = sum(np.sum(np.abs(block) ** 2) for block in blocks)
 print(f"trace = {trace:.15f}, purity = {purity:.6f}")
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .fock import (
     PSD_FLOOR,
     TwoModeBasis,
     block_diagonal,
-    block_entries,
     block_offsets,
     lowering_power,
 )
@@ -49,8 +48,6 @@ RANK_CUTOFF_FACTOR = 1e-12
 # reach, sum_j |d_j w_j|, marks a degenerate operating point
 DEGENERACY_FACTOR = 1e-12
 GOLDEN_TOL = 1e-10
-# class entries per chunk of the readout weights
-CHUNK_ENTRIES = 1 << 16
 # delta_phi values this close (relative) tie.  On a flat profile (eta = 1,
 # k = 0, m = N) the default grid spreads by round-off up to 1.2e-10 for
 # N <= 60, mostly next to the degenerate points, where Var O cancels
@@ -252,22 +249,15 @@ def measurement_mm(m: int, basis: TwoModeBasis) -> HermitianOperator:
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    n_max = basis.n_total_max
-    out = np.zeros(block_offsets(n_max)[-1], dtype=complex)
-    # x = (a1^m)^dag a2^m takes |n1, n2> to |n1 + m, n2 - m> in the same block
-    # T, with the a2^m amplitude of the source times the a1^m amplitude of
-    # the target: one entry per column at in-block position (n1 + m, n1),
-    # and x^dag one at (n1, n1 + m).  Each x is at most N!/(N-m)!, so it is
-    # finite whenever the amplitudes are
+    # x = (a1^m)^dag a2^m takes |n1, n2> to |n1 + m, n2 - m> with the a2^m
+    # amplitude of the source times the a1^m amplitude of the target.  Each
+    # x is at most N!/(N-m)!, so it is finite whenever the amplitudes are
     a1 = lowering_power(1, m, basis)
     a2 = lowering_power(2, m, basis)
     src = np.flatnonzero(basis.n2 >= m)
-    x = a1[src + m].conj() * a2[src]
-    t, n1 = basis.total[src], basis.n1[src]
-    start = block_offsets(n_max)[t] + n1 * (t + 1) + n1
-    out[start + m * (t + 1)] = 1j * x
-    out[start + m] = 1j * -x.conj()
-    return HermitianOperator(basis, out)
+    x = np.zeros(basis.dim)
+    x[src] = a1[src + m] * a2[src]
+    return HermitianOperator(basis, m, x)
 
 
 def generator_flat(N: int, chi: float) -> np.ndarray:
@@ -321,12 +311,6 @@ class PhasedFamily:
             raise NumericalError(f"family state trace {trace!r} deviates from 1")
         self.g_flat = generator_flat(N, self.chi)
 
-    @property
-    def rho0(self) -> list[np.ndarray]:
-        """The blocks T = 0..N of rho_0 (symmetric parts, built on demand)."""
-        return [0.5 * (b + b.T)
-                for _, b in FlatBlocks(self.rho0_flat, self.input_spec.N)]
-
     def _pairs(self) -> BlockPairs:
         return BlockPairs(self.rho0_flat, self.g_flat, self.input_spec.N, self.stride)
 
@@ -338,77 +322,57 @@ class PhasedFamily:
         with theta = 1 + chi N/2 and w_j = sum_T sum_{c-r=j} rho_0[r, c] O[c, r],
         and likewise for <O^2>.
 
-        Each block of O, and of O^2, splits into the residue classes of its
-        index mod the observable's own stride, so ||O||, O^2 and the terms
-        rho_0[r, c] O[c, r] come class by class, one batched call per class
-        size.  The terms are then summed per (T, j) in flat-buffer order and
-        the rows added in T order: the sums a block-by-block bincount forms,
-        in the same order.
+        O = measurement_mm(m) is tridiagonal on the residue classes of each
+        block's index mod m, so ||O||, O^2 and the terms rho_0[r, c] O[c, r]
+        come class by class, one batched call per class size.  Only the terms
+        at class offsets +-1 (of <O>) and 0, +-2 (of <O^2>) can be nonzero;
+        summed per (T, j) in flat-buffer order, then the rows in T order,
+        they give a block-by-block bincount's sums in its order, less zeros.
         """
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
         N = self.input_spec.N
-        # the gcd of c - r over the nonzero entries (r, c): m for
-        # measurement_mm(m), 0 for a diagonal observable, 1 in general
-        _, r, c = block_entries(N, obs.support)
-        stride = int(np.gcd.reduce(c - r))
+        stride = obs.m if obs.m <= N else 0  # a zero band has no stride
+        stacks = _residue_classes(N, stride)
+
+        def classes(diag):  # the class matrices of O in a stack
+            x, below = obs.matrix[diag[:, :-1]], np.arange(diag.shape[1] - 1)
+            o = np.zeros(diag.shape + diag.shape[1:], dtype=complex)
+            o[:, below + 1, below] = 1j * x
+            o[:, below, below + 1] = 1j * -x.conj()
+            return o
+
         # the eigenvalues of a block are those of its classes.  A power of
         # two keeps O/scale and its square finite (|O| reaches N!, whose
         # square overflows from N = 99) and scales exactly
-        obs_norm = max(float(np.abs(np.linalg.eigvalsh(obs.matrix[gather])).max())
-                       for _, gather, _ in _residue_classes(N, stride))
+        obs_norm = max(float(np.abs(np.linalg.eigvalsh(classes(diag))).max())
+                       for _, _, diag in stacks)
         scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
-        width = 2 * N + 1
-        # per (T, j): the real and imaginary sums of the mean terms, then
-        # those of the second-moment terms
-        rows = np.zeros((4, N + 1, width))
-        for t0, t1, gathers, order, bins in _class_chunks(N, stride):
-            mean_terms, sq_terms = [], []
-            for gather in gathers:
-                rho = self.rho0_flat[gather]
-                rho = 0.5 * (rho + rho.swapaxes(1, 2))
-                o = obs.matrix[gather] / scale
-                mean_terms.append((rho * o.swapaxes(1, 2)).ravel())
-                sq_terms.append((rho * (o @ o).swapaxes(1, 2)).ravel())
-            mean, sq = (np.concatenate(terms)[order] for terms in (mean_terms, sq_terms))
-            for i, part in enumerate((mean.real, mean.imag, sq.real, sq.imag)):
-                rows[i, t0:t1] = np.bincount(bins, part, (t1 - t0) * width).reshape(-1, width)
-        # row by row in T order
-        w_mean_re, w_mean_im, w_sq_re, w_sq_im = (row.sum(axis=0) for row in rows)
+        width, size = 2 * N + 1, int(block_offsets(N)[-1])
+        # per moment, the terms at the class offsets where they can be
+        # nonzero, keyed by their bin (T, j) and then their flat position
+        moments = [((-1, 1), [], []), ((-2, 0, 2), [], [])]
+        for blocks, gather, diag in stacks:
+            rho = self.rho0_flat[gather]
+            rho = 0.5 * (rho + rho.swapaxes(1, 2))
+            o = classes(diag) / scale
+            for (offsets, keys, terms), product in zip(moments, (o, o @ o)):
+                products = rho * product.swapaxes(1, 2)
+                for d in offsets:
+                    bins = blocks * width + N + d * stride
+                    keys.append((bins[:, None] * size + gather.diagonal(d, 1, 2)).ravel())
+                    terms.append(products.diagonal(d, 1, 2).ravel())
+        weights = []
+        for _, keys, terms in moments:
+            keys = np.concatenate(keys)
+            order = np.argsort(keys)
+            bins, terms = keys[order] // size, np.concatenate(terms)[order]
+            # each bin in flat order, then the rows in T order
+            re, im = (np.bincount(bins, part, (N + 1) * width).reshape(N + 1, width).sum(axis=0)
+                      for part in (terms.real, terms.imag))
+            weights.append(re + 1j * im)
         freqs = (1.0 + 0.5 * self.chi * N) * np.arange(-N, N + 1)
-        return MomentProfile(freqs, w_mean_re + 1j * w_mean_im, w_sq_re + 1j * w_sq_im,
-                             obs_norm / scale, scale)
-
-
-def _class_chunks(n_max: int, stride: int):
-    """The classes of ``_residue_classes(n_max, stride)`` in chunks of
-    consecutive blocks t0 <= T < t1 with about CHUNK_ENTRIES class entries
-    (one block at least), which bound the readout's temporaries.
-
-    Yields (t0, t1, gathers, order, bins): the chunk's slice of each
-    stack's gather (a stack lists its classes in T order); the permutation
-    that puts the chunk's class entries, gather by gather and raveled, in
-    flat-buffer order (a plain slice when they are in it already); and the
-    bin (T - t0)(2 n_max + 1) + n_max + c - r of each sorted entry (r, c).
-    """
-    stacks = _residue_classes(n_max, stride)
-    entries = sum(np.bincount(blocks, minlength=n_max + 1) * gather.shape[1] ** 2
-                  for blocks, gather, _ in stacks)
-    bounds = [0]
-    while bounds[-1] <= n_max:
-        total = np.cumsum(entries[bounds[-1]:])
-        bounds.append(bounds[-1] + max(1, int(np.searchsorted(total, CHUNK_ENTRIES,
-                                                              side="right"))))
-    cuts = [np.searchsorted(blocks, bounds).tolist() for blocks, _, _ in stacks]
-    for i, (t0, t1) in enumerate(zip(bounds, bounds[1:])):
-        gathers = [gather[cut[i]:cut[i + 1]] for (_, gather, _), cut in zip(stacks, cuts)
-                   if cut[i] < cut[i + 1]]
-        positions = np.concatenate([gather.ravel() for gather in gathers])
-        # classes that are whole blocks (stride 1) come in flat order already
-        order = (slice(None) if (positions[1:] > positions[:-1]).all()
-                 else np.argsort(positions, kind="stable"))
-        t, r, c = block_entries(n_max, positions[order])
-        yield t0, t1, gathers, order, (t - t0) * (2 * n_max + 1) + n_max + c - r
+        return MomentProfile(freqs, *weights, obs_norm / scale, scale)
 
 
 class MomentProfile:

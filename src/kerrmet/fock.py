@@ -6,24 +6,23 @@ the states with total T + 1, and within a block the occupation of mode 1
 ascends.  Every operator built in this package (phase evolution, photon
 loss, coincidence observables) either conserves or only lowers the total
 photon number, so density matrices and observables stay block-diagonal in
-T.  Both keep their blocks T = 0..N one after another in a single flat
-buffer (``FlatBlocks``; an observable is a ``HermitianOperator`` over
-such a buffer), and no dim x dim matrix is built: a lowering power a^m,
-which shifts every state by m photons in one mode, is held as one
-amplitude per column.  The spectral step splits each block of a state
-further into the residue classes of its index modulo the branch stride
-of the input (see ``kerrmet.estimation``).
+T.  A state keeps its blocks T = 0..N one after another in one flat
+buffer (``FlatBlocks``), and no dim x dim matrix is built: a lowering
+power a^m, which shifts every state by m photons in one mode, is held as
+one amplitude per column, and so is the coincidence readout, a band at
+offsets +-m in each block (``HermitianOperator``).  The spectral step
+splits each block of a state into the residue classes of its index
+modulo the branch stride of the input (see ``kerrmet.estimation``).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
 PSD_FLOOR = -1e-10
 
 # above this occupation, scalar combinatorics switch to log-gamma floats
@@ -121,15 +120,6 @@ def block_diagonal(n_max: int) -> np.ndarray:
     return block_offsets(n_max)[t] + i * (t + 2)
 
 
-def block_entries(n_max: int, positions: np.ndarray):
-    """Block T, row r and column c of each position of a flat buffer laid
-    out by ``block_offsets``."""
-    offsets = block_offsets(n_max)
-    t = np.searchsorted(offsets, positions, side="right") - 1
-    r, c = np.divmod(positions - offsets[t], t + 1)
-    return t, r, c
-
-
 class FlatBlocks(Sequence):
     """Blocks T = 0..n_max of a block-diagonal operator, held in one flat
     buffer laid out by ``block_offsets``; item T is the pair (T, block)
@@ -151,36 +141,21 @@ class FlatBlocks(Sequence):
 
 @dataclass(eq=False)
 class HermitianOperator:
-    """Hermitian operator that conserves the total photon number
-    (observables), held as its blocks T = 0..n_total_max in one flat buffer
-    laid out by ``block_offsets``; ``matrix`` is that buffer and ``blocks``
-    views it block by block.  ``support`` holds the flat positions of the
-    nonzero entries, found by the Hermiticity check."""
+    """The m-photon coincidence readout O = i(x - x^dag), x = (a1^dag)^m a2^m,
+    as a band: entry j of ``matrix`` is x_j, the real amplitude of the shift
+    |n1, n2> -> |n1 + m, n2 - m> of basis state j (0 where n2 < m).  O holds
+    i x_j at in-block position (n1 + m, n1) and -i x_j at (n1, n1 + m), so
+    it is Hermitian by construction."""
 
     basis: TwoModeBasis
+    m: int
     matrix: np.ndarray
-    support: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=complex)
-        size = block_offsets(self.basis.n_total_max)[-1]
-        if self.matrix.shape != (size,):
-            raise ValueError(f"block buffer shape {self.matrix.shape} does not match "
-                             f"length {size}")
-        # one pass finds the nonzero entries.  |O[r, c] - conj(O[c, r])| is
-        # the same from either end of a pair and 0 where both are zero, so
-        # comparing each nonzero entry with its mirror finds the largest
-        self.support = np.flatnonzero(self.matrix != 0)
-        t, r, c = block_entries(self.basis.n_total_max, self.support)
-        mirror = block_offsets(self.basis.n_total_max)[t] + c * (t + 1) + r
-        dev = float(np.abs(self.matrix[self.support] - self.matrix[mirror].conj())
-                    .max(initial=0.0))
-        if dev > HERMITICITY_ATOL:
-            raise ValueError(f"operator is not Hermitian: max deviation {dev:.3e}")
-
-    @property
-    def blocks(self) -> FlatBlocks:
-        return FlatBlocks(self.matrix, self.basis.n_total_max)
+        self.matrix = np.asarray(self.matrix, dtype=float)
+        if self.matrix.shape != (self.basis.dim,):
+            raise ValueError(f"band shape {self.matrix.shape} does not match "
+                             f"length {self.basis.dim}")
 
 
 def lowering_power(mode: int, m: int, basis: TwoModeBasis) -> np.ndarray:

@@ -130,7 +130,8 @@ class _QuadraticQfiModel:
         return result.qfi, m, gradient
 
 
-_model_for = lru_cache(maxsize=8)(_QuadraticQfiModel)  # one model per problem
+# only the latest problem's model: a cache check hands it to the rerun
+_model_for = lru_cache(maxsize=1)(_QuadraticQfiModel)
 
 
 def qfi_objective(alpha, problem: OptimizationProblem) -> float:

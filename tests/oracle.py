@@ -8,11 +8,13 @@ powers are dense matrices, states are dense vectors and matrices, loss is
 the generic Kraus composition (which also covers unequal arms), the phase
 is applied to the pure input before the channel, and the SLD, the Fisher
 information and the pointwise readout uncertainty come from one
-full-matrix eigendecomposition.  ``dense`` turns the package's flat-block
-observables into dense operators.  The costs grow as dim^3 with
-dim ~ N^2/2, so these are meant for N of order ten.  The one blockwise
-reference is ``blockwise_qfi``, the spectral step before its
-residue-class split: one dense eigh per total-photon-number block.
+full-matrix eigendecomposition.  ``obs_blocks`` and ``dense`` turn the
+package's banded coincidence readout into dense blocks and a dense
+operator, and ``rho0_blocks`` gives a family's rho_0 block by block.  The
+costs grow as dim^3 with dim ~ N^2/2, so these are meant for N of order
+ten.  The one blockwise reference is ``blockwise_qfi``, the spectral step
+before its residue-class split: one dense eigh per total-photon-number
+block.
 ``model_rows`` is the see-saw model before its channel map: one dense row
 of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
 ``moment_profile`` is the readout's moment profile before its residue-class
@@ -37,17 +39,18 @@ from kerrmet.estimation import (
 )
 from kerrmet import fock
 from kerrmet.fock import (
-    HERMITICITY_ATOL,
     PSD_FLOOR,
     BasisMismatchError,
     HermitianOperator,
     NumericalError,
+    FlatBlocks,
     TwoModeBasis,
     falling_factorial,
 )
 from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes, superposition_length
 from kerrmet.loss import cross_lossy_blocks
 
+HERMITICITY_ATOL = 1e-12
 NORM_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 # entries per row band in the banded Hermiticity check
@@ -105,11 +108,27 @@ def assemble_blocks(basis: TwoModeBasis, blocks) -> np.ndarray:
     return out
 
 
+def obs_blocks(op: HermitianOperator) -> list[tuple[int, np.ndarray]]:
+    """The (T, block) pairs of a package HermitianOperator: each amplitude x
+    of its band written as i x at in-block position (n1 + m, n1) and as
+    -i x at (n1, n1 + m)."""
+    basis, m = op.basis, op.m
+    blocks = []
+    for t in range(basis.n_total_max + 1):
+        block = np.zeros((t + 1, t + 1), dtype=complex)
+        n1 = np.arange(t + 1 - m)
+        x = op.matrix[basis.block_slice(t)][n1]
+        block[n1 + m, n1] = 1j * x
+        block[n1, n1 + m] = 1j * -x.conj()
+        blocks.append((t, block))
+    return blocks
+
+
 def dense(op) -> DenseOperator:
-    """A package HermitianOperator (flat blocks) as a dense operator; a
+    """A package HermitianOperator (a band) as a dense operator; a
     DenseOperator passes through."""
     if isinstance(op, HermitianOperator):
-        return DenseOperator(op.basis, assemble_blocks(op.basis, op.blocks))
+        return DenseOperator(op.basis, assemble_blocks(op.basis, obs_blocks(op)))
     return op
 
 
@@ -333,6 +352,11 @@ def derivative_factors(g_flat: np.ndarray, n_max: int) -> list[np.ndarray]:
             for d in (g_flat[basis.block_slice(t)] for t in range(n_max + 1))]
 
 
+def rho0_blocks(family: PhasedFamily) -> list[np.ndarray]:
+    """The blocks T = 0..N of a family's rho_0 (symmetric parts)."""
+    return [0.5 * (b + b.T) for _, b in FlatBlocks(family.rho0_flat, family.input_spec.N)]
+
+
 def _factors(family: PhasedFamily) -> list[np.ndarray]:
     return derivative_factors(family.g_flat, family.input_spec.N)
 
@@ -340,7 +364,7 @@ def _factors(family: PhasedFamily) -> list[np.ndarray]:
 def rho_blocks(family: PhasedFamily, phi: float) -> list[np.ndarray]:
     """Blocks of rho(phi) = exp(phi factor) * rho_0, elementwise per T."""
     return [b * np.exp(phi * f)
-            for b, f in zip(family.rho0, _factors(family))]
+            for b, f in zip(rho0_blocks(family), _factors(family))]
 
 
 def rho(family: PhasedFamily, phi: float) -> DensityOperator:
@@ -450,11 +474,12 @@ def moment_profile(family: PhasedFamily, obs: HermitianOperator) -> BlockwisePro
     ||O|| from one dense eigvalsh per block, O^2 from one dense product per
     block, and the weights from one bincount per block, added in T order."""
     N = family.input_spec.N
-    obs_norm = max(spectral_norm(b) for _, b in obs.blocks)
+    blocks = obs_blocks(obs)
+    obs_norm = max(spectral_norm(b) for _, b in blocks)
     scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
     w_mean = np.zeros(2 * N + 1, dtype=complex)
     w_sq = np.zeros(2 * N + 1, dtype=complex)
-    for t, (rho_block, (_, o_block)) in enumerate(zip(family.rho0, obs.blocks)):
+    for t, (rho_block, (_, o_block)) in enumerate(zip(rho0_blocks(family), blocks)):
         o_block = o_block / scale
         offset = (np.arange(t + 1)[None, :] - np.arange(t + 1)[:, None] + N).ravel()
         for w, o in ((w_mean, o_block), (w_sq, o_block @ o_block)):

@@ -11,8 +11,8 @@ from kerrmet.estimation import (
     MomentProfile,
     PhasedFamily,
     UndefinedBoundError,
-    _class_chunks,
     _qfi_from_block_pairs,
+    _residue_classes,
     generator_flat,
     max_qfi_over_k,
     measurement_mm,
@@ -25,7 +25,6 @@ from kerrmet.fock import (
     HermitianOperator,
     NumericalError,
     TwoModeBasis,
-    block_diagonal,
     block_offsets,
     falling_factorial,
 )
@@ -188,7 +187,7 @@ def test_channel_output_lives_on_the_residue_classes():
     for n, k in ((9, 2), (12, 3), (12, 6), (20, 0)):
         family = PhasedFamily(NoonLikeSpec(n, k), chi=0.0, eta=0.7)
         step = family.stride or n + 1
-        for t, block in enumerate(family.rho0):
+        for t, block in enumerate(oracle.rho0_blocks(family)):
             i, j = np.indices(block.shape)
             assert not block[(i - j) % step != 0].any(), (n, k, t)
 
@@ -421,6 +420,24 @@ def test_moment_profile_peak_memory():
     assert peak <= flat_bound(80)
 
 
+@pytest.mark.parametrize("m", [1, 20, 80])
+def test_coincidence_profile_peak_memory_is_quadratic(m):
+    # from the band to the profile, the readout holds O(N^2) bytes: the
+    # class matrices of one class size at a time and the terms at class
+    # offsets 0, +-1 and +-2.  The class layout (O(N^3 / m) indices) is an
+    # index table cached per (N, stride), so it is built before tracing
+    n = 80
+    family = PhasedFamily(NoonLikeSpec(n, 3), chi=0.0, eta=0.9)
+    _residue_classes(n, m)
+    tracemalloc.start()
+    try:
+        family.moment_profile(measurement_mm(m, family.basis))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 384 * (n + 1) ** 2
+
+
 def test_moment_profile_scale_is_exact():
     # O/scale with a power-of-two scale: every moment and delta_phi equals
     # the unscaled profile's bit for bit
@@ -453,13 +470,9 @@ def test_moment_profile_past_the_float_range():
     assert scan.min_delta_phi >= qcrb(family.qfi().qfi) - 1e-9
 
 
-def random_block_hermitian(basis: TwoModeBasis, rng) -> HermitianOperator:
-    """Dense random Hermitian blocks: every offset c - r occurs (stride 1)."""
-    blocks = []
-    for t in range(basis.n_total_max + 1):
-        a = rng.normal(size=(t + 1, t + 1)) + 1j * rng.normal(size=(t + 1, t + 1))
-        blocks.append((a + a.conj().T).ravel())
-    return HermitianOperator(basis, np.concatenate(blocks))
+def random_band(basis: TwoModeBasis, m: int, rng) -> HermitianOperator:
+    """A band of random amplitudes at offsets +-m, zero where n2 < m."""
+    return HermitianOperator(basis, m, rng.normal(size=basis.dim) * (basis.n2 >= m))
 
 
 def assert_profile_matches_oracle(family, obs):
@@ -482,18 +495,15 @@ def assert_profile_matches_oracle(family, obs):
 @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
 def test_moment_profile_matches_the_blockwise_oracle(eta, chi):
     # class-by-class weights equal the per-block bincount bit for bit: every
-    # m on a random dense input, plus the identity (stride 0) and a random
-    # block-Hermitian observable (stride 1); every k at the readout m = N - 2k
+    # m on a random dense input, plus a band of random amplitudes; every k
+    # at the readout m = N - 2k
     rng = np.random.default_rng(12)
     for n in range(1, 25):
         basis = TwoModeBasis(n)
         alpha = rng.normal(size=superposition_length(n))
         family = PhasedFamily(SuperpositionSpec.normalized(n, alpha), chi=chi, eta=eta)
-        identity = np.zeros(block_offsets(n)[-1])
-        identity[block_diagonal(n)] = 1.0
         observables = [measurement_mm(m, basis) for m in range(1, n + 2)]
-        for obs in observables + [HermitianOperator(basis, identity),
-                                  random_block_hermitian(basis, rng)]:
+        for obs in observables + [random_band(basis, int(rng.integers(1, n + 2)), rng)]:
             assert_profile_matches_oracle(family, obs)
         for k in range(n // 2 + 1):
             family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
@@ -501,17 +511,13 @@ def test_moment_profile_matches_the_blockwise_oracle(eta, chi):
             assert len(profile.freqs) <= 5
 
 
-def test_moment_profile_matches_the_oracle_across_chunks():
-    # at N = 60 a stride-1 observable has more class entries than one chunk
-    # holds: the chunks' bins join into the same weights
+def test_moment_profile_matches_the_oracle_at_n60():
     rng = np.random.default_rng(60)
     n = 60
-    assert len(list(_class_chunks(n, 1))) > 1
     alpha = rng.normal(size=superposition_length(n))
     family = PhasedFamily(SuperpositionSpec.normalized(n, alpha), chi=0.05, eta=0.8)
-    for obs in (measurement_mm(1, family.basis), random_block_hermitian(family.basis, rng),
-                measurement_mm(3, family.basis)):
-        assert_profile_matches_oracle(family, obs)
+    for m in (1, 3, 60):
+        assert_profile_matches_oracle(family, measurement_mm(m, family.basis))
 
 
 def test_coincidence_profile_keeps_at_most_five_frequencies():
@@ -542,13 +548,6 @@ def test_moments_examples():
     mean, var = profile_moments(family, measurement_mm(n, family.basis), 0.0)
     assert mean == pytest.approx(0.0, abs=1e-10)
     assert var == pytest.approx(math.factorial(n) ** 2, rel=1e-12)
-
-    identity_flat = np.zeros(block_offsets(n)[-1])
-    identity_flat[block_diagonal(n)] = 1.0
-    identity = HermitianOperator(family.basis, identity_flat)
-    mean, var = profile_moments(family, identity, 0.0)
-    assert mean == pytest.approx(1.0, abs=1e-12)
-    assert var == pytest.approx(0.0, abs=1e-12)
 
 
 def test_moments_variance_of_coincidence_below_full_order():

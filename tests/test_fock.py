@@ -6,17 +6,14 @@ import pytest
 import oracle
 from kerrmet.fock import (
     BasisMismatchError,
-    FlatBlocks,
     HermitianOperator,
     TruncationError,
     TwoModeBasis,
-    block_diagonal,
-    block_entries,
     block_offsets,
     falling_factorial,
     lowering_power,
 )
-from kerrmet.estimation import PhasedFamily
+from kerrmet.estimation import PhasedFamily, measurement_mm
 from kerrmet.interferometer import NoonLikeSpec
 from oracle import BlockStructureError, DenseOperator, block_split
 
@@ -261,69 +258,41 @@ def test_pure_state_norm_validation():
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-15)
 
 
-def flat_identity(n_max: int) -> np.ndarray:
-    flat = np.zeros(block_offsets(n_max)[-1], dtype=complex)
-    flat[block_diagonal(n_max)] = 1.0
-    return flat
-
-
-def test_operator_blocks_view_the_flat_buffer():
+def test_operator_holds_one_real_amplitude_per_basis_state():
     basis = TwoModeBasis(4)
-    op = HermitianOperator(basis, flat_identity(4))
-    assert [t for t, _ in op.blocks] == list(range(5))
-    for t, block in op.blocks:
-        assert np.array_equal(block, np.eye(t + 1))
-        assert np.shares_memory(block, op.matrix)
-    assert np.array_equal(oracle.dense(op).matrix, np.eye(basis.dim))
+    op = HermitianOperator(basis, 2, [float(j) for j in range(basis.dim)])
+    assert op.matrix.dtype == np.float64 and op.matrix.shape == (basis.dim,)
+    for m in range(1, 6):
+        band = measurement_mm(m, basis).matrix
+        assert band.dtype == np.float64 and band.shape == (basis.dim,)
+        # no shift out of a state with fewer than m photons in mode 2
+        assert not band[basis.n2 < m].any() and (band[basis.n2 >= m] > 0).all()
 
 
 def test_operator_rejects_a_wrong_buffer_length():
     basis = TwoModeBasis(3)
-    with pytest.raises(ValueError, match="does not match"):
-        HermitianOperator(basis, flat_identity(4))
-    with pytest.raises(ValueError, match="does not match"):
-        HermitianOperator(basis, np.eye(basis.dim))
+    for wrong in (np.zeros(basis.dim + 1), np.zeros(block_offsets(3)[-1]),
+                  np.eye(basis.dim)):
+        with pytest.raises(ValueError, match="does not match"):
+            HermitianOperator(basis, 1, wrong)
 
 
 @pytest.mark.parametrize("t", [1, 2, 4])
-def test_operator_hermiticity_is_checked_in_every_block(t):
+def test_operator_is_hermitian_by_construction(t):
+    # any band is a Hermitian operator: amplitude x of block t sits at
+    # (n1 + m, n1) as i x and at its mirror (n1, n1 + m) as -i x, nowhere else
     basis = TwoModeBasis(4)
-    flat = flat_identity(4)
-    HermitianOperator(basis, flat)
-    flat[block_offsets(4)[t] + 1] = 1e-6  # entry (0, 1) of block t alone
-    with pytest.raises(ValueError, match="not Hermitian"):
-        HermitianOperator(basis, flat)
-    flat[block_offsets(4)[t] + t + 1] = 1e-6  # its mirror (1, 0)
-    HermitianOperator(basis, flat)
-    flat[block_offsets(4)[t]] = 1j  # an imaginary diagonal entry
-    with pytest.raises(ValueError, match="not Hermitian"):
-        HermitianOperator(basis, flat)
-
-
-def test_block_entries_locate_every_flat_position():
-    n_max = 6
-    positions = np.arange(block_offsets(n_max)[-1])
-    t, r, c = block_entries(n_max, positions)
-    for block, view in FlatBlocks(positions, n_max):
-        rows, cols = np.indices(view.shape)
-        assert (t[view] == block).all()
-        assert np.array_equal(r[view], rows) and np.array_equal(c[view], cols)
-
-
-def test_operator_check_reports_the_largest_blockwise_deviation():
-    basis = TwoModeBasis(5)
-    flat = flat_identity(5)
-    flat[block_offsets(5)[3] + 2] = 3e-6  # entry (0, 2) of block 3
-    flat[block_offsets(5)[5] + 6 * 4 + 1] = 1e-6j  # entry (4, 1) of block 5
-    want = max(np.abs(b - b.conj().T).max() for _, b in FlatBlocks(flat, 5))
-    with pytest.raises(ValueError, match=f"max deviation {want:.3e}"):
-        HermitianOperator(basis, flat)
-
-
-def test_operator_support_lists_the_nonzero_entries():
-    basis = TwoModeBasis(5)
-    flat = flat_identity(5)
-    flat[block_offsets(5)[4] + 3] = 2j  # entry (0, 3) of block 4
-    flat[block_offsets(5)[4] + 3 * 5] = -2j  # and its mirror (3, 0)
-    op = HermitianOperator(basis, flat)
-    assert np.array_equal(op.support, np.flatnonzero(flat))
+    sl = basis.block_slice(t)
+    rng = np.random.default_rng(t)
+    for m in range(1, t + 1):
+        band = np.zeros(basis.dim)
+        band[sl.start:sl.stop - m] = rng.normal(size=t + 1 - m)
+        matrix = oracle.dense(HermitianOperator(basis, m, band)).matrix
+        assert np.array_equal(matrix, matrix.conj().T)
+        n1 = np.arange(t + 1 - m)
+        want = np.zeros((t + 1, t + 1), dtype=complex)
+        want[n1 + m, n1] = 1j * band[sl][n1]
+        want[n1, n1 + m] = -1j * band[sl][n1]
+        assert np.array_equal(matrix[sl, sl], want)
+        matrix[sl, sl] = 0.0
+        assert not matrix.any()

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -247,3 +249,14 @@ def test_gradient_matches_central_differences(n, eta, chi):
         (qfi_objective(alpha + h * e, problem) - qfi_objective(alpha - h * e, problem))
         / (2 * h) for e in np.eye(alpha.size)])
     assert np.linalg.norm(gradient - numeric) <= 1e-6 * np.linalg.norm(gradient)
+
+
+def test_model_cache_keeps_only_the_latest_model():
+    # each model's channel map holds about N^4/12 terms: a scan over N
+    # must not keep the models of earlier problems alive
+    first = OptimizationProblem(N=6, eta=0.9, chi=1e-8)
+    second = OptimizationProblem(N=7, eta=0.9, chi=1e-8)
+    model = weakref.ref(_model_for(first))
+    qfi_objective(np.ones(second.dimension), second)
+    gc.collect()
+    assert model() is None

@@ -28,7 +28,7 @@ def test_real_state_and_sld_match_the_complex_oracle(n, chi, eta):
         assert np.all(dense.imag == 0.0)
         model_rho = model._pairs(np.array(spec.alpha)).rho_flat
         assert family.rho0_flat.dtype == model_rho.dtype == np.float64
-        for t, block in enumerate(family.rho0):
+        for t, block in enumerate(oracle.rho0_blocks(family)):
             sl = family.basis.block_slice(t)
             assert np.abs(block - dense[sl, sl]).max() <= 1e-12
         assert np.abs(model_rho - family.rho0_flat).max() <= 1e-12
