@@ -99,6 +99,8 @@ class ExperimentConfig:
             raise ConfigError("single needs a fully specified input: --k or alpha")
         if self.m is not None and self.m < 1:
             raise ConfigError("m must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         # the input is chosen per N by k, else alpha, else the optimizer
         uses_k = self.command in ("pure-qfi", "readout-scan", "single")
         uses_alpha = self.command in ("readout-scan", "single") and self.k is None

@@ -80,10 +80,12 @@ class QfiResult:
     ``spectrum`` holds the eigenvalues of every class, unclamped and
     sorted: as a multiset, the spectra of the blocks T = 0..N.  ``sld``
     holds one (T+1) x (T+1) block per T, exactly zero between classes: the
-    real antisymmetric J of the SLD L = iJ, with no complex copy of L.
+    real antisymmetric J of the SLD L = iJ, with no complex copy of L.  For
+    a batch of B points ``qfi`` is a list of B values, and ``spectrum`` and
+    each SLD block gain a leading axis of length B.
     """
 
-    qfi: float
+    qfi: float | list[float]
     rank_cutoff: float
     spectrum: np.ndarray
     sld: list[np.ndarray] | None = None
@@ -134,8 +136,11 @@ class BlockPairs(Sequence):
     and rho' = iK with K real antisymmetric.  ``g_flat`` holds G's diagonal
     per block, block T from T(T+1)/2 on.  ``stride`` is a common divisor of
     the index offsets i - j of all nonzero entries (i, j) of every block, 0
-    when every block is diagonal.  Item T, built on demand, is the
-    symmetric part of block T, as the spectral step uses it, and rho'.
+    when every block is diagonal.  ``rho_flat`` may carry a leading axis of
+    B points, (B, size), that share G and the stride; the items then run
+    point by point.  Item i, built on demand, is the symmetric part of
+    block T = i mod (N + 1) of its point, as the spectral step uses it,
+    and rho'.
     """
 
     def __init__(self, rho_flat: np.ndarray, g_flat: np.ndarray, n_max: int,
@@ -146,10 +151,12 @@ class BlockPairs(Sequence):
         self.stride = stride
 
     def __len__(self) -> int:
-        return self.n_max + 1
+        return (self.n_max + 1) * math.prod(self.rho_flat.shape[:-1])
 
-    def __getitem__(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        t, block = FlatBlocks(self.rho_flat, self.n_max)[t]
+    def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        point, t = divmod(range(len(self))[i], self.n_max + 1)
+        rho = self.rho_flat.reshape(-1, self.rho_flat.shape[-1])[point]
+        t, block = FlatBlocks(rho, self.n_max)[t]
         block = 0.5 * (block + block.T)
         g = self.g_flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2]
         return block, 1j * (g[:, None] - g[None, :]) * block
@@ -190,9 +197,12 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     Block T of rho is block-diagonal over the residue classes of its index
     mod ``pairs.stride``, and so is rho' = iK with K = (g_r - g_c) rho:
     each class is eigendecomposed on its own, and the classes of one size
-    are stacked across all blocks into a single batched real eigh.  In the
-    class eigenbasis V, rho' = i a with a = V^T K V real, and the sum over
-    classes of 2 a_jk^2 / (p_j + p_k) equals the blockwise Fisher information.
+    are stacked across all blocks, and across the points of a batch, into a
+    single batched real eigh.  In the class eigenbasis V, rho' = i a with
+    a = V^T K V real, and the sum over classes of 2 a_jk^2 / (p_j + p_k)
+    equals the blockwise Fisher information.  Batched eigh and matmul solve
+    one matrix at a time and each point's terms are summed on their own,
+    so a point's result does not depend on the other points of its batch.
 
     An eigenvalue pair counts as kernel when p_j + p_k is at most
     RANK_CUTOFF_FACTOR times the largest eigenvalue of its block T (over
@@ -205,38 +215,64 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     as the real antisymmetric J = V (2 a_jk / (p_j + p_k)) V^T on the
     eigenvalue pairs the QFI sum keeps, zero elsewhere (also between classes).
     """
+    lead = pairs.rho_flat.shape[:-1]  # () for one point, (B,) for a batch
+    size = pairs.rho_flat.shape[-1]
+    n_points = math.prod(lead)
+    rho_flat = pairs.rho_flat.reshape(-1)
+
     stacks = _residue_classes(pairs.n_max, pairs.stride)
+    if n_points > 1:
+        # the points enter each stack as extra classes, point-major, with
+        # indices into the flat buffer of all points' blocks (and of their
+        # blocks' largest eigenvalues); G is the same at every point
+        def per_point(index, step):
+            shift = step * np.arange(n_points).reshape((-1,) + (1,) * index.ndim)
+            return (index + shift).reshape((-1,) + index.shape[1:])
+
+        stacks = [(per_point(blocks, pairs.n_max + 1), per_point(gather, size),
+                   per_point(diag, 0)) for blocks, gather, diag in stacks]
 
     def classes(gather):  # symmetric parts of the class matrices of a stack
-        x = pairs.rho_flat[gather]
+        x = rho_flat[gather]
         return 0.5 * (x + x.swapaxes(1, 2))
 
     # stack 0 holds the 1 x 1 classes: each is its own eigenbasis, with
     # rho' entry (g_r - g_r) rho_rr = 0, so no Fisher information
     solved = [np.linalg.eigh(classes(gather)) for _, gather, _ in stacks[1:]]
-    spectrum = [pairs.rho_flat[stacks[0][1]][:, 0]] + [vals for vals, _ in solved]
+    spectrum = [rho_flat[stacks[0][1]][:, 0]] + [vals for vals, _ in solved]
     probs = [_clamped_probabilities(vals, "qfi block") for vals in spectrum]
-    # largest eigenvalue of each block, over all of its classes
-    top = np.zeros(pairs.n_max + 1)
+    # largest eigenvalue of each block of each point, over all of its classes
+    top = np.zeros(n_points * (pairs.n_max + 1))
     np.maximum.at(top, np.concatenate([blocks for blocks, _, _ in stacks]),
                   np.concatenate([p[:, -1] for p in probs]))
-    total = 0.0
-    sld_flat = np.zeros_like(pairs.rho_flat) if with_sld else None
+    totals = [0.0] * n_points
+    sld_flat = np.zeros_like(rho_flat) if with_sld else None
     for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
         g = pairs.g_flat[diag]
         vecs_t = vecs.swapaxes(1, 2)
         a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather)) @ vecs
         psum = p[:, :, None] + p[:, None, :]
         mask = psum > (RANK_CUTOFF_FACTOR * top[blocks])[:, None, None]
-        total += float((2.0 * a[mask] ** 2 / psum[mask]).sum())
+        terms = 2.0 * a[mask] ** 2 / psum[mask]
+        if n_points == 1:
+            totals[0] += float(terms.sum())
+        else:  # the kept terms lie point after point: one in-order sum per point
+            ends = np.cumsum(mask.reshape(n_points, -1).sum(axis=1))
+            for point, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
+                totals[point] += float(terms[start:end].sum())
         if with_sld:
             core = np.zeros_like(a)
             core[mask] = 2.0 * a[mask] / psum[mask]
             block = vecs @ core @ vecs_t
             sld_flat[gather] = 0.5 * (block - block.swapaxes(1, 2))
-    spectrum = np.sort(np.concatenate([vals.ravel() for vals in spectrum]))
-    slds = [b for _, b in FlatBlocks(sld_flat, pairs.n_max)] if with_sld else None
-    return QfiResult(qfi=total, rank_cutoff=RANK_CUTOFF_FACTOR,
+    spectrum = np.sort(np.concatenate([vals.reshape(*lead, -1) for vals in spectrum], axis=-1))
+    slds = None
+    if with_sld:
+        sld_flat = sld_flat.reshape(*lead, size)
+        offsets = block_offsets(pairs.n_max)
+        slds = [sld_flat[..., offsets[t]:offsets[t + 1]].reshape(*lead, t + 1, t + 1)
+                for t in range(pairs.n_max + 1)]
+    return QfiResult(qfi=totals if lead else totals[0], rank_cutoff=RANK_CUTOFF_FACTOR,
                      spectrum=spectrum, sld=slds)
 
 

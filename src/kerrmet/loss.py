@@ -53,18 +53,25 @@ class ChannelMap:
     def __init__(self, kets, bras, N: int, eta: float):
         kappa = survival_table(N, eta)
         offsets = block_offsets(N)
-        positions, products = [], []
-        for n1 in kets:
-            for m1 in bras:
-                q = np.arange(min(n1, m1) + 1)[:, None]
-                p = np.arange(N - max(n1, m1) + 1)[None, :]
-                t = N - q - p
-                positions.append((offsets[t] + (n1 - q) * (t + 1) + (m1 - q)).ravel())
-                products.append((kappa[n1, q] * kappa[m1, q]
-                                 * kappa[N - n1, p] * kappa[N - m1, p]).ravel())
+        bras = np.asarray(bras)
+        positions, products, dyads = [], [], []
+        for i, n1 in enumerate(kets):
+            # every term of the dyads of ket n1, in (bra, q, p) order
+            q = np.arange(n1 + 1)[:, None]
+            p = np.arange(N - n1 + 1)
+            j, q, p = np.nonzero((q <= np.minimum(n1, bras)[:, None, None])
+                                 & (p <= N - np.maximum(n1, bras)[:, None, None]))
+            m1, t = bras[j], N - q - p
+            positions.append(offsets[t] + (n1 - q) * (t + 1) + (m1 - q))
+            products.append(kappa[n1, q] * kappa[m1, q] * kappa[N - n1, p] * kappa[N - m1, p])
+            dyads.append(i * len(bras) + j)
+        # each column's parts are dropped once joined, so the peak holds the
+        # map plus the parts of the columns still to join
         self.positions = np.concatenate(positions)
+        del positions
         self.kappa = np.concatenate(products)
-        self.dyads = np.repeat(np.arange(len(positions)), [x.size for x in positions])
+        del products
+        self.dyads = np.concatenate(dyads)
         self.size = int(offsets[-1])
 
     def scatter(self, weights: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .estimation import BlockPairs, _qfi_from_block_pairs, generator_flat
+from .estimation import BlockPairs, QfiResult, _qfi_from_block_pairs, generator_flat
 from .fock import NumericalError, block_diagonal
 from .interferometer import SuperpositionSpec, ket_fold, superposition_length
 from .loss import ChannelMap
@@ -70,6 +70,8 @@ class OptimizationProblem:
             raise ValueError("restarts must be at least 1")
         if self.max_evals < 1 or self.tol <= 0:
             raise ValueError("max_evals must be positive and tol > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
     @property
     def dimension(self) -> int:
@@ -105,29 +107,46 @@ class _QuadraticQfiModel:
         self.metric = (self.fold ** 2).sum(0)
         self.n = n
 
-    def _pairs(self, alpha: np.ndarray) -> BlockPairs:
+    def _rho(self, alpha: np.ndarray) -> np.ndarray:
         amplitudes = self.fold @ alpha
         rho_flat = self.channel.scatter(np.outer(amplitudes, amplitudes).ravel())
         trace = rho_flat[self.diag_idx].sum()
         if abs(trace - 1.0) > 1e-10:
             raise NumericalError(f"model state trace {trace!r} deviates from 1")
+        return rho_flat
+
+    def _pairs(self, alpha: np.ndarray) -> BlockPairs:
+        """The pairs of rho(alpha), for one point (S,) or a (B, S) stack."""
+        rho_flat = self._rho(alpha) if alpha.ndim == 1 else np.array(
+            [self._rho(point) for point in alpha])
         return BlockPairs(rho_flat, self.g_flat, self.n, 1)
 
-    def qfi(self, alpha: np.ndarray) -> float:
-        return _qfi_from_block_pairs(self._pairs(alpha)).qfi
+    def qfi(self, alpha: np.ndarray, with_sld: bool = False) -> QfiResult:
+        """The spectral step at alpha, one point (S,) or a (B, S) stack."""
+        return _qfi_from_block_pairs(self._pairs(alpha), with_sld)
 
-    def seesaw(self, alpha: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    def seesaw(self, alpha: np.ndarray):
         """F at normalized alpha, M(L)_kl = Re(2 Tr[rho'_kl L] - Tr[R_kl L^2])
         at the SLD L of rho(alpha), and the gradient 2(M alpha - F W alpha)
-        of F(alpha / sqrt(alpha^T W alpha)) there."""
-        result = _qfi_from_block_pairs(self._pairs(alpha), with_sld=True)
+        of F(alpha / sqrt(alpha^T W alpha)) there.  For a (B, S) stack of
+        points the spectral step is one batched call and each result gains
+        a leading axis of length B; a point's bits do not depend on its batch.
+        """
+        points = alpha.reshape(-1, alpha.shape[-1])
+        result = self.qfi(points, with_sld=True)
         # Tr[X L] = sum_ij X_ij L_ji; with L = iJ the blocks of Z^T are 2 f J + J J
-        dual = np.concatenate(
-            [(2.0 * f * j + j @ j).ravel() for f, j in zip(self.factors, result.sld)])
-        m = self.fold.T @ self.channel.real_adjoint(dual).reshape(self.n + 1, -1) @ self.fold
-        m = 0.5 * (m + m.T)
-        gradient = 2.0 * (m @ alpha - result.qfi * self.metric * alpha)
-        return result.qfi, m, gradient
+        duals = np.concatenate(
+            [(2.0 * f * j + j @ j).reshape(len(points), -1)
+             for f, j in zip(self.factors, result.sld)], axis=1)
+        ms, gradients = [], []
+        for point, value, dual in zip(points, result.qfi, duals):
+            m = self.fold.T @ self.channel.real_adjoint(dual).reshape(self.n + 1, -1) @ self.fold
+            m = 0.5 * (m + m.T)
+            ms.append(m)
+            gradients.append(2.0 * (m @ point - value * self.metric * point))
+        if alpha.ndim == 1:
+            return result.qfi[0], ms[0], gradients[0]
+        return result.qfi, np.array(ms), np.array(gradients)
 
 
 # only the latest problem's model: a cache check hands it to the rerun
@@ -144,7 +163,7 @@ def qfi_objective(alpha, problem: OptimizationProblem) -> float:
     weight = SuperpositionSpec.squared_weight(problem.N, alpha)
     if weight <= 0 or not np.isfinite(weight):
         raise ValueError("alpha cannot be normalized")
-    return _model_for(problem).qfi(alpha / math.sqrt(weight))
+    return _model_for(problem).qfi(alpha / math.sqrt(weight)).qfi
 
 
 @dataclass
@@ -158,9 +177,11 @@ class _Climb:
     history: list[float]
 
 
-def _climb(model: _QuadraticQfiModel, alpha: np.ndarray, budget: int,
-           tol: float) -> _Climb:
-    """See-saw from alpha, then quasi-Newton steps where the see-saw crawls.
+def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
+    """See-saw from alpha, then quasi-Newton steps where the see-saw crawls:
+    a generator that yields each normalized point it needs evaluated,
+    receives that point's ``seesaw`` result (F, M, gradient), and returns
+    its ``_Climb``.
 
     Works in u = W^(1/2) alpha on the unit sphere, where the see-saw step
     is the top eigenvector of W^(-1/2) M W^(-1/2) and the gradient is
@@ -170,15 +191,15 @@ def _climb(model: _QuadraticQfiModel, alpha: np.ndarray, budget: int,
     tol * max(1, F) (converged), when the budget of SLD evaluations is
     spent, or when no step is accepted.
     """
-    root = np.sqrt(model.metric)
+    root = np.sqrt(metric)
 
     def evaluate(u):
-        value, m, gradient = model.seesaw(u / root)
+        value, m, gradient = yield u / root
         return value, m / np.outer(root, root), gradient / root
 
     u = root * alpha
     u /= np.linalg.norm(u)
-    value, k, g = evaluate(u)
+    value, k, g = yield from evaluate(u)
     evaluations = 1
     history = [value]
     ceiling = value  # the best F so far; accepted steps stay within noise of it
@@ -216,7 +237,7 @@ def _climb(model: _QuadraticQfiModel, alpha: np.ndarray, budget: int,
                     break
                 point = u + t * direction
                 point /= np.linalg.norm(point)
-                candidate = evaluate(point)
+                candidate = yield from evaluate(point)
                 evaluations += 1
                 if accepted(candidate, _ARMIJO * t * ascent):
                     trial = point, candidate
@@ -230,7 +251,7 @@ def _climb(model: _QuadraticQfiModel, alpha: np.ndarray, budget: int,
             point = np.linalg.eigh(k)[1][:, -1]
             if point @ u < 0:
                 point = -point
-            candidate = evaluate(point)
+            candidate = yield from evaluate(point)
             evaluations += 1
             if not accepted(candidate, 0.0):
                 break
@@ -257,6 +278,22 @@ def _climb(model: _QuadraticQfiModel, alpha: np.ndarray, budget: int,
                   converged=converged, history=history)
 
 
+def _lockstep(model: _QuadraticQfiModel, climbs: list) -> list[_Climb]:
+    """Drive ``_climb`` generators to their ends in lockstep: each round
+    sends every pending point to one batched ``seesaw`` call."""
+    results = [None] * len(climbs)
+    pending = {index: next(climb) for index, climb in enumerate(climbs)}
+    while pending:
+        values, ms, gradients = model.seesaw(np.array(list(pending.values())))
+        sent, pending = pending, {}
+        for index, value, m, g in zip(sent, values, ms, gradients):
+            try:
+                pending[index] = climbs[index].send((value, m, g))
+            except StopIteration as stop:
+                results[index] = stop.value
+    return results
+
+
 def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
     """Multi-start see-saw search over the input coefficients.
 
@@ -266,7 +303,9 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
     below the best two-branch state.  Starts 1..``restarts`` are random
     unit vectors with per-start seed ``problem.seed + index``.  Each start
     may spend ``max_evals`` SLD evaluations; the best end point over all
-    starts wins, with ties broken toward the earlier start.
+    starts wins, with ties broken toward the earlier start.  The one-hot
+    probes, then the starts, climb in lockstep, one batched evaluation
+    per round.
     """
     model = _model_for(problem)
     dim = problem.dimension
@@ -279,18 +318,19 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
         return x / math.sqrt(SuperpositionSpec.squared_weight(n, x))
 
     # one evaluation each: the best two-branch state and its gradient test
-    one_hots = [_climb(model, scale_of(e), 1, problem.tol) for e in np.eye(dim)]
+    one_hots = _lockstep(model, [_climb(model.metric, scale_of(e), 1, problem.tol)
+                                 for e in np.eye(dim)])
     one_hot = max(one_hots, key=lambda climb: climb.value)
     evaluations = dim
 
+    starts = [one_hot.alpha + _ADMIXTURE * scale_of(np.ones(dim))] + [
+        np.random.default_rng(problem.seed + index).normal(size=dim)
+        for index in range(1, n_starts)]
+    climbs = _lockstep(model, [_climb(model.metric, scale_of(x0), problem.max_evals,
+                                      problem.tol) for x0 in starts])
     best = None
     per_restart: list[tuple[int, float]] = []
-    for index in range(n_starts):
-        if index == 0:
-            x0 = one_hot.alpha + _ADMIXTURE * scale_of(np.ones(dim))
-        else:
-            x0 = np.random.default_rng(problem.seed + index).normal(size=dim)
-        climb = _climb(model, scale_of(x0), problem.max_evals, problem.tol)
+    for index, climb in enumerate(climbs):
         evaluations += climb.evaluations
         if index == 0 and one_hot.value > climb.value:
             climb = one_hot

@@ -497,6 +497,17 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "opt.csv"
+    code = main(["--command", "optimize-scan", "--n-range", "3", "--eta", "0.6",
+                 "--seed", "-5", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "seed" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 # a float config field beyond the float range, or a chi whose Fisher
 # information bound (N + chi N^2/2)^2 overflows at the largest N
 @pytest.mark.parametrize("field, text", [

@@ -8,7 +8,8 @@ import oracle
 from kerrmet.estimation import PhasedFamily
 from kerrmet.fock import TwoModeBasis
 from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
-from kerrmet.loss import cross_lossy_blocks, survival_table
+from kerrmet.fock import block_offsets
+from kerrmet.loss import ChannelMap, cross_lossy_blocks, survival_table
 
 
 def spec_length(n):
@@ -219,3 +220,27 @@ def test_params_validation():
         oracle.LossParams(1.2, 0.5)
     with pytest.raises(ValueError):
         lossy(NoonLikeSpec(2, 0), eta=-0.1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+@pytest.mark.parametrize("eta", [0.0, 0.7, 1.0])
+def test_channel_map_lists_the_terms_dyad_by_dyad(n, eta):
+    # reference: each dyad's (q, p) grid built on its own, q-major, dyads
+    # in (ket, bra) order; the map must hold the same bytes in that order
+    kappa = survival_table(n, eta)
+    offsets = block_offsets(n)
+    for kets, bras in [(range(n + 1), range(n + 1)), ((0, n), (n, 0)), ((n,), (1, 0, n))]:
+        positions, products, dyads = [], [], []
+        for i, n1 in enumerate(kets):
+            for j, m1 in enumerate(bras):
+                q = np.arange(min(n1, m1) + 1)[:, None]
+                p = np.arange(n - max(n1, m1) + 1)[None, :]
+                t = n - q - p
+                positions.append((offsets[t] + (n1 - q) * (t + 1) + (m1 - q)).ravel())
+                products.append((kappa[n1, q] * kappa[m1, q]
+                                 * kappa[n - n1, p] * kappa[n - m1, p]).ravel())
+                dyads.append(np.full(q.size * p.size, i * len(bras) + j))
+        channel = ChannelMap(kets, bras, n, eta)
+        assert channel.positions.tobytes() == np.concatenate(positions).tobytes()
+        assert channel.kappa.tobytes() == np.concatenate(products).tobytes()
+        assert channel.dyads.tobytes() == np.concatenate(dyads).tobytes()

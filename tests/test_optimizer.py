@@ -18,6 +18,7 @@ from kerrmet.optimizer import (
     OptimizationProblem,
     _QuadraticQfiModel,
     _climb,
+    _lockstep,
     _model_for,
     optimize_alpha,
     qfi_objective,
@@ -66,6 +67,8 @@ def test_problem_validation():
         OptimizationProblem(N=3, eta=1.2, chi=0.0)
     with pytest.raises(ValueError):
         OptimizationProblem(N=3, eta=0.9, chi=0.0, restarts=0)
+    with pytest.raises(ValueError):
+        OptimizationProblem(N=3, eta=0.9, chi=0.0, seed=-1)
 
 
 def test_objective_one_hot_reproduces_pure_values():
@@ -231,7 +234,8 @@ def test_seesaw_never_decreases_f():
     assert steps.min() >= -1e-12 * max(values)
     # the climb, polish included, keeps every accepted F within round-off
     # of the best one before it
-    climb = _climb(model, _unit(problem, np.random.default_rng(6)), 500, 1e-10)
+    [climb] = _lockstep(model, [_climb(model.metric, _unit(problem, np.random.default_rng(6)),
+                                       500, 1e-10)])
     history = np.array(climb.history)
     assert climb.converged
     assert np.all(history[1:] >= np.maximum.accumulate(history)[:-1]
@@ -260,3 +264,61 @@ def test_model_cache_keeps_only_the_latest_model():
     qfi_objective(np.ones(second.dimension), second)
     gc.collect()
     assert model() is None
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+@pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+def test_batched_seesaw_is_bit_identical_to_one_point_calls(eta, chi):
+    # batched eigh and matmul solve one matrix at a time and each point's
+    # QFI terms are summed alone, so a point's bits ignore its batch
+    for n in range(1, 9):
+        problem = OptimizationProblem(N=n, eta=eta, chi=chi)
+        model = _model_for(problem)
+        rng = np.random.default_rng(n)
+        # the one-hot points have rank-deficient blocks
+        one_hots = [e / math.sqrt(SuperpositionSpec.squared_weight(n, e))
+                    for e in np.eye(problem.dimension)]
+        points = np.array(one_hots + [_unit(problem, rng) for _ in range(4)])
+        values, ms, gradients = model.seesaw(points)
+        assert ms.shape == (len(points), problem.dimension, problem.dimension)
+        for point, value, m, gradient in zip(points, values, ms, gradients):
+            want = model.seesaw(point)
+            assert type(value) is float
+            assert np.float64(value).tobytes() == np.float64(want[0]).tobytes(), n
+            assert m.tobytes() == want[1].tobytes(), n
+            assert gradient.tobytes() == want[2].tobytes(), n
+
+
+def test_batched_pairs_run_point_by_point():
+    # the pairs of a batch are every point's pairs, point after point
+    problem = OptimizationProblem(N=4, eta=0.8, chi=0.1)
+    model = _model_for(problem)
+    rng = np.random.default_rng(4)
+    points = np.array([_unit(problem, rng) for _ in range(3)])
+    batch = model._pairs(points)
+    singles = [pair for point in points for pair in model._pairs(point)]
+    assert len(batch) == len(singles) == 3 * (problem.N + 1)
+    for (rho, rho_prime), (want, want_prime) in zip(batch, singles):
+        assert rho.tobytes() == want.tobytes()
+        assert rho_prime.tobytes() == want_prime.tobytes()
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.2])
+@pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
+def test_lockstep_starts_match_starts_driven_alone(monkeypatch, eta, chi):
+    import kerrmet.optimizer as optimizer
+
+    def alone(model, climbs):
+        return [_lockstep(model, [climb])[0] for climb in climbs]
+
+    for n in range(1, 9):
+        problem = OptimizationProblem(N=n, eta=eta, chi=chi, restarts=4)
+        together = optimize_alpha(problem)
+        with monkeypatch.context() as patch:
+            patch.setattr(optimizer, "_lockstep", alone)
+            apart = optimize_alpha(problem)
+        assert np.array(together.alpha_star).tobytes() == np.array(apart.alpha_star).tobytes()
+        assert repr(together.qfi_star) == repr(apart.qfi_star)
+        assert together.evaluations == apart.evaluations
+        assert repr(together.per_restart) == repr(apart.per_restart)
+        assert together.converged == apart.converged

@@ -140,3 +140,12 @@ def test_eigh_runs_at_one_spectral_site():
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         sites += visitor.sites
     assert sorted(sites) == EIGH_SITES
+
+
+def test_optimizer_runs_the_spectral_step_from_one_site():
+    # batched points share one spectral call; a per-point fork of it
+    # would need a second call site
+    tree = ast.parse((PACKAGE / "optimizer.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] == "_qfi_from_block_pairs"]
+    assert len(calls) == 1
