@@ -511,6 +511,14 @@ def build_config(argv=None) -> ExperimentConfig:
             values[name] = default
         if isinstance(values[name], str):
             values[name] = parse(values[name])
+    # list entries are type-checked like the scalar fields: int() and
+    # float() would take true as 1 and truncate 2.7 to N = 2
+    for name, noun in (("n_range", "integers"), ("eta_list", "numbers"), ("alpha", "numbers")):
+        entries = values.get(name)
+        for entry in entries if isinstance(entries, (list, tuple)) else ():
+            if isinstance(entry, bool) or (name == "n_range" and isinstance(entry, float)
+                                           and not entry.is_integer()):
+                raise ConfigError(f"{name} entries must be {noun}, got {entry!r}")
     try:
         values["n_range"] = tuple(int(n) for n in values["n_range"])
         values["eta_list"] = tuple(float(e) for e in values["eta_list"])

@@ -358,18 +358,16 @@ class PhasedFamily:
         with theta = 1 + chi N/2 and w_j = sum_T sum_{c-r=j} rho_0[r, c] O[c, r],
         and likewise for <O^2>.
 
-        O = measurement_mm(m) is tridiagonal on the residue classes of each
-        block's index mod m, so ||O||, O^2 and the terms rho_0[r, c] O[c, r]
-        come class by class, one batched call per class size.  Only the terms
-        at class offsets +-1 (of <O>) and 0, +-2 (of <O^2>) can be nonzero;
-        summed per (T, j) in flat-buffer order, then the rows in T order,
-        they give a block-by-block bincount's sums in its order, less zeros.
+        O = iA with A[r + m, r] = x_r = -A[r, r + m] on each block's index r,
+        so only j = +-m (of <O>) and j = 0, +-2m (of <O^2>) carry terms, read
+        off the band state by state.  Summed per (T, j) in r order, then the
+        rows in T order, they give a block-by-block bincount's sums, less
+        zeros.  ||O|| takes one batched eigvalsh per residue-class size mod m.
         """
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
-        N = self.input_spec.N
-        stride = obs.m if obs.m <= N else 0  # a zero band has no stride
-        stacks = _residue_classes(N, stride)
+        N, m = self.input_spec.N, obs.m
+        stacks = _residue_classes(N, m if m <= N else 0)  # a zero band has no stride
 
         def classes(diag):  # the class matrices of O in a stack
             x, below = obs.matrix[diag[:, :-1]], np.arange(diag.shape[1] - 1)
@@ -384,31 +382,31 @@ class PhasedFamily:
         obs_norm = max(float(np.abs(np.linalg.eigvalsh(classes(diag))).max())
                        for _, _, diag in stacks)
         scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
-        width, size = 2 * N + 1, int(block_offsets(N)[-1])
-        # per moment, the terms at the class offsets where they can be
-        # nonzero, keyed by their bin (T, j) and then their flat position
-        moments = [((-1, 1), [], []), ((-2, 0, 2), [], [])]
-        for blocks, gather, diag in stacks:
-            rho = self.rho0_flat[gather]
-            rho = 0.5 * (rho + rho.swapaxes(1, 2))
-            o = classes(diag) / scale
-            for (offsets, keys, terms), product in zip(moments, (o, o @ o)):
-                products = rho * product.swapaxes(1, 2)
-                for d in offsets:
-                    bins = blocks * width + N + d * stride
-                    keys.append((bins[:, None] * size + gather.diagonal(d, 1, 2)).ravel())
-                    terms.append(products.diagonal(d, 1, 2).ravel())
-        weights = []
-        for _, keys, terms in moments:
-            keys = np.concatenate(keys)
-            order = np.argsort(keys)
-            bins, terms = keys[order] // size, np.concatenate(terms)[order]
-            # each bin in flat order, then the rows in T order
-            re, im = (np.bincount(bins, part, (N + 1) * width).reshape(N + 1, width).sum(axis=0)
-                      for part in (terms.real, terms.imag))
-            weights.append(re + 1j * im)
-        freqs = (1.0 + 0.5 * self.chi * N) * np.arange(-N, N + 1)
-        return MomentProfile(freqs, *weights, obs_norm / scale, scale)
+        x = obs.matrix / scale  # the band of O/scale, exact
+        total, diag = self.basis.total, block_diagonal(N)
+        # the states the band shifts up (n2 >= m: the only nonzero x), and
+        # those whose target it shifts up again (n2 >= 2m)
+        up = np.flatnonzero(self.basis.n2 >= m)
+        up2 = np.flatnonzero(self.basis.n2 >= 2 * m)
+
+        def rho(states, j):  # rho_0's symmetrized entry (r, r + j) at each state r
+            at = diag[states]
+            return 0.5 * (self.rho0_flat[at + j] + self.rho0_flat[at + j * (total[states] + 1)])
+
+        # <O> reads x_r at (r, r +- m); O^2 = -A^2 holds x_r^2 + x_{r-m}^2 at
+        # (r, r), two rounded squares added, and -x_r x_{r+m} at (r, r +- 2m)
+        mean = rho(up, m) * x[up]
+        far = rho(up2, 2 * m) * -(x[up2] * x[up2 + m])
+        near = self.rho0_flat[diag] * (x * x + np.bincount(up + m, x[up] * x[up], x.size))
+        # the terms of j = -2m, -m, 0, m, 2m, each in state order
+        slots = [(up2, far), (up, -mean), (np.arange(x.size), near), (up, mean), (up2, far)]
+        bins = np.concatenate([total[states] * 5 + slot for slot, (states, _) in enumerate(slots)])
+        sums = np.bincount(bins, np.concatenate([terms for _, terms in slots]), 5 * (N + 1))
+        sums = sums.reshape(N + 1, 5).sum(axis=0)  # the rows in T order
+        odd = np.arange(5) % 2 == 1
+        return MomentProfile((1.0 + 0.5 * self.chi * N) * (m * np.arange(-2, 3)),
+                             0.0 + 1j * np.where(odd, sums, 0.0), np.where(odd, 0.0, sums),
+                             obs_norm / scale, scale)
 
 
 class MomentProfile:

@@ -143,9 +143,10 @@ class FlatBlocks(Sequence):
 class HermitianOperator:
     """The m-photon coincidence readout O = i(x - x^dag), x = (a1^dag)^m a2^m,
     as a band: entry j of ``matrix`` is x_j, the real amplitude of the shift
-    |n1, n2> -> |n1 + m, n2 - m> of basis state j (0 where n2 < m).  O holds
-    i x_j at in-block position (n1 + m, n1) and -i x_j at (n1, n1 + m), so
-    it is Hermitian by construction."""
+    |n1, n2> -> |n1 + m, n2 - m> of basis state j.  O holds i x_j at
+    in-block position (n1 + m, n1) and -i x_j at (n1, n1 + m), so it is
+    Hermitian by construction; m >= 1 and x_j = 0 where n2 < m, or
+    ValueError names the first state that breaks it."""
 
     basis: TwoModeBasis
     m: int
@@ -156,6 +157,12 @@ class HermitianOperator:
         if self.matrix.shape != (self.basis.dim,):
             raise ValueError(f"band shape {self.matrix.shape} does not match "
                              f"length {self.basis.dim}")
+        if self.m < 1:
+            raise ValueError(f"band offset m={self.m} must be at least 1")
+        stray = np.flatnonzero((self.matrix != 0) & (self.basis.n2 < self.m))
+        if stray.size:
+            n1, n2 = self.basis.n1[stray[0]], self.basis.n2[stray[0]]
+            raise ValueError(f"band amplitude at |{n1}, {n2}> with n2 < m={self.m}")
 
 
 def lowering_power(mode: int, m: int, basis: TwoModeBasis) -> np.ndarray:

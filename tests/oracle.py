@@ -17,8 +17,8 @@ before its residue-class split: one dense eigh per total-photon-number
 block.
 ``model_rows`` is the see-saw model before its channel map: one dense row
 of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
-``moment_profile`` is the readout's moment profile before its residue-class
-split: one dense ``spectral_norm``, product and bincount per block.
+``moment_profile`` is the readout's moment profile from dense blocks: one
+dense ``spectral_norm``, product ``O @ O`` and bincount per block.
 """
 
 from __future__ import annotations
@@ -470,9 +470,9 @@ class BlockwiseProfile:
 
 
 def moment_profile(family: PhasedFamily, obs: HermitianOperator) -> BlockwiseProfile:
-    """The moment profile block by block, before its residue-class split:
-    ||O|| from one dense eigvalsh per block, O^2 from one dense product per
-    block, and the weights from one bincount per block, added in T order."""
+    """The moment profile block by block, from dense blocks: ||O|| from one
+    dense eigvalsh per block, O^2 from one dense product per block, and the
+    weights from one bincount per block, added in T order."""
     N = family.input_spec.N
     blocks = obs_blocks(obs)
     obs_norm = max(spectral_norm(b) for _, b in blocks)

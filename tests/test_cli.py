@@ -474,19 +474,25 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         (["--command", "pure-qfi", "--n-range", "2", "--out", str(tmp_path)],
          str(tmp_path)),
     ]
+    # each config file, and the field its error must name (None: not checked)
     bad_files = [
-        {"command": "single", "n_range": "3", "alpha": [0.0, 0.0]},
-        {"command": "single", "n_range": "3", "alpha": [1.0, 0.5, 0.2]},
-        ["command", "pure-qfi"],
-        {"command": "pure-qfi", "chi": "x"},
-        {"command": "pure-qfi", "n_range": "2", "cache": 5},
-        {"command": "pure-qfi", "n_range": "2", "out": 7},
-        {"command": "pure-qfi", "n_range": "2", "eta_list": [10 ** 400]},
+        ({"command": "single", "n_range": "3", "alpha": [0.0, 0.0]}, None),
+        ({"command": "single", "n_range": "3", "alpha": [1.0, 0.5, 0.2]}, None),
+        (["command", "pure-qfi"], None),
+        ({"command": "pure-qfi", "chi": "x"}, None),
+        ({"command": "pure-qfi", "n_range": "2", "cache": 5}, None),
+        ({"command": "pure-qfi", "n_range": "2", "out": 7}, None),
+        ({"command": "pure-qfi", "n_range": "2", "eta_list": [10 ** 400]}, None),
+        # list entries that int() and float() would take: N = 2, N = 1, eta = 1
+        ({"command": "pure-qfi", "n_range": [2.7]}, "n_range"),
+        ({"command": "pure-qfi", "n_range": [True, 2]}, "n_range"),
+        ({"command": "pure-qfi", "n_range": "2", "eta_list": [True]}, "eta_list"),
+        ({"command": "single", "n_range": "1", "alpha": [1.0, True]}, "alpha"),
     ]
-    for index, content in enumerate(bad_files):
+    for index, (content, named) in enumerate(bad_files):
         config_file = tmp_path / f"bad{index}.json"
         config_file.write_text(json.dumps(content))
-        cases.append((["--config", str(config_file)], None))
+        cases.append((["--config", str(config_file)], named))
     before = sorted(tmp_path.iterdir())
     for argv, named in cases:
         assert main(argv) == 2, argv

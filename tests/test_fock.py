@@ -260,7 +260,7 @@ def test_pure_state_norm_validation():
 
 def test_operator_holds_one_real_amplitude_per_basis_state():
     basis = TwoModeBasis(4)
-    op = HermitianOperator(basis, 2, [float(j) for j in range(basis.dim)])
+    op = HermitianOperator(basis, 2, [float(j) * (n2 >= 2) for j, n2 in enumerate(basis.n2)])
     assert op.matrix.dtype == np.float64 and op.matrix.shape == (basis.dim,)
     for m in range(1, 6):
         band = measurement_mm(m, basis).matrix
@@ -275,6 +275,28 @@ def test_operator_rejects_a_wrong_buffer_length():
                   np.eye(basis.dim)):
         with pytest.raises(ValueError, match="does not match"):
             HermitianOperator(basis, 1, wrong)
+
+
+def test_operator_rejects_an_offset_below_one():
+    basis = TwoModeBasis(3)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            HermitianOperator(basis, m, np.zeros(basis.dim))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_operator_rejects_an_amplitude_below_the_band(m):
+    # a state with n2 < m has no shift |n1, n2> -> |n1 + m, n2 - m>: the
+    # error names the first such state that carries an amplitude
+    basis = TwoModeBasis(4)
+    band = measurement_mm(m, basis).matrix
+    for n1, n2 in ((0, 0), (1, m - 1), (5 - m, m - 1)):
+        wrong = band.copy()
+        wrong[basis.index_of(n1, n2)] = -0.5
+        with pytest.raises(ValueError, match=rf"\|{n1}, {n2}>"):
+            HermitianOperator(basis, m, wrong)
+    band[basis.n2 < m] = -0.0  # a signed zero is still no amplitude
+    HermitianOperator(basis, m, band)
 
 
 @pytest.mark.parametrize("t", [1, 2, 4])

@@ -149,3 +149,22 @@ def test_optimizer_runs_the_spectral_step_from_one_site():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and ast.unparse(node.func).split(".")[-1] == "_qfi_from_block_pairs"]
     assert len(calls) == 1
+
+
+
+def test_moment_profile_reads_its_weights_off_the_band():
+    # the weights come from the band state by state: no class product
+    # (O @ O), no sort back into block order; the norm's eigvalsh is the
+    # one linear-algebra call left
+    tree = ast.parse((PACKAGE / "estimation.py").read_text())
+    (method,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                 and node.name == "moment_profile"]
+    nodes = list(ast.walk(method))
+    assert not [node for node in nodes if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult)]
+    attributes = [node for node in nodes if isinstance(node, ast.Attribute)]
+    names = {node.attr for node in attributes} | {
+        node.id for node in nodes if isinstance(node, ast.Name)}
+    assert not names & {"matmul", "argsort"}
+    assert [node.attr for node in attributes
+            if ast.unparse(node.value) == "np.linalg"] == ["eigvalsh"]
