@@ -5,7 +5,8 @@ Reading out the phase: photon counting vs multi-photon coincidences
 The Cramer-Rao bound is readout-independent, but an actual detector
 scheme may not reach it.  Error propagation through an observable O
 gives delta_phi = sqrt(Var O) / |d<O>/dphi|, evaluated at an operating
-point where the signal slope does not vanish.
+point where the signal slope does not vanish.  For every input here the
+smallest delta_phi lies at phi = 0, which min_delta_phi evaluates.
 
 Photon-count difference (the readout of a standard interferometer) only
 responds to the near-balanced branch pair, and its best uncertainty
@@ -42,10 +43,10 @@ print(f"{'N':>3} {'min delta_phi':>14} {'closed form':>12} {'qcrb':>8}")
 for n in (3, 5, 7, 9):
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=chi, eta=1.0)
     # photon-count difference: measurement_mm(1) up to a sign delta_phi ignores
-    scan = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
+    best = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
     a = (n * n + 2 * n - 1) / 2
     c1 = (n + 1) / 2
-    print(f"{n:>3} {scan.min_delta_phi:>14.6f} {math.sqrt(a) / c1:>12.6f} "
+    print(f"{n:>3} {best:>14.6f} {math.sqrt(a) / c1:>12.6f} "
           f"{qcrb(family.qfi().qfi):>8.4f}")
 
 # ----------------------------------------------------------------------
@@ -54,8 +55,8 @@ for n in (3, 5, 7, 9):
 print("\nN-photon coincidence, eta = 1:")
 for n in (2, 4, 6):
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
-    scan = min_delta_phi(family.moment_profile(measurement_mm(n, family.basis)))
-    print(f"  N = {n}: min delta_phi = {scan.min_delta_phi:.9f}, "
+    best = min_delta_phi(family.moment_profile(measurement_mm(n, family.basis)))
+    print(f"  N = {n}: min delta_phi = {best:.9f}, "
           f"qcrb = {qcrb(family.qfi().qfi):.9f}")
 
 # ----------------------------------------------------------------------
@@ -67,6 +68,6 @@ for n in (5, 8, 11):
     outcome = optimize_alpha(OptimizationProblem(N=n, eta=0.9, chi=1e-8))
     family = PhasedFamily(SuperpositionSpec(n, outcome.alpha_star),
                           chi=1e-8, eta=0.9)
-    scan = min_delta_phi(family.moment_profile(measurement_mm(n, family.basis)))
-    print(f"  N = {n:>2}: 1/delta_phi = {1 / scan.min_delta_phi:8.4f}   "
+    best = min_delta_phi(family.moment_profile(measurement_mm(n, family.basis)))
+    print(f"  N = {n:>2}: 1/delta_phi = {1 / best:8.4f}   "
           f"1/qcrb = {math.sqrt(outcome.qfi_star):8.4f}")

@@ -12,7 +12,6 @@ from .estimation import (
     MomentProfile,
     PhasedFamily,
     QfiResult,
-    ReadoutResult,
     UndefinedBoundError,
     max_qfi_over_k,
     measurement_mm,

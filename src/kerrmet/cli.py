@@ -15,7 +15,8 @@ configuration and cache reproduces every column byte for byte except
 wall_time_ms.  Exit codes: 0 success (including rows flagged
 non-converged or degenerate), 2 configuration error (a bad value, or a
 --config, --out or --cache path that cannot be used, reported before any
-work), 3 unrecoverable numerical error (partial results are flushed).
+work), 3 unrecoverable numerical error or out of memory (partial results
+are flushed).
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class ExperimentConfig:
     k: int | None = None
     m: int | None = None
     alpha: tuple[float, ...] | None = None
-    grid_points: int = 2001
     seed: int = 0
     out: str | None = None
     cache: str | None = None
@@ -91,8 +91,6 @@ class ExperimentConfig:
             raise ConfigError("chi must be >= 0 with (N + chi N^2/2)^2 finite at the largest N")
         if not math.isfinite(self.phi):
             raise ConfigError("phi must be finite")
-        if self.grid_points < 1:
-            raise ConfigError("grid_points must be >= 1")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.command == "single" and self.k is None and self.alpha is None:
@@ -181,10 +179,6 @@ def _row(config: ExperimentConfig, t0: float, **columns) -> ResultRecord:
     columns.setdefault("phi_star", config.phi)
     return ResultRecord(command=config.command, chi=config.chi, seed=config.seed,
                         wall_time_ms=1e3 * (time.perf_counter() - t0), **columns)
-
-
-def _grid(config: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, np.pi, config.grid_points)
 
 
 class OptimizeCache:
@@ -326,9 +320,10 @@ def _readout_input(config: ExperimentConfig, n: int, eta: float,
 
 
 def _readout_point(config: ExperimentConfig, n: int, eta: float,
-                   cache: OptimizeCache, grid: np.ndarray):
+                   cache: OptimizeCache):
     """One readout-scan row: the m-photon coincidence readout of the input
-    at (N, eta), and the moment profile every readout column comes from."""
+    at (N, eta) at its best operating point, phi = 0, and the moment
+    profile every readout column comes from."""
     t0 = time.perf_counter()
     spec, digest = _readout_input(config, n, eta, cache)
     m = config.m if config.m is not None else n
@@ -338,9 +333,7 @@ def _readout_point(config: ExperimentConfig, n: int, eta: float,
     extras = {"m": m, "inv_delta_phi": np.nan, "inv_delta_x": np.nan,
               "status": "ok"}
     try:
-        scan = min_delta_phi(profile, grid)
-        phi_star = scan.argmin_phi
-        best = scan.min_delta_phi
+        phi_star, best = 0.0, min_delta_phi(profile)
         extras["inv_delta_phi"] = 1.0 / best
         # kbar is fixed to 1, so displacement and phase coincide
         extras["inv_delta_x"] = KBAR / best
@@ -354,10 +347,9 @@ def _readout_point(config: ExperimentConfig, n: int, eta: float,
 
 def run_readout_scan(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     cache = OptimizeCache(config.cache)
-    grid = _grid(config)
     for eta in config.eta_list:
         for n in config.n_range:
-            records.append(_readout_point(config, n, eta, cache, grid)[0])
+            records.append(_readout_point(config, n, eta, cache)[0])
     return {}
 
 
@@ -365,7 +357,7 @@ def run_single(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     """The readout-scan row of the first N and eta, plus the mean, variance
     and delta_phi at --phi read off the same moment profile."""
     record, profile = _readout_point(config, config.n_range[0], config.eta_list[0],
-                                     OptimizeCache(config.cache), _grid(config))
+                                     OptimizeCache(config.cache))
     phi = np.atleast_1d(config.phi)
     record.extras.update(mean=None, variance=None,
                          delta_phi_at_phi=float(profile.delta_phi(phi)[0]))
@@ -512,12 +504,16 @@ def build_config(argv=None) -> ExperimentConfig:
         if isinstance(values[name], str):
             values[name] = parse(values[name])
     # list entries are type-checked like the scalar fields: int() and
-    # float() would take true as 1 and truncate 2.7 to N = 2
+    # float() would take true as 1, "3" as 3 and truncate 2.7 to N = 2
     for name, noun in (("n_range", "integers"), ("eta_list", "numbers"), ("alpha", "numbers")):
         entries = values.get(name)
+        # a string here is alpha's (range strings are parsed above); a dict
+        # would pass its keys to int() and float()
+        if isinstance(entries, (str, dict)):
+            raise ConfigError(f"{name} must be a list of {noun}, got {entries!r}")
         for entry in entries if isinstance(entries, (list, tuple)) else ():
-            if isinstance(entry, bool) or (name == "n_range" and isinstance(entry, float)
-                                           and not entry.is_integer()):
+            if isinstance(entry, (bool, str)) or (
+                    name == "n_range" and isinstance(entry, float) and not entry.is_integer()):
                 raise ConfigError(f"{name} entries must be {noun}, got {entry!r}")
     try:
         values["n_range"] = tuple(int(n) for n in values["n_range"])
@@ -553,10 +549,11 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError, OverflowError,
+    except (NumericalError, FloatingPointError, OverflowError, MemoryError,
             np.linalg.LinAlgError) as err:
-        print(f"numerical error: {err}", file=sys.stderr)
-        summary["error"] = str(err)
+        message = str(err) or type(err).__name__  # a bare MemoryError has no text
+        print(f"numerical error: {message}", file=sys.stderr)
+        summary["error"] = message
         _emit(records, summary, config)  # flush whatever completed
         return 3
     _emit(records, summary, config)

@@ -11,8 +11,8 @@ over the residue classes of its index mod the branch stride of the input,
 so the eigenbasis is found class by class, one batched eigh per class
 size.  The quantum Cramer-Rao bound is delta_phi >= 1/F.  Readout
 performance is judged by error propagation,
-delta_phi = sqrt(Var O) / |d<O>/dphi|, scanned over operating points phi
-where the signal slope does not vanish.
+delta_phi = sqrt(Var O) / |d<O>/dphi|, which for the coincidence readouts
+is smallest at the operating point phi = 0 (see ``min_delta_phi``).
 """
 
 from __future__ import annotations
@@ -47,18 +47,12 @@ RANK_CUTOFF_FACTOR = 1e-12
 # |d<O>/dphi| at most this fraction of the largest slope the profile can
 # reach, sum_j |d_j w_j|, marks a degenerate operating point
 DEGENERACY_FACTOR = 1e-12
-GOLDEN_TOL = 1e-10
-# delta_phi values this close (relative) tie.  On a flat profile (eta = 1,
-# k = 0, m = N) the default grid spreads by round-off up to 1.2e-10 for
-# N <= 60, mostly next to the degenerate points, where Var O cancels
-TIE_RTOL = 1e-9
 # variance below this fraction of <O^2> + <O>^2 is round-off, not signal:
 # <O^2> - <O>^2 cancels catastrophically right where the slope vanishes,
 # so such points belong to the degenerate neighborhood as well.  Var O
 # carries a relative round-off of about eps (|<O^2>| + <O>^2) / Var, so
-# above this floor delta_phi moves by round-off at most ~1e-10, a decade
-# below TIE_RTOL: no point next to a degenerate one can undercut a tie
-VARIANCE_FLOOR_FACTOR = 1e3 * TIE_RTOL
+# above this floor delta_phi moves by round-off at most ~1e-10
+VARIANCE_FLOOR_FACTOR = 1e-6
 
 
 class DegenerateOperatingPointError(RuntimeError):
@@ -89,15 +83,6 @@ class QfiResult:
     rank_cutoff: float
     spectrum: np.ndarray
     sld: list[np.ndarray] | None = None
-
-
-@dataclass
-class ReadoutResult:
-    """Uncertainty scan of one observable over a phase grid."""
-
-    delta_phi: np.ndarray
-    min_delta_phi: float
-    argmin_phi: float
 
 
 def qfi_pure_analytic(N: int, k: int, chi: float) -> float:
@@ -500,62 +485,24 @@ def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
     return best_k, best
 
 
-def _golden_section(f, lo: float, hi: float, tol: float):
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    best_f, best_x = min((f(lo), lo), (f(hi), hi))  # a tie keeps lo
-    a, b = lo, hi
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        for x, fx in ((c, fc), (d, fd)):
-            if fx < best_f:
-                best_x, best_f = x, fx
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = f(d)
-    return best_x, best_f
+def min_delta_phi(profile: MomentProfile) -> float:
+    """The readout's smallest delta_phi over all operating points: its
+    value at phi = 0, where it is reached.
 
+    Every input has real coefficients and both arms lose equally, so rho_0
+    is real symmetric, and the readout is O = iA with A real antisymmetric.
+    With u = theta m phi, <O> = a sin u and <O^2> = c + 2f cos 2u, so
 
-def min_delta_phi(profile: MomentProfile,
-                  grid: np.ndarray | None = None) -> ReadoutResult:
-    """Scan a readout's delta_phi over a grid (default: 2001 points on
-    [0, pi]), skip degenerate points, and refine the best bracket by
-    golden section.
+        delta_phi^2 = (P - Q sin^2 u) / (a theta m cos u)^2,
 
-    The operating point is the smallest grid phi whose delta_phi ties with
-    the grid minimum to a relative TIE_RTOL, unless the refinement improves
-    on the minimum by more than that: on a flat profile round-off would
-    otherwise pick the point.
+    with P = c + 2f and Q = 4f + a^2.  Its derivative in sin^2 u has the
+    sign of P - Q, which is Var O at u = pi/2 and so never negative: the
+    minimum lies where sin u = 0, at phi = 0 (and each multiple of
+    pi / (theta m)), and the profile is flat when P = Q.  A degenerate
+    phi = 0 (a = 0: the readout cannot see the branch coherence, and the
+    slope vanishes at every phi) raises DegenerateOperatingPointError.
     """
-    if grid is None:
-        grid = np.linspace(0.0, np.pi, 2001)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("grid must be non-empty")
-    deltas = profile.delta_phi(grid)
-    if not np.isfinite(deltas).any():
-        raise DegenerateOperatingPointError(
-            "the signal slope vanishes on every grid point")
-    i_best = int(np.nanargmin(deltas))
-    f_grid = deltas[i_best]
-    lo = grid[max(i_best - 1, 0)]
-    hi = grid[min(i_best + 1, grid.size - 1)]
-    def guarded(x):
-        value = float(profile.delta_phi(np.atleast_1d(x))[0])
-        return math.inf if math.isnan(value) else value
-
-    if hi > lo:
-        x_star, f_star = _golden_section(guarded, lo, hi, GOLDEN_TOL)
-    else:
-        x_star, f_star = float(grid[i_best]), float(f_grid)
-    if f_star > f_grid:
-        x_star, f_star = float(grid[i_best]), float(f_grid)
-    if f_star >= f_grid * (1.0 - TIE_RTOL):
-        x_star = float(grid[np.argmax(deltas <= f_grid * (1.0 + TIE_RTOL))])
-    return ReadoutResult(delta_phi=deltas,
-                         min_delta_phi=float(f_star), argmin_phi=float(x_star))
+    value = float(profile.delta_phi(np.zeros(1))[0])
+    if math.isnan(value):
+        raise DegenerateOperatingPointError("the signal slope vanishes at phi = 0")
+    return value

@@ -19,6 +19,9 @@ block.
 of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
 ``moment_profile`` is the readout's moment profile from dense blocks: one
 dense ``spectral_norm``, product ``O @ O`` and bincount per block.
+``scan_delta_phi`` is the operating-point search ``min_delta_phi`` replaced
+by its closed form: a profile's delta_phi on a phase grid, refined around
+the best grid point by golden section.
 """
 
 from __future__ import annotations
@@ -512,6 +515,63 @@ def delta_phi(family: PhasedFamily, obs, phi: float) -> float:
         raise DegenerateOperatingPointError(
             f"variance {variance:.3e} at phi={phi} is below its round-off floor")
     return math.sqrt(variance) / abs(slope)
+
+
+GOLDEN_TOL = 1e-10
+
+
+@dataclass
+class ReadoutResult:
+    """Uncertainty scan of one moment profile over a phase grid."""
+
+    delta_phi: np.ndarray
+    min_delta_phi: float
+    argmin_phi: float
+
+
+def _golden_section(f, lo: float, hi: float, tol: float):
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    best_f, best_x = min((f(lo), lo), (f(hi), hi))  # a tie keeps lo
+    a, b = lo, hi
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        for x, fx in ((c, fc), (d, fd)):
+            if fx < best_f:
+                best_x, best_f = x, fx
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    return best_x, best_f
+
+
+def scan_delta_phi(profile, grid=None) -> ReadoutResult:
+    """Scan a profile's delta_phi over a grid (default: 2001 points on
+    [0, pi]), skip degenerate points, and refine the bracket around the best
+    grid point by golden section; the first best grid point stands unless
+    the refinement improves on it."""
+    grid = np.linspace(0.0, np.pi, 2001) if grid is None else np.asarray(grid, dtype=float)
+    deltas = profile.delta_phi(grid)
+    if not np.isfinite(deltas).any():
+        raise DegenerateOperatingPointError("the signal slope vanishes on every grid point")
+    i_best = int(np.nanargmin(deltas))
+    x_star, f_star = float(grid[i_best]), float(deltas[i_best])
+    lo, hi = grid[max(i_best - 1, 0)], grid[min(i_best + 1, grid.size - 1)]
+
+    def guarded(x):
+        value = float(profile.delta_phi(np.atleast_1d(x))[0])
+        return math.inf if math.isnan(value) else value
+
+    if hi > lo:
+        x, f = _golden_section(guarded, lo, hi, GOLDEN_TOL)
+        if f < f_star:
+            x_star, f_star = float(x), float(f)
+    return ReadoutResult(delta_phi=deltas, min_delta_phi=f_star, argmin_phi=x_star)
 
 
 # ---------------------------------------------------------------- optimizer

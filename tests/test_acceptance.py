@@ -126,7 +126,7 @@ def test_criterion_4_qcrb_saturation_full_coincidence():
         for chi in (0.0, 0.1):
             family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
             obs = measurement_mm(n, family.basis)
-            got = min_delta_phi(family.moment_profile(obs)).min_delta_phi
+            got = min_delta_phi(family.moment_profile(obs))
             want = 1.0 / (n + chi * n * n / 2)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
@@ -145,7 +145,7 @@ def test_criterion_5_near_balanced_readout_closed_form():
             theta = 1 + chi * n / 2
             family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=chi, eta=1.0)
             obs = measurement_mm(1, family.basis)  # photon counting up to sign
-            got = min_delta_phi(family.moment_profile(obs)).min_delta_phi
+            got = min_delta_phi(family.moment_profile(obs))
             want = math.sqrt(a) / (c1 * theta)
             worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - t0
@@ -196,7 +196,7 @@ def test_criterion_8_readout_saturation_under_loss(optimized):
             family = PhasedFamily(SuperpositionSpec(n, outcome.alpha_star),
                                   chi=CHI_DEFAULT, eta=eta)
             obs = measurement_mm(n, family.basis)
-            inverse[n] = 1.0 / min_delta_phi(family.moment_profile(obs)).min_delta_phi
+            inverse[n] = 1.0 / min_delta_phi(family.moment_profile(obs))
         ratios[eta] = inverse[15] / inverse[11]
     criterion("8 readout growth saturates under loss",
               ratios[0.9] < ratios[1.0],
@@ -254,8 +254,8 @@ def test_criterion_9_invariant_suite():
         family = PhasedFamily(spec, chi=CHI_DEFAULT, eta=eta)
         obs = measurement_mm(m, family.basis)
         bound = qcrb(family.qfi().qfi)
-        scan = min_delta_phi(family.moment_profile(obs))
-        if scan.min_delta_phi < bound - 1e-9:
+        best = min_delta_phi(family.moment_profile(obs))
+        if best < bound - 1e-9:
             failures.append(f"readout beat the bound for N={spec.N}")
 
     # deterministic replay of a seeded optimization

@@ -181,8 +181,7 @@ def test_qfi_scan_emits_slopes(tmp_path):
 def test_readout_scan_lossless_noon(tmp_path):
     out = tmp_path / "readout.csv"
     code = main(["--command", "readout-scan", "--n-range", "1:4:1",
-                 "--eta", "1.0", "--k", "0", "--chi", "1e-8",
-                 "--grid-points", "801", "--out", str(out)])
+                 "--eta", "1.0", "--k", "0", "--chi", "1e-8", "--out", str(out)])
     assert code == 0
     _, rows = read_csv(out)
     for row in rows:
@@ -196,8 +195,7 @@ def test_readout_scan_near_balanced_single_photon_counting(tmp_path):
     # k = (N-1)/2 input read out at m = 1: 1/delta_phi = C1 theta / sqrt(A)
     out = tmp_path / "readout_m1.csv"
     code = main(["--command", "readout-scan", "--n-range", "5", "--k", "2",
-                 "--eta", "1.0", "--m", "1", "--chi", "0",
-                 "--grid-points", "801", "--out", str(out)])
+                 "--eta", "1.0", "--m", "1", "--chi", "0", "--out", str(out)])
     assert code == 0
     _, rows = read_csv(out)
     (row,) = rows
@@ -212,13 +210,16 @@ def assert_flat_rows_report_smallest_phi(out):
     assert rows and [row["phi_star"] for row in rows] == ["0.0"] * len(rows)
     for row in rows:
         assert float(row["delta_phi_min"]) == pytest.approx(float(row["qcrb"]), rel=1e-9)
+        # Var O does not cancel at phi = 0, so the bound holds to round-off;
+        # a grid plus golden-section search over phi undercut it by up to
+        # 3.4e-11 on the k = 0 rows of N = 1..60
+        assert float(row["delta_phi_min"]) >= float(row["qcrb"]) * (1 - 1e-14)
 
 
 def test_readout_scan_flat_profile_reports_smallest_phi(tmp_path):
     # at eta = 1, k = 0, m = N delta_phi equals the QCRB at every phi, so
-    # the grid points tie and the smallest phi is reported, not one picked
-    # by round-off next to a degenerate point (N = 21 and 41 did so before
-    # the variance floor followed TIE_RTOL)
+    # only round-off could single out another operating point; the rows
+    # report phi = 0
     out = tmp_path / "flat.csv"
     code = main(["--command", "readout-scan", "--n-range", "1:60",
                  "--eta", "1.0", "--k", "0", "--out", str(out)])
@@ -227,8 +228,8 @@ def test_readout_scan_flat_profile_reports_smallest_phi(tmp_path):
 
 
 def test_readout_scan_flat_profile_without_kerr_reports_smallest_phi(tmp_path):
-    # at chi = 0 the N = 23 row reported phi_star 1.844 with delta_phi_min
-    # 2.5e-9 below its QCRB before the variance floor followed TIE_RTOL
+    # the flat profile without Kerr: at N = 23 a search over phi with a
+    # variance floor of 1e-8 reported phi_star 1.844, 2.5e-9 below the QCRB
     out = tmp_path / "flat.csv"
     code = main(["--command", "readout-scan", "--n-range", "23", "--eta", "1.0",
                  "--k", "0", "--chi", "0", "--out", str(out)])
@@ -474,6 +475,11 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         (["--command", "pure-qfi", "--n-range", "2", "--out", str(tmp_path)],
          str(tmp_path)),
     ]
+    # --grid-points went with the operating-point search: argparse exits 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--command", "readout-scan", "--n-range", "2", "--grid-points", "801"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --grid-points" in capsys.readouterr().err
     # each config file, and the field its error must name (None: not checked)
     bad_files = [
         ({"command": "single", "n_range": "3", "alpha": [0.0, 0.0]}, None),
@@ -488,6 +494,15 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         ({"command": "pure-qfi", "n_range": [True, 2]}, "n_range"),
         ({"command": "pure-qfi", "n_range": "2", "eta_list": [True]}, "eta_list"),
         ({"command": "single", "n_range": "1", "alpha": [1.0, True]}, "alpha"),
+        # strings, which int() and float() would parse: N = 3, eta = 0.5;
+        # a whole-field string is flag syntax for n_range and eta_list only
+        ({"command": "pure-qfi", "n_range": ["3"]}, "n_range"),
+        ({"command": "pure-qfi", "n_range": "2", "eta_list": ["0.5"]}, "eta_list"),
+        ({"command": "single", "n_range": "1", "alpha": ["1.0", 0.5]}, "alpha"),
+        ({"command": "single", "n_range": "1", "alpha": "5"}, "alpha"),
+        ({"command": "pure-qfi", "n_range": {"3": 1}}, "n_range"),
+        # a removed field
+        ({"command": "readout-scan", "n_range": "2", "grid_points": 801}, "grid_points"),
     ]
     for index, (content, named) in enumerate(bad_files):
         config_file = tmp_path / f"bad{index}.json"
@@ -591,3 +606,23 @@ def test_overflow_error_exits_3(tmp_path, monkeypatch):
                  "--out", str(out)]) == 3
     comments, rows = read_csv(out)
     assert rows == [] and any("synthetic overflow" in c for c in comments)
+
+
+def test_memory_error_exits_3_and_flushes(tmp_path, monkeypatch, capsys):
+    # an allocation the host refuses ends like a numerical error: the rows
+    # completed before it are flushed.  The runner raises MemoryError itself,
+    # so no large array is ever requested
+    import kerrmet.cli as cli
+
+    def exhausting(config, records):
+        records.append(cli._row(config, 0.0, N=1, k_or_alpha_digest="k=0", eta=1.0,
+                                qfi=1.0))
+        raise MemoryError()
+
+    monkeypatch.setitem(cli._COMMANDS, "qfi-scan", (exhausting, "1", "1.0"))
+    out = tmp_path / "memory.csv"
+    assert main(["--command", "qfi-scan", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical error: MemoryError\n"
+    comments, rows = read_csv(out)
+    assert len(rows) == 1 and "# error \"MemoryError\"" in comments

@@ -467,8 +467,7 @@ def test_moment_profile_past_the_float_range():
         profile.second_moment(phi)
     with pytest.raises(OverflowError):
         profile.variance(phi)
-    scan = min_delta_phi(profile)
-    assert scan.min_delta_phi >= qcrb(family.qfi().qfi) - 1e-9
+    assert min_delta_phi(profile) >= qcrb(family.qfi().qfi) - 1e-9
 
 
 def random_band(basis: TwoModeBasis, m: int, rng) -> HermitianOperator:
@@ -612,7 +611,7 @@ def test_delta_phi_large_kerr_consistency():
     n, chi = 5, 1000.0
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
     obs = measurement_mm(n, family.basis)
-    got = min_delta_phi(family.moment_profile(obs)).min_delta_phi
+    got = min_delta_phi(family.moment_profile(obs))
     approx = 2.0 / (chi * n * n)
     assert abs(got / approx - 1.0) < 2.0 / (chi * n)
 
@@ -629,8 +628,7 @@ def test_min_delta_phi_full_coincidence():
     family = PhasedFamily(NoonLikeSpec(n, 0), chi=chi, eta=1.0)
     obs = measurement_mm(n, family.basis)
     result = min_delta_phi(family.moment_profile(obs))
-    assert result.min_delta_phi == pytest.approx(1.0 / (n + chi * n * n / 2),
-                                                 rel=1e-6)
+    assert result == pytest.approx(1.0 / (n + chi * n * n / 2), rel=1e-6)
 
 
 def test_min_delta_phi_near_balanced_minimum_at_zero():
@@ -638,15 +636,16 @@ def test_min_delta_phi_near_balanced_minimum_at_zero():
     a = (n * n + 2 * n - 1) / 2
     c1 = (n + 1) / 2
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=0.0, eta=1.0)
-    result = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
-    assert result.min_delta_phi == pytest.approx(math.sqrt(a) / c1, rel=1e-9)
-    assert abs(result.argmin_phi) < 1e-6
+    profile = family.moment_profile(measurement_mm(1, family.basis))
+    assert min_delta_phi(profile) == pytest.approx(math.sqrt(a) / c1, rel=1e-9)
+    # the search the closed form replaced finds the same operating point
+    assert abs(oracle.scan_delta_phi(profile).argmin_phi) < 1e-6
 
 
 def test_min_delta_phi_single_photon_unit():
     family = PhasedFamily(NoonLikeSpec(1, 0), chi=0.0, eta=1.0)
     result = min_delta_phi(family.moment_profile(measurement_mm(1, family.basis)))
-    assert result.min_delta_phi == pytest.approx(1.0, rel=1e-9)
+    assert result == pytest.approx(1.0, rel=1e-9)
 
 
 def test_min_delta_phi_rejects_degenerate_grid():
@@ -654,7 +653,13 @@ def test_min_delta_phi_rejects_degenerate_grid():
     obs = measurement_mm(2, family.basis)
     # cos(2 phi) = 0 at phi = pi/4: slope of <M_2> vanishes there
     with pytest.raises(DegenerateOperatingPointError):
-        min_delta_phi(family.moment_profile(obs), np.array([np.pi / 4]))
+        oracle.scan_delta_phi(family.moment_profile(obs), np.array([np.pi / 4]))
+    # the closed form evaluates phi = 0 only, where this slope is largest;
+    # the k = 1 input's slope vanishes at every phi, phi = 0 included
+    assert min_delta_phi(family.moment_profile(obs)) == pytest.approx(0.5, rel=1e-9)
+    balanced = PhasedFamily(NoonLikeSpec(2, 1), chi=0.0, eta=1.0)
+    with pytest.raises(DegenerateOperatingPointError):
+        min_delta_phi(balanced.moment_profile(measurement_mm(2, balanced.basis)))
 
 
 def test_min_delta_phi_all_zero_profile_is_degenerate():
@@ -669,14 +674,15 @@ def test_min_delta_phi_all_zero_profile_is_degenerate():
 
 
 def test_min_delta_phi_rejects_negative_variance():
-    # <O> = 2 cos(phi), <O^2> = 1: Var O = 1 - 4 cos^2(phi) < 0 near phi = 0
+    # <O> = 2 cos(phi), <O^2> = 1: Var O = 1 - 4 cos^2(phi) < 0 near phi = 0,
+    # and -3 at phi = 0
     freqs = np.array([-1.0, 1.0])
     profile = MomentProfile(freqs, np.array([1.0, 1.0]), np.array([0.5, 0.5]),
                             obs_norm=2.0, scale=1.0)
     with pytest.raises(NumericalError):
         profile.delta_phi(np.array([0.0, 0.3]))
     with pytest.raises(NumericalError):
-        min_delta_phi(profile, np.linspace(0.0, np.pi, 11))
+        min_delta_phi(profile)
 
 
 def test_min_delta_phi_never_beats_qcrb():
@@ -694,17 +700,21 @@ def test_min_delta_phi_never_beats_qcrb():
             result = min_delta_phi(family.moment_profile(obs))
         except DegenerateOperatingPointError:
             continue
-        assert result.min_delta_phi >= bound - 1e-9
+        assert result >= bound - 1e-9
 
 
 def test_min_delta_phi_matches_pointwise_evaluation():
     family = PhasedFamily(NoonLikeSpec(4, 1), chi=0.05, eta=0.8)
     obs = measurement_mm(2, family.basis)
     grid = np.linspace(0.05, 3.0, 41)
-    result = min_delta_phi(family.moment_profile(obs), grid)
+    profile = family.moment_profile(obs)
+    result = oracle.scan_delta_phi(profile, grid)
     for i in (0, 13, 27, 40):
         point = oracle.delta_phi(family, obs, float(grid[i]))
         assert result.delta_phi[i] == pytest.approx(point, rel=1e-9)
+    best = min_delta_phi(profile)
+    assert best == pytest.approx(oracle.delta_phi(family, obs, 0.0), rel=1e-9)
+    assert best <= result.min_delta_phi
 
 
 def test_phased_family_validation():

@@ -21,14 +21,14 @@ ORACLE_NAMES = {
     "superposition_state", "DenseOperator", "BlockStructureError", "block_split",
     "_check_hermitian", "_band_rows", "_entries", "derivative_factors",
     "spectral_norm", "block_entries", "_class_chunks", "CHUNK_ENTRIES",
-    "HERMITICITY_ATOL",
+    "HERMITICITY_ATOL", "_golden_section", "GOLDEN_TOL", "TIE_RTOL", "ReadoutResult",
 }
 # methods and fields that belong to the dense oracle, or were deleted
 ORACLE_METHODS = {
     ("PhasedFamily", "rho"), ("PhasedFamily", "rho_prime"),
     ("PhasedFamily", "rho_blocks"), ("TwoModeBasis", "state_of"),
     ("PhasedFamily", "rho0"), ("HermitianOperator", "blocks"),
-    ("HermitianOperator", "support"),
+    ("HermitianOperator", "support"), ("ExperimentConfig", "grid_points"),
 }
 
 
