@@ -501,6 +501,10 @@ def min_delta_phi(profile: MomentProfile) -> float:
     pi / (theta m)), and the profile is flat when P = Q.  A degenerate
     phi = 0 (a = 0: the readout cannot see the branch coherence, and the
     slope vanishes at every phi) raises DegenerateOperatingPointError.
+
+    The profile must come from PhasedFamily.moment_profile of a
+    measurement_mm readout: other weights need not have their minimum at
+    phi = 0.
     """
     value = float(profile.delta_phi(np.zeros(1))[0])
     if math.isnan(value):

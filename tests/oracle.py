@@ -19,8 +19,8 @@ block.
 of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
 ``moment_profile`` is the readout's moment profile from dense blocks: one
 dense ``spectral_norm``, product ``O @ O`` and bincount per block.
-``scan_delta_phi`` is the operating-point search ``min_delta_phi`` replaced
-by its closed form: a profile's delta_phi on a phase grid, refined around
+``scan_delta_phi`` searches a profile's operating points, the check on
+``min_delta_phi``'s closed form: delta_phi on a phase grid, refined around
 the best grid point by golden section.
 """
 

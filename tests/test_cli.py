@@ -210,9 +210,7 @@ def assert_flat_rows_report_smallest_phi(out):
     assert rows and [row["phi_star"] for row in rows] == ["0.0"] * len(rows)
     for row in rows:
         assert float(row["delta_phi_min"]) == pytest.approx(float(row["qcrb"]), rel=1e-9)
-        # Var O does not cancel at phi = 0, so the bound holds to round-off;
-        # a grid plus golden-section search over phi undercut it by up to
-        # 3.4e-11 on the k = 0 rows of N = 1..60
+        # Var O does not cancel at phi = 0, so the bound holds to round-off
         assert float(row["delta_phi_min"]) >= float(row["qcrb"]) * (1 - 1e-14)
 
 
@@ -228,8 +226,8 @@ def test_readout_scan_flat_profile_reports_smallest_phi(tmp_path):
 
 
 def test_readout_scan_flat_profile_without_kerr_reports_smallest_phi(tmp_path):
-    # the flat profile without Kerr: at N = 23 a search over phi with a
-    # variance floor of 1e-8 reported phi_star 1.844, 2.5e-9 below the QCRB
+    # the flat profile without Kerr, where round-off next to a degenerate
+    # point could pass for a lower value: the row reports phi = 0
     out = tmp_path / "flat.csv"
     code = main(["--command", "readout-scan", "--n-range", "23", "--eta", "1.0",
                  "--k", "0", "--chi", "0", "--out", str(out)])

@@ -638,7 +638,7 @@ def test_min_delta_phi_near_balanced_minimum_at_zero():
     family = PhasedFamily(NoonLikeSpec(n, (n - 1) // 2), chi=0.0, eta=1.0)
     profile = family.moment_profile(measurement_mm(1, family.basis))
     assert min_delta_phi(profile) == pytest.approx(math.sqrt(a) / c1, rel=1e-9)
-    # the search the closed form replaced finds the same operating point
+    # a search over phi finds the same operating point
     assert abs(oracle.scan_delta_phi(profile).argmin_phi) < 1e-6
 
 
