@@ -54,6 +54,10 @@ FORMATS = ("csv", "json")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",
                 "qfi", "qcrb", "delta_phi_min", "wall_time_ms", "seed",
                 "code_version")
+# the largest N any command takes: block_offsets' int64 sums t(t+1)(2t+1)
+# wrap past N ~ 1.66e6.  Far below it the state no longer fits in memory,
+# which ends a run with exit 3
+N_MAX = 10 ** 6
 
 class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
@@ -73,15 +77,14 @@ class ExperimentConfig:
     out: str | None = None
     cache: str | None = None
     format: str = "csv"
-    max_n: int | None = None
 
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.n_range:
             raise ConfigError("empty N range")
-        if any(n < 1 for n in self.n_range):
-            raise ConfigError("N values must be >= 1")
+        if not all(1 <= n <= N_MAX for n in self.n_range):
+            raise ConfigError(f"N values must lie in [1, {N_MAX}]")
         if not self.eta_list:
             raise ConfigError("empty eta list")
         if any(not 0.0 <= e <= 1.0 for e in self.eta_list):
@@ -415,20 +418,20 @@ def _emit(records, summary, config: ExperimentConfig) -> None:
 
 def parse_n_range(text: str) -> tuple[int, ...]:
     try:
-        if ":" in text:
-            parts = [int(p) for p in text.split(":")]
-            if len(parts) == 2:
-                start, stop, step = parts[0], parts[1], 1
-            elif len(parts) == 3:
-                start, stop, step = parts
-            else:
-                raise ValueError
-            if step < 1:
-                raise ValueError
-            return tuple(range(start, stop + 1, step))
-        return (int(text),)
-    except ValueError as err:
-        raise ConfigError(f"cannot parse N range {text!r}; use A:B:S or a single integer") from err
+        parts = [int(p) for p in text.split(":")]
+    except ValueError:
+        parts = []
+    if len(parts) == 1:  # "N" is N:N
+        parts *= 2
+    if len(parts) == 2:
+        parts.append(1)
+    if len(parts) != 3 or parts[2] < 1:
+        raise ConfigError(f"cannot parse N range {text!r}; use A:B:S or a single integer")
+    start, stop, step = parts
+    # the bounds are checked before the range is built: its length is unbounded
+    if start < 1 or stop > N_MAX:
+        raise ConfigError(f"N values must lie in [1, {N_MAX}], got {text!r}")
+    return tuple(range(start, stop + 1, step))
 
 
 def parse_eta_list(text: str) -> tuple[float, ...]:
@@ -522,10 +525,6 @@ def build_config(argv=None) -> ExperimentConfig:
             values["alpha"] = tuple(float(a) for a in values["alpha"])
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"n_range, eta_list and alpha must be lists of numbers: {err}") from err
-    if values.get("max_n") is not None and values["n_range"]:
-        ns = values["n_range"]
-        step = ns[1] - ns[0] if len(ns) > 1 else 1
-        values["n_range"] = tuple(range(min(ns), values["max_n"] + 1, step))
     # a bad destination fails here, before any work, not after the scan
     if values.get("out"):
         out = Path(values["out"])

@@ -149,9 +149,10 @@ class BlockPairs(Sequence):
 
 @lru_cache(maxsize=4)
 def _residue_classes(n_max: int, stride: int):
-    """Block T = 0..n_max split into the classes {r, r + stride, ...} of its
-    index mod ``stride`` (singletons at stride 0), stacked by class size:
-    one stack per size s = 1, 2, ..., none missing, each in (T, r) order.
+    """The spectral step's index tables for the state's blocks: block
+    T = 0..n_max split into the classes {r, r + stride, ...} of its index
+    mod ``stride`` (singletons at stride 0), stacked by class size: one
+    stack per size s = 1, 2, ..., none missing, each in (T, r) order.
 
     A stack of c classes is the triple (blocks, gather, diag): the block T
     of each class (c,), the positions of the class entries in the flat
@@ -347,26 +348,16 @@ class PhasedFamily:
         so only j = +-m (of <O>) and j = 0, +-2m (of <O^2>) carry terms, read
         off the band state by state.  Summed per (T, j) in r order, then the
         rows in T order, they give a block-by-block bincount's sums, less
-        zeros.  ||O|| takes one batched eigvalsh per residue-class size mod m.
+        zeros.  The weights belong to O/scale, with scale = 2^e taken from
+        the band's largest amplitude f 2^e, 0.5 <= f < 1.
         """
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
         N, m = self.input_spec.N, obs.m
-        stacks = _residue_classes(N, m if m <= N else 0)  # a zero band has no stride
-
-        def classes(diag):  # the class matrices of O in a stack
-            x, below = obs.matrix[diag[:, :-1]], np.arange(diag.shape[1] - 1)
-            o = np.zeros(diag.shape + diag.shape[1:], dtype=complex)
-            o[:, below + 1, below] = 1j * x
-            o[:, below, below + 1] = 1j * -x.conj()
-            return o
-
-        # the eigenvalues of a block are those of its classes.  A power of
-        # two keeps O/scale and its square finite (|O| reaches N!, whose
-        # square overflows from N = 99) and scales exactly
-        obs_norm = max(float(np.abs(np.linalg.eigvalsh(classes(diag))).max())
-                       for _, _, diag in stacks)
-        scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
+        # a power of two scales exactly and keeps O/scale and its square
+        # finite (|O| reaches N!, whose square overflows from N = 99): each
+        # |x/scale| < 1, and a row of O holds at most two of them
+        scale = math.ldexp(1.0, math.frexp(np.abs(obs.matrix).max())[1])
         x = obs.matrix / scale  # the band of O/scale, exact
         total, diag = self.basis.total, block_diagonal(N)
         # the states the band shifts up (n2 >= m: the only nonzero x), and
@@ -391,26 +382,30 @@ class PhasedFamily:
         odd = np.arange(5) % 2 == 1
         return MomentProfile((1.0 + 0.5 * self.chi * N) * (m * np.arange(-2, 3)),
                              0.0 + 1j * np.where(odd, sums, 0.0), np.where(odd, 0.0, sums),
-                             obs_norm / scale, scale)
+                             scale)
 
 
 class MomentProfile:
     """<O>(phi) = Re sum_j w_j e^{i phi d_j} and friends, exact per family.
 
-    The weights and ``obs_norm`` belong to O/scale; ``mean``,
+    The weights belong to O/scale, a power of two; ``mean``,
     ``second_moment`` and ``variance`` multiply the scale back, while
-    delta_phi does not depend on it.
+    delta_phi does not depend on it.  ``variance_floor`` (in the units of
+    O/scale) is PSD_FLOOR * max(1, scale/2)^2 in those of O: a variance
+    below it is negative beyond round-off.  For a profile of
+    PhasedFamily.moment_profile, scale/2 <= max |x| <= ||O||, so it is
+    never looser than PSD_FLOOR * max(1, ||O||^2).
     """
 
     def __init__(self, freqs: np.ndarray, w_mean: np.ndarray,
-                 w_sq: np.ndarray, obs_norm: float, scale: float):
+                 w_sq: np.ndarray, scale: float):
         w_mean = np.asarray(w_mean, dtype=complex)
         w_sq = np.asarray(w_sq, dtype=complex)
         # a frequency whose weights are both zero adds exact zeros: drop it
         keep = (w_mean != 0) | (w_sq != 0)
         self.freqs, self.w_mean, self.w_sq = np.asarray(freqs)[keep], w_mean[keep], w_sq[keep]
-        self.obs_norm = obs_norm
         self.scale = scale
+        self.variance_floor = PSD_FLOOR * max(1.0 / scale, 0.5) ** 2
         # relative to the signal, not to ||O||: under heavy loss the branch
         # coherence, and with it every slope, lies many orders below ||O||
         self.slope_floor = DEGENERACY_FACTOR * float(np.abs(self.freqs * self.w_mean).sum())
@@ -435,11 +430,11 @@ class MomentProfile:
         return self._unscaled((self._phases(phi) @ self.w_sq).real, 2)
 
     def _checked_variance(self, mean, second):
-        """Var of O/scale from its mean and second moment; the floor is
-        PSD_FLOOR * max(1, |O|^2) in the units of O/scale."""
+        """Var of O/scale from its mean and second moment; NumericalError
+        below ``variance_floor``, negative values above it clamped to 0."""
         var = second - mean ** 2
         lo = np.min(var)
-        if lo < PSD_FLOOR * max(1.0 / self.scale, self.obs_norm) ** 2:
+        if lo < self.variance_floor:
             raise NumericalError(f"variance {lo:.3e} below round-off floor")
         if lo < 0.0:
             logger.debug("clamping %d negative variances (min %.3e) to 0",

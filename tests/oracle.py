@@ -462,13 +462,12 @@ def spectral_norm(matrix: np.ndarray) -> float:
 @dataclass
 class BlockwiseProfile:
     """The weights of a moment profile at every frequency j = -N..N,
-    zeros included, with the profile's ||O|| (in units of the scale) and
-    scale."""
+    zeros included, with the profile's scale, the power of two just above
+    ||O||."""
 
     freqs: np.ndarray
     w_mean: np.ndarray
     w_sq: np.ndarray
-    obs_norm: float
     scale: float
 
 
@@ -478,8 +477,7 @@ def moment_profile(family: PhasedFamily, obs: HermitianOperator) -> BlockwisePro
     weights from one bincount per block, added in T order."""
     N = family.input_spec.N
     blocks = obs_blocks(obs)
-    obs_norm = max(spectral_norm(b) for _, b in blocks)
-    scale = math.ldexp(1.0, math.frexp(obs_norm)[1])
+    scale = math.ldexp(1.0, math.frexp(max(spectral_norm(b) for _, b in blocks))[1])
     w_mean = np.zeros(2 * N + 1, dtype=complex)
     w_sq = np.zeros(2 * N + 1, dtype=complex)
     for t, (rho_block, (_, o_block)) in enumerate(zip(rho0_blocks(family), blocks)):
@@ -490,7 +488,7 @@ def moment_profile(family: PhasedFamily, obs: HermitianOperator) -> BlockwisePro
             w += (np.bincount(offset, terms.real, 2 * N + 1)
                   + 1j * np.bincount(offset, terms.imag, 2 * N + 1))
     freqs = (1.0 + 0.5 * family.chi * N) * np.arange(-N, N + 1)
-    return BlockwiseProfile(freqs, w_mean, w_sq, obs_norm / scale, scale)
+    return BlockwiseProfile(freqs, w_mean, w_sq, scale)
 
 
 def delta_phi(family: PhasedFamily, obs, phi: float) -> float:

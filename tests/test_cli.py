@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -9,8 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kerrmet.cli import (
+    COMMANDS,
+    FORMATS,
+    N_MAX,
     ConfigError,
     ExperimentConfig,
     OptimizeCache,
@@ -564,10 +571,121 @@ def test_every_flag_is_a_config_field():
         "eta_list": "0.5", "n_range": "2"}
 
 
-def test_max_n_extends_range(tmp_path):
-    config = build_config(["--command", "optimize-scan", "--n-range", "1:4:1",
-                           "--max-n", "6"])
-    assert config.n_range == (1, 2, 3, 4, 5, 6)
+def test_max_n_is_gone_and_exits_2(tmp_path, capsys):
+    # the N range's upper end is the only way to set the largest N: the
+    # flag is unknown to argparse, and the config field is unknown
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--command", "optimize-scan", "--n-range", "1:4:1", "--max-n", "6"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps({"command": "optimize-scan", "n_range": "1:4",
+                                       "max_n": 10 ** 30}))
+    assert main(["--config", str(config_file)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: unknown config fields") and "max_n" in line
+
+
+# an N past the ceiling, as a range string (flag or config), as a list entry
+# or directly: each is rejected before any range is built or work is done
+@pytest.mark.parametrize("n_range", [
+    "1:100000000000000000000000", f"1:{10 ** 30}:{10 ** 27}", "1000001",
+    "-" + "1" * 25 + ":3", [10 ** 30], [1e308], [3, N_MAX + 1]])
+def test_n_past_the_ceiling_exits_2(tmp_path, capsys, n_range):
+    argvs = [["--config", str(tmp_path / "config.json")]]
+    (tmp_path / "config.json").write_text(json.dumps({"command": "qfi-scan",
+                                                      "n_range": n_range}))
+    if isinstance(n_range, str):
+        argvs.append(["--command", "qfi-scan", f"--n-range={n_range}"])
+    for argv in argvs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("config error: N values must lie in [1, 1000000]"), line
+        assert captured.out == ""
+    with pytest.raises(ConfigError):
+        ExperimentConfig(command="qfi-scan", n_range=(N_MAX + 1,), eta_list=(1.0,))
+    # block_offsets' largest int64 product, t(t+1)(2t+1) at t = N + 1, holds
+    assert (N_MAX + 1) * (N_MAX + 2) * (2 * N_MAX + 3) <= np.iinfo(np.int64).max
+
+
+# config-file values: JSON scalars, with integers either a cheap N (<= 8)
+# or past the ceiling and floats either small or at the float range's edge,
+# and lists and objects of them
+_HUGE_INTS = st.sampled_from([N_MAX + 1, 10 ** 30])
+_NUMBERS = (st.booleans() | st.integers(-2, 8) | _HUGE_INTS | st.floats(-10, 10)
+            | st.sampled_from([1e308, -1e308]))
+
+
+def _containers(children):
+    return st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children,
+                                                             max_size=2)
+
+
+_JSON_VALUES = st.recursive(st.none() | st.text(max_size=6) | _NUMBERS, _containers,
+                            max_leaves=6)
+_N_VALUES = st.integers(1, 8) | _HUGE_INTS | st.just(1e308)
+# per field, values of the kind it takes, N past the ceiling included;
+# destinations are names inside the example's own directory
+_TYPED_VALUES = {
+    "command": st.sampled_from(COMMANDS),
+    "n_range": st.lists(st.integers(1, 8), min_size=1, max_size=2)
+    | st.builds("{}:{}".format, st.integers(1, 8), st.integers(1, 8))
+    | st.lists(_N_VALUES, min_size=1, max_size=2)
+    | st.builds("{}:{}".format, st.integers(1, 8), _N_VALUES),
+    "eta_list": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2),
+    "chi": st.floats(0.0, 0.5),
+    "phi": st.floats(-10, 10),
+    "k": st.integers(0, 8),
+    "m": st.integers(1, 8),
+    "seed": st.integers(0, 3),
+    "alpha": st.lists(st.floats(-1, 1), min_size=1, max_size=5),
+    "format": st.sampled_from(FORMATS),
+    "out": st.sampled_from(["out.csv", "sub/out.csv", ".", ""]),
+    "cache": st.sampled_from(["cache", ""]),
+}
+# a null N range runs the command's default range, and a string names a
+# range or a path: these fields take no untyped string or null
+_NO_FREE_STRING = {"n_range", "out", "cache"}
+_FIELD_NAMES = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+@st.composite
+def config_files(draw):
+    """A config object: always a command and an N range (their defaults can
+    be slow), plus random fields, one time in six a removed or unknown
+    one, each with a value of its kind or, one time in six, any JSON value."""
+    names = draw(st.lists(st.sampled_from(_FIELD_NAMES), max_size=4, unique=True))
+    if draw(st.integers(0, 5)) == 0:
+        names.append(draw(st.sampled_from(["max_n", "grid_points", "config"])
+                          | st.text(max_size=6)))
+    content = {}
+    for name in ["command", "n_range", *names]:
+        if name in _TYPED_VALUES and draw(st.integers(0, 5)) > 0:
+            content[name] = draw(_TYPED_VALUES[name])
+        elif name in _NO_FREE_STRING:
+            content[name] = draw(_NUMBERS | _containers(_JSON_VALUES))
+        else:
+            content[name] = draw(_JSON_VALUES)
+    return content
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(content=config_files())
+@example(content={"command": "qfi-scan", "n_range": f"1:{10 ** 30}:{10 ** 27}"})
+@example(content={"command": "qfi-scan", "n_range": "1:3", "max_n": 10 ** 30})
+def test_every_config_file_exits_0_2_or_3(tmp_path_factory, content):
+    directory = tmp_path_factory.mktemp("config")
+    content = dict(content)
+    for name in ("out", "cache"):
+        if isinstance(content.get(name), str) and content[name]:  # a name: place it here
+            content[name] = str(directory / content[name])
+    (directory / "config.json").write_text(json.dumps(content))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["--config", str(directory / "config.json")])
+    assert code in (0, 2, 3), (content, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
 
 
 def test_numerical_error_flushes_partial_results(tmp_path, monkeypatch):

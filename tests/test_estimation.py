@@ -12,7 +12,6 @@ from kerrmet.estimation import (
     PhasedFamily,
     UndefinedBoundError,
     _qfi_from_block_pairs,
-    _residue_classes,
     generator_flat,
     max_qfi_over_k,
     measurement_mm,
@@ -24,6 +23,7 @@ from kerrmet.fock import (
     FlatBlocks,
     HermitianOperator,
     NumericalError,
+    PSD_FLOOR,
     TwoModeBasis,
     block_offsets,
     falling_factorial,
@@ -422,14 +422,10 @@ def test_moment_profile_peak_memory():
 
 @pytest.mark.parametrize("m", [1, 20, 80])
 def test_coincidence_profile_peak_memory_is_quadratic(m):
-    # from the band to the profile, the readout holds O(N^2) bytes: the
-    # complex class matrices of O for its norm, one class size at a time,
-    # and a few weight terms per basis state, read off the band at j = 0,
-    # +-m and +-2m.  The class layout (O(N^3 / m) indices) is an index
-    # table cached per (N, stride), so it is built before tracing
+    # from the band to the profile, the readout holds O(N^2) bytes: a few
+    # weight terms per basis state, read off the band at j = 0, +-m and +-2m
     n = 80
     family = PhasedFamily(NoonLikeSpec(n, 3), chi=0.0, eta=0.9)
-    _residue_classes(n, m)
     tracemalloc.start()
     try:
         family.moment_profile(measurement_mm(m, family.basis))
@@ -440,16 +436,17 @@ def test_coincidence_profile_peak_memory_is_quadratic(m):
 
 
 def test_moment_profile_scale_is_exact():
-    # O/scale with a power-of-two scale: every moment and delta_phi equals
-    # the unscaled profile's bit for bit
+    # O/scale with a power-of-two scale taken from the band's largest
+    # amplitude: every moment and delta_phi equals the unscaled profile's
+    # bit for bit
     family = PhasedFamily(NoonLikeSpec(14, 2), chi=0.05, eta=0.8)
-    profile = family.moment_profile(measurement_mm(6, family.basis))
+    obs = measurement_mm(6, family.basis)
+    profile = family.moment_profile(obs)
     mantissa, _ = math.frexp(profile.scale)
     assert mantissa == 0.5 and profile.scale > 1.0
-    assert 0.5 <= profile.obs_norm < 1.0
+    assert 0.5 <= np.abs(obs.matrix).max() / profile.scale < 1.0
     s = profile.scale
-    plain = MomentProfile(profile.freqs, profile.w_mean * s, profile.w_sq * s * s,
-                          profile.obs_norm * s, 1.0)
+    plain = MomentProfile(profile.freqs, profile.w_mean * s, profile.w_sq * s * s, 1.0)
     phi = np.linspace(0.0, np.pi, 97)
     for name in ("mean", "second_moment", "variance", "delta_phi"):
         assert np.array_equal(getattr(profile, name)(phi), getattr(plain, name)(phi),
@@ -480,9 +477,13 @@ def assert_profile_matches_oracle(family, obs):
     want = oracle.moment_profile(family, obs)
     kept = np.isin(want.freqs, got.freqs)
     assert np.array_equal(got.freqs, want.freqs[kept])
-    assert np.array_equal(got.w_mean, want.w_mean[kept])
+    # the oracle scales by ||O|| and the band by max |x|, with
+    # max |x| <= ||O|| <= 2 max |x|: the scales differ by 1 or 2, exactly
+    ratio = want.scale / got.scale
+    assert ratio in (1.0, 2.0)
+    got_mean, got_sq = got.w_mean / ratio, got.w_sq / ratio ** 2
+    assert np.array_equal(got_mean, want.w_mean[kept])
     assert not want.w_mean[~kept].any() and not want.w_sq[~kept].any()
-    assert got.scale == want.scale
     # the j = 0 weight of <O^2> sums the diagonal of O^2, x_r^2 + x_{r-m}^2:
     # the band adds two rounded squares, while the oracle's dense product
     # (OpenBLAS zgemm) fuses the second multiply-add.  They agree exactly
@@ -490,15 +491,12 @@ def assert_profile_matches_oracle(family, obs):
     # few eps otherwise (1.94 eps at worst, in 87 of the 4131 profiles here)
     n = family.input_spec.N
     zero = got.freqs == 0
-    assert np.array_equal(got.w_sq[~zero], want.w_sq[kept][~zero])
+    assert np.array_equal(got_sq[~zero], want.w_sq[kept][~zero])
     if 2 * obs.m > n:
-        assert np.array_equal(got.w_sq[zero], want.w_sq[kept][zero])
+        assert np.array_equal(got_sq[zero], want.w_sq[kept][zero])
     else:
-        assert np.allclose(got.w_sq[zero], want.w_sq[kept][zero],
+        assert np.allclose(got_sq[zero], want.w_sq[kept][zero],
                            rtol=4 * np.finfo(float).eps, atol=0.0)
-    # eigvalsh of a class and of its whole block round differently: ||O||
-    # agrees to the eigensolver's error, at most (N + 1) eps ||O||
-    assert abs(got.obs_norm - want.obs_norm) <= (n + 1) * np.finfo(float).eps * want.obs_norm
     return got
 
 
@@ -520,6 +518,24 @@ def test_moment_profile_matches_the_blockwise_oracle(eta, chi):
             family = PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)
             profile = assert_profile_matches_oracle(family, observables[(n - 2 * k or n) - 1])
             assert len(profile.freqs) <= 5
+
+
+def test_variance_floor_is_never_looser_than_the_norm_floor():
+    # the floor comes from the band's largest amplitude, scale/2 <= max |x|,
+    # and max |x| <= ||O||: it lies at or above PSD_FLOOR * max(1, ||O||^2),
+    # within 16x of it, on every readout and random band of the oracle tests
+    rng = np.random.default_rng(24)
+    for n in range(1, 25):
+        basis = TwoModeBasis(n)
+        family = PhasedFamily(SuperpositionSpec.normalized(
+            n, rng.normal(size=superposition_length(n))), chi=0.05, eta=0.9)
+        observables = [measurement_mm(m, basis) for m in range(1, n + 2)]
+        for obs in observables + [random_band(basis, int(rng.integers(1, n + 2)), rng)]:
+            profile = family.moment_profile(obs)
+            norm = max(oracle.spectral_norm(block) for _, block in oracle.obs_blocks(obs))
+            old = PSD_FLOOR * max(1.0, norm * norm)
+            floor = profile.variance_floor * profile.scale ** 2
+            assert old <= floor < old / 16
 
 
 def test_moment_profile_matches_the_oracle_at_n60():
@@ -678,7 +694,7 @@ def test_min_delta_phi_rejects_negative_variance():
     # and -3 at phi = 0
     freqs = np.array([-1.0, 1.0])
     profile = MomentProfile(freqs, np.array([1.0, 1.0]), np.array([0.5, 0.5]),
-                            obs_norm=2.0, scale=1.0)
+                            scale=1.0)
     with pytest.raises(NumericalError):
         profile.delta_phi(np.array([0.0, 0.3]))
     with pytest.raises(NumericalError):

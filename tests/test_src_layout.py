@@ -29,6 +29,7 @@ ORACLE_METHODS = {
     ("PhasedFamily", "rho_blocks"), ("TwoModeBasis", "state_of"),
     ("PhasedFamily", "rho0"), ("HermitianOperator", "blocks"),
     ("HermitianOperator", "support"), ("ExperimentConfig", "grid_points"),
+    ("ExperimentConfig", "max_n"),
 }
 
 
@@ -108,9 +109,10 @@ def test_package_exports_only_names_defined_in_src():
     assert not set(exported) & ORACLE_NAMES
 
 
-# every np.linalg.eigh call in the package, by (module, enclosing function):
-# the spectral step, whose batched call covers every residue class of every
-# block, and the see-saw step, the top eigenvector of the S x S matrix M(L)
+# every np.linalg.eigh or eigvalsh call in the package, by (module,
+# enclosing function): the spectral step, whose batched call covers every
+# residue class of every block, and the see-saw step, the top eigenvector
+# of the S x S matrix M(L)
 EIGH_SITES = [("estimation.py", "_qfi_from_block_pairs"), ("optimizer.py", "_climb")]
 
 
@@ -128,7 +130,7 @@ class _EighCalls(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        if ast.unparse(node.func).split(".")[-1] == "eigh":
+        if ast.unparse(node.func).split(".")[-1] in ("eigh", "eigvalsh"):
             self.sites.append((self.module, self.scope[0] if self.scope else None))
         self.generic_visit(node)
 
@@ -154,8 +156,8 @@ def test_optimizer_runs_the_spectral_step_from_one_site():
 
 def test_moment_profile_reads_its_weights_off_the_band():
     # the weights come from the band state by state: no class product
-    # (O @ O), no sort back into block order; the norm's eigvalsh is the
-    # one linear-algebra call left
+    # (O @ O), no sort back into block order, no linear algebra and no
+    # residue-class tables; the scale comes from the band's largest amplitude
     tree = ast.parse((PACKAGE / "estimation.py").read_text())
     (method,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                  and node.name == "moment_profile"]
@@ -165,6 +167,5 @@ def test_moment_profile_reads_its_weights_off_the_band():
     attributes = [node for node in nodes if isinstance(node, ast.Attribute)]
     names = {node.attr for node in attributes} | {
         node.id for node in nodes if isinstance(node, ast.Name)}
-    assert not names & {"matmul", "argsort"}
-    assert [node.attr for node in attributes
-            if ast.unparse(node.value) == "np.linalg"] == ["eigvalsh"]
+    assert not names & {"matmul", "argsort", "_residue_classes"}
+    assert not [node for node in attributes if ast.unparse(node.value) == "np.linalg"]
