@@ -42,6 +42,7 @@ from .estimation import (
     max_qfi_over_k,
     measurement_mm,
     min_delta_phi,
+    qfi_over_k,
     qfi_pure_analytic,
 )
 from .fock import NumericalError
@@ -92,14 +93,14 @@ class ExperimentConfig:
         spread = max(self.n_range) * (1.0 + 0.5 * self.chi * max(self.n_range))  # F <= spread^2
         if not (self.chi >= 0.0 and math.isfinite(spread * spread)):
             raise ConfigError("chi must be >= 0 with (N + chi N^2/2)^2 finite at the largest N")
-        if not math.isfinite(self.phi):
-            raise ConfigError("phi must be finite")
+        if not abs(self.phi) <= 2.0 ** 52:  # from 2^52 on, one ulp of phi reaches 1 rad
+            raise ConfigError("phi must be finite with |phi| <= 2^52")
         if self.format not in FORMATS:
             raise ConfigError(f"unknown format {self.format!r}")
         if self.command == "single" and self.k is None and self.alpha is None:
             raise ConfigError("single needs a fully specified input: --k or alpha")
-        if self.m is not None and self.m < 1:
-            raise ConfigError("m must be >= 1")
+        if self.m is not None and not 1 <= self.m <= N_MAX:
+            raise ConfigError(f"m must lie in [1, {N_MAX}]")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
         # the input is chosen per N by k, else alpha, else the optimizer
@@ -250,11 +251,12 @@ class OptimizeCache:
 
 def run_pure_qfi(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
     for n in config.n_range:
+        t0 = time.perf_counter()  # one k-scan per N; k and N - k name the same state
         ks = [config.k] if config.k is not None else range(n + 1)
+        scanned = sorted({min(k, n - k) for k in ks})
+        values = dict(zip(scanned, qfi_over_k(n, 1.0, config.chi, scanned)))
         for k in ks:
-            t0 = time.perf_counter()
-            numerical = PhasedFamily(NoonLikeSpec(n, k), chi=config.chi,
-                                     eta=1.0).qfi().qfi
+            numerical = values[min(k, n - k)]
             analytic = qfi_pure_analytic(n, k, config.chi)
             if abs(numerical - analytic) > 1e-9 * max(1.0, analytic):
                 raise NumericalError(

@@ -37,7 +37,7 @@ from .fock import (
     lowering_power,
 )
 from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
-from .loss import cross_lossy_blocks
+from .loss import ChannelMap, cross_lossy_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +76,13 @@ class QfiResult:
     holds one (T+1) x (T+1) block per T, exactly zero between classes: the
     real antisymmetric J of the SLD L = iJ, with no complex copy of L.  For
     a batch of B points ``qfi`` is a list of B values, and ``spectrum`` and
-    each SLD block gain a leading axis of length B.
+    each SLD block gain a leading axis of length B; a k-scan (``KScanPairs``)
+    gives its list of values and no spectrum.
     """
 
     qfi: float | list[float]
     rank_cutoff: float
-    spectrum: np.ndarray
+    spectrum: np.ndarray | None
     sld: list[np.ndarray] | None = None
 
 
@@ -112,6 +113,37 @@ def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
     return values
 
 
+def _packed_classes(n_max: int, blocks: np.ndarray, rows: np.ndarray, steps: np.ndarray):
+    """Classes {r, r + step, ...} of blocks point * (N + 1) + T, given in (point, T, r)
+    order, packed row-major by size (stably): the order, sizes and starts (and end), and a
+    stack (block ids, slice of the run, generator indices) for size 1 and each size held."""
+    sizes = (blocks % (n_max + 1) - rows) // steps + 1
+    order = np.argsort(sizes, kind="stable")
+    blocks, rows, steps, sizes = blocks[order], rows[order], steps[order], sizes[order]
+    starts = np.concatenate([[0], np.cumsum(sizes * sizes)])
+    t = blocks % (n_max + 1)
+    first = t * (t + 1) // 2 + rows  # index r of block T in the generator diagonal
+    ends = np.searchsorted(sizes, np.arange(1, sizes[-1] + 2))
+    return order, sizes, starts, [
+        (blocks[lo:hi], slice(starts[lo], starts[hi]),
+         first[lo:hi, None] + steps[lo:hi, None] * np.arange(s))
+        for s, lo, hi in zip(range(1, ends.size), ends, ends[1:]) if s == 1 or hi > lo]
+
+
+@lru_cache(maxsize=4)
+def _block_classes(n_max: int, stride: int):
+    """Stacks of all residue classes of a state's blocks, gathered in its flat buffer."""
+    step = stride if 0 < stride <= n_max else n_max + 1
+    t, r = np.nonzero(np.arange(step) <= np.arange(n_max + 1)[:, None])
+    *_, stacks = _packed_classes(n_max, t, r, np.full(t.size, step))
+    offsets = block_offsets(n_max)
+    for index, (t, _, diag) in enumerate(stacks):
+        rows = diag - (t * (t + 1) // 2)[:, None]  # the class's indices in block T
+        starts = offsets[t][:, None] + rows * (t + 1)[:, None]
+        stacks[index] = (t, starts[:, :, None] + rows[:, None, :], diag)
+    return tuple(stacks)
+
+
 class BlockPairs(Sequence):
     """The (rho block, rho' block) pairs of a state whose blocks T = 0..N
     lie in one flat float64 buffer (laid out by ``block_offsets``), with
@@ -123,65 +155,80 @@ class BlockPairs(Sequence):
     the index offsets i - j of all nonzero entries (i, j) of every block, 0
     when every block is diagonal.  ``rho_flat`` may carry a leading axis of
     B points, (B, size), that share G and the stride; the items then run
-    point by point.  Item i, built on demand, is the symmetric part of
-    block T = i mod (N + 1) of its point, as the spectral step uses it,
-    and rho'.
+    point by point, and the points enter each class stack point-major
+    (block ids point * (N + 1) + T).  Item i, built on demand, is the
+    symmetric part of block T = i mod (N + 1) of its point, as the
+    spectral step uses it, and rho'.
     """
 
     def __init__(self, rho_flat: np.ndarray, g_flat: np.ndarray, n_max: int,
                  stride: int):
-        self.rho_flat = rho_flat
-        self.g_flat = g_flat
-        self.n_max = n_max
-        self.stride = stride
+        self.rho_flat, self.g_flat, self.n_max = rho_flat, g_flat, n_max
+        self.lead = rho_flat.shape[:-1]  # () for one point, (B,) for a batch
+        self.n_points = math.prod(self.lead)
+        self.stacks = _block_classes(n_max, stride)
+        if self.n_points > 1:
+            shifts = [s * np.arange(self.n_points) for s in (n_max + 1, rho_flat.shape[1], 0)]
+            self.stacks = [tuple(np.add.outer(shift, index).reshape((-1,) + index.shape[1:])
+                                 for shift, index in zip(shifts, stack)) for stack in self.stacks]
 
     def __len__(self) -> int:
-        return (self.n_max + 1) * math.prod(self.rho_flat.shape[:-1])
+        return (self.n_max + 1) * self.n_points
 
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         point, t = divmod(range(len(self))[i], self.n_max + 1)
-        rho = self.rho_flat.reshape(-1, self.rho_flat.shape[-1])[point]
-        t, block = FlatBlocks(rho, self.n_max)[t]
+        block = self._block(point, t)
         block = 0.5 * (block + block.T)
         g = self.g_flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2]
         return block, 1j * (g[:, None] - g[None, :]) * block
 
+    def _block(self, point: int, t: int) -> np.ndarray:
+        return FlatBlocks(self.rho_flat.reshape(self.n_points, -1)[point], self.n_max)[t][1]
 
-@lru_cache(maxsize=4)
-def _residue_classes(n_max: int, stride: int):
-    """The spectral step's index tables for the state's blocks: block
-    T = 0..n_max split into the classes {r, r + stride, ...} of its index
-    mod ``stride`` (singletons at stride 0), stacked by class size: one
-    stack per size s = 1, 2, ..., none missing, each in (T, r) order.
 
-    A stack of c classes is the triple (blocks, gather, diag): the block T
-    of each class (c,), the positions of the class entries in the flat
-    block buffer (c, s, s), and those of the class indices in the generator
-    diagonal (c, s).  The classes are listed and ordered by size in one
-    pass; each stack then only broadcasts its slice of that list.
-    """
-    step = stride if 0 < stride <= n_max else n_max + 1
-    t, r = np.nonzero(np.arange(step) <= np.arange(n_max + 1)[:, None])
-    sizes = (t - r) // step + 1
-    order = np.argsort(sizes, kind="stable")
-    t, r = t[order], r[order]
-    corner = block_offsets(n_max)[t] + r * (t + 2)  # entry (r, r) of block T
-    first = t * (t + 1) // 2 + r  # index r of block T in the generator diagonal
-    ends = np.cumsum(np.bincount(sizes))  # classes of size at most s: ends[s]
-    stacks = []
-    for s in range(1, ends.size):
-        cls = slice(ends[s - 1], ends[s])
-        span = step * np.arange(s)
-        rows = corner[cls, None] + span * (t[cls, None] + 1)
-        stacks.append((t[cls], rows[:, :, None] + span, first[cls, None] + span))
-    return tuple(stacks)
+class KScanPairs(BlockPairs):
+    """The pairs of NoonLikeSpec(N, k) for several k, one point each, from
+    each k's class step and nonzero channel-map terms (step, positions,
+    values): ``rho_flat`` packs the classes that hold a term, each entry the
+    in-order sum of its terms as in ``PhasedFamily``'s flat buffer; an item
+    rebuilds its block from the terms.  A class left out is all zero."""
+
+    lead = None  # the points hold different classes: no spectrum is formed
+
+    def __init__(self, g_flat: np.ndarray, n_max: int, points: list):
+        self.g_flat, self.n_max, self.n_points = g_flat, n_max, len(points)
+        self.points, n, offsets = points, n_max + 1, block_offsets(n_max)
+        steps = np.array([step for step, _, _ in points])
+        point = np.repeat(np.arange(len(points)), [terms.size for _, terms, _ in points])
+        positions = np.concatenate([terms for _, terms, _ in points])
+        values = np.concatenate([values for _, _, values in points])
+        t = np.searchsorted(offsets, positions, side="right") - 1
+        i, j = np.divmod(positions - offsets[t], t + 1)
+        trace = np.bincount(point[i == j], values[i == j], len(points))
+        if np.abs(trace - 1.0).max() > 1e-10:
+            raise NumericalError(f"family state trace {trace.tolist()!r} deviates from 1")
+        row, r = np.divmod(i, steps[point])  # the term's row in its class {r, r + step, ...}
+        key = (point * n + t) * n + r
+        rank = np.zeros(len(points) * n * n, dtype=np.int32)  # of each class (k, T, r) by size
+        rank[key] = 1
+        blocks, rows = np.divmod(np.flatnonzero(rank), n)  # in (k, T, r) order
+        perm, sizes, starts, self.stacks = _packed_classes(n_max, blocks, rows, steps[blocks // n])
+        rank[(blocks * n + rows)[perm]] = np.arange(perm.size)
+        at = rank[key]  # each term's class
+        self.rho_flat = np.bincount(starts[at] + row * sizes[at] + j // steps[point], values,
+                                    starts[-1])
+
+    def _block(self, point: int, t: int) -> np.ndarray:
+        (_, pos, values), (start, end) = self.points[point], block_offsets(t)[-2:]
+        inside = (pos >= start) & (pos < end)
+        return np.bincount(pos[inside] - start, values[inside], end - start).reshape(t + 1, -1)
 
 
 def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResult:
     """Real-arithmetic QFI of the (rho block, rho' block) pairs, by class.
 
     Block T of rho is block-diagonal over the residue classes of its index
-    mod ``pairs.stride``, and so is rho' = iK with K = (g_r - g_c) rho:
+    mod the stride, and so is rho' = iK with K = (g_r - g_c) rho:
     each class is eigendecomposed on its own, and the classes of one size
     are stacked across all blocks, and across the points of a batch, into a
     single batched real eigh.  In the class eigenbasis V, rho' = i a with
@@ -201,64 +248,52 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     as the real antisymmetric J = V (2 a_jk / (p_j + p_k)) V^T on the
     eigenvalue pairs the QFI sum keeps, zero elsewhere (also between classes).
     """
-    lead = pairs.rho_flat.shape[:-1]  # () for one point, (B,) for a batch
-    size = pairs.rho_flat.shape[-1]
-    n_points = math.prod(lead)
-    rho_flat = pairs.rho_flat.reshape(-1)
+    n_points, stacks, flat = pairs.n_points, pairs.stacks, pairs.rho_flat.reshape(-1)
 
-    stacks = _residue_classes(pairs.n_max, pairs.stride)
-    if n_points > 1:
-        # the points enter each stack as extra classes, point-major, with
-        # indices into the flat buffer of all points' blocks (and of their
-        # blocks' largest eigenvalues); G is the same at every point
-        def per_point(index, step):
-            shift = step * np.arange(n_points).reshape((-1,) + (1,) * index.ndim)
-            return (index + shift).reshape((-1,) + index.shape[1:])
-
-        stacks = [(per_point(blocks, pairs.n_max + 1), per_point(gather, size),
-                   per_point(diag, 0)) for blocks, gather, diag in stacks]
-
-    def classes(gather):  # symmetric parts of the class matrices of a stack
-        x = rho_flat[gather]
+    def classes(gather, diag):  # symmetric parts of the class matrices of a stack
+        x = flat[gather].reshape(diag.shape + diag.shape[-1:])
         return 0.5 * (x + x.swapaxes(1, 2))
 
     # stack 0 holds the 1 x 1 classes: each is its own eigenbasis, with
     # rho' entry (g_r - g_r) rho_rr = 0, so no Fisher information
-    solved = [np.linalg.eigh(classes(gather)) for _, gather, _ in stacks[1:]]
-    spectrum = [rho_flat[stacks[0][1]][:, 0]] + [vals for vals, _ in solved]
+    solved = [np.linalg.eigh(classes(gather, diag)) for _, gather, diag in stacks[1:]]
+    spectrum = [flat[stacks[0][1]].reshape(-1, 1)] + [vals for vals, _ in solved]
     probs = [_clamped_probabilities(vals, "qfi block") for vals in spectrum]
     # largest eigenvalue of each block of each point, over all of its classes
     top = np.zeros(n_points * (pairs.n_max + 1))
     np.maximum.at(top, np.concatenate([blocks for blocks, _, _ in stacks]),
                   np.concatenate([p[:, -1] for p in probs]))
     totals = [0.0] * n_points
-    sld_flat = np.zeros_like(rho_flat) if with_sld else None
+    sld_flat = np.zeros_like(flat) if with_sld else None
     for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
         g = pairs.g_flat[diag]
         vecs_t = vecs.swapaxes(1, 2)
-        a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather)) @ vecs
+        a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather, diag)) @ vecs
         psum = p[:, :, None] + p[:, None, :]
         mask = psum > (RANK_CUTOFF_FACTOR * top[blocks])[:, None, None]
         terms = 2.0 * a[mask] ** 2 / psum[mask]
         if n_points == 1:
             totals[0] += float(terms.sum())
         else:  # the kept terms lie point after point: one in-order sum per point
-            ends = np.cumsum(mask.reshape(n_points, -1).sum(axis=1))
-            for point, (start, end) in enumerate(zip([0, *ends[:-1]], ends)):
-                totals[point] += float(terms[start:end].sum())
+            kept = np.bincount(blocks // (pairs.n_max + 1), mask.sum(axis=(1, 2)), n_points)
+            ends = np.cumsum(kept).astype(int)
+            for point in np.flatnonzero(kept):
+                totals[point] += float(terms[ends[point] - int(kept[point]):ends[point]].sum())
         if with_sld:
             core = np.zeros_like(a)
             core[mask] = 2.0 * a[mask] / psum[mask]
-            block = vecs @ core @ vecs_t
-            sld_flat[gather] = 0.5 * (block - block.swapaxes(1, 2))
-    spectrum = np.sort(np.concatenate([vals.reshape(*lead, -1) for vals in spectrum], axis=-1))
+            sld = vecs @ core @ vecs_t
+            sld_flat[gather] = 0.5 * (sld - sld.swapaxes(1, 2))
+    lead = pairs.lead  # None for a k-scan: no spectrum
+    spectrum = None if lead is None else np.sort(
+        np.concatenate([vals.reshape(*lead, -1) for vals in spectrum], axis=-1))
     slds = None
     if with_sld:
-        sld_flat = sld_flat.reshape(*lead, size)
+        sld_flat = sld_flat.reshape(*lead, -1)
         offsets = block_offsets(pairs.n_max)
         slds = [sld_flat[..., offsets[t]:offsets[t + 1]].reshape(*lead, t + 1, t + 1)
                 for t in range(pairs.n_max + 1)]
-    return QfiResult(qfi=totals if lead else totals[0], rank_cutoff=RANK_CUTOFF_FACTOR,
+    return QfiResult(qfi=totals if lead != () else totals[0], rank_cutoff=RANK_CUTOFF_FACTOR,
                      spectrum=spectrum, sld=slds)
 
 
@@ -466,18 +501,37 @@ class MomentProfile:
         return out
 
 
+def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
+    """PhasedFamily(NoonLikeSpec(N, k), chi, eta).qfi().qfi for each k of
+    ``ks``, bit for bit, by one spectral step per chunk of k's: at most
+    max(flat buffer, 2^18) entries, sixteen per term and ceil((T + 1) / step)
+    rows for each class of a block T."""
+    g_flat, rows, budget = generator_flat(N, chi), np.arange(1, N + 2), max(
+        block_offsets(N)[-1], 1 << 18)
+    values, chunk, held = [], [], 0
+    for k in ks:
+        kets, _, amps = zip(*branch_amplitudes(N, NoonLikeSpec(N, k).alpha))
+        stride = math.gcd(*(n1 - kets[0] for n1 in kets))
+        step = stride if 0 < stride <= N else N + 1  # as in _block_classes
+        positions, terms = ChannelMap(kets, kets, N, eta).terms(np.outer(amps, amps).ravel())
+        nonzero = terms != 0  # a zero term adds an exact 0 to its entry
+        cost = 16 * nonzero.sum() + int((rows * -(-rows // step)).sum())
+        if chunk and held + cost > budget:
+            values += _qfi_from_block_pairs(KScanPairs(g_flat, N, chunk)).qfi
+            chunk, held = [], 0
+        chunk.append((step, positions[nonzero], terms[nonzero]))
+        held += cost
+    return values + _qfi_from_block_pairs(KScanPairs(g_flat, N, chunk)).qfi
+
+
 def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
     """Scan the branch index k of the two-branch family and return the
     maximizing (k, qfi); ties break toward smaller k, and k and N - k name
     the same state, so the scan stops at N/2."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    best_k, best = 0, -np.inf
-    for k in range(N // 2 + 1):
-        value = PhasedFamily(NoonLikeSpec(N, k), chi=chi, eta=eta).qfi().qfi
-        if value > best:
-            best_k, best = k, value
-    return best_k, best
+    values = qfi_over_k(N, eta, chi, range(N // 2 + 1))
+    return max(enumerate(values), key=lambda item: item[1])  # the first maximum
 
 
 def min_delta_phi(profile: MomentProfile) -> float:

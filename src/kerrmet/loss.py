@@ -74,10 +74,14 @@ class ChannelMap:
         self.dyads = np.concatenate(dyads)
         self.size = int(offsets[-1])
 
+    def terms(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each term's flat position and value for the dyad weights, in scatter order."""
+        return self.positions, weights[self.dyads] * self.kappa
+
     def scatter(self, weights: np.ndarray) -> np.ndarray:
         """Flat float64 blocks T = 0..N of the output for the real
         combination sum_d weights[d] |dyad d>: one in-order sum of the terms."""
-        return np.bincount(self.positions, weights[self.dyads] * self.kappa, self.size)
+        return np.bincount(*self.terms(weights), self.size)
 
     def real_adjoint(self, dual: np.ndarray) -> np.ndarray:
         """Tr[C(|dyad d>) Z] for each dyad d (every dyad has a q = p = 0

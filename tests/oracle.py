@@ -21,7 +21,9 @@ of lossy blocks per coefficient pair, built by ``cross_lossy_blocks``.
 dense ``spectral_norm``, product ``O @ O`` and bincount per block.
 ``scan_delta_phi`` searches a profile's operating points, the check on
 ``min_delta_phi``'s closed form: delta_phi on a phase grid, refined around
-the best grid point by golden section.
+the best grid point by golden section.  ``k_scan`` is the k-scan as one
+``PhasedFamily`` per k, each with its own flat buffer: the bit-for-bit
+reference of the batched ``qfi_over_k``.
 """
 
 from __future__ import annotations
@@ -50,7 +52,12 @@ from kerrmet.fock import (
     TwoModeBasis,
     falling_factorial,
 )
-from kerrmet.interferometer import SuperpositionSpec, branch_amplitudes, superposition_length
+from kerrmet.interferometer import (
+    NoonLikeSpec,
+    SuperpositionSpec,
+    branch_amplitudes,
+    superposition_length,
+)
 from kerrmet.loss import cross_lossy_blocks
 
 HERMITICITY_ATOL = 1e-12
@@ -416,6 +423,13 @@ def sld(rho: DensityOperator, rho_prime: DenseOperator,
     core = np.where(psum > rank_tol, 2.0 * a / np.where(psum > rank_tol, psum, 1.0), 0.0)
     matrix = vecs @ core @ vecs.conj().T
     return DenseOperator(rho.basis, 0.5 * (matrix + matrix.conj().T))
+
+
+def k_scan(N: int, eta: float, chi: float) -> list[float]:
+    """The Fisher information of NoonLikeSpec(N, k) for k = 0..N/2, one
+    family and one spectral step per k."""
+    return [PhasedFamily(NoonLikeSpec(N, k), chi=chi, eta=eta).qfi().qfi
+            for k in range(N // 2 + 1)]
 
 
 def blockwise_qfi(pairs, with_sld: bool = False) -> QfiResult:

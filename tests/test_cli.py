@@ -112,6 +112,46 @@ def test_pure_qfi_records(tmp_path):
             assert math.isinf(qcrb)
 
 
+def test_pure_qfi_scans_each_state_once(tmp_path, monkeypatch):
+    # each N's rows come from one k-scan over k <= N/2 (k and N - k name the
+    # same state), and a single --k scans only that k
+    import kerrmet.cli as cli
+
+    scanned = []
+    scan = cli.qfi_over_k
+
+    def recording(n, eta, chi, ks):
+        scanned.append((n, eta, list(ks)))
+        return scan(n, eta, chi, ks)
+
+    monkeypatch.setattr(cli, "qfi_over_k", recording)
+    out = tmp_path / "pure.csv"
+    assert main(["--command", "pure-qfi", "--n-range", "4:5", "--out", str(out)]) == 0
+    assert scanned == [(4, 1.0, [0, 1, 2]), (5, 1.0, [0, 1, 2])]
+    _, rows = read_csv(out)
+    assert [row["k_or_alpha_digest"] for row in rows] == [f"k={k}" for k in
+                                                          [*range(5), *range(6)]]
+    scanned.clear()
+    assert main(["--command", "pure-qfi", "--n-range", "7:8", "--k", "5",
+                 "--out", str(out)]) == 0
+    assert scanned == [(7, 1.0, [2]), (8, 1.0, [3])]
+
+
+def test_qfi_scan_leaves_numpy_ma_unimported(tmp_path):
+    # a benchmark sample times the first main call of a fresh process, where
+    # numpy.ma's first import (np.unique's, say) alone takes about 15 ms
+    import kerrmet
+
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmet.__file__).parents[1]))
+    argv = ["--command", "qfi-scan", "--n-range", "20:60:20", "--eta", "0.9",
+            "--out", str(tmp_path / "scan.csv")]
+    script = ("import sys\nfrom kerrmet.cli import main\n"
+              f"code = main({argv!r})\nprint(code, 'numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.split() == ["0", "False"]
+
+
 def test_single_photon_interferometer_record(tmp_path):
     out = tmp_path / "single.csv"
     code = main(["--command", "single", "--n-range", "1", "--k", "0",
@@ -472,6 +512,14 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         (["--command", "single", "--n-range", "2"], None),
         (["--command", "readout-scan", "--n-range", "2", "--k", "0", "--m", "0"], None),
         (["--command", "single", "--n-range", "2", "--k", "0", "--m", "0"], None),
+        # m past N_MAX would overflow the int64 photon numbers it is compared
+        # with; past |phi| = 2^52 one ulp of phi exceeds 1 rad, and phi times
+        # a frequency overflows near 1e308
+        (["--command", "readout-scan", "--n-range", "4", "--k", "0", "--m", str(10 ** 20)],
+         "m must lie"),
+        (["--command", "single", "--n-range", "4", "--k", "0", "--phi", "1e308"], "phi must"),
+        (["--command", "single", "--n-range", "4", "--k", "0", f"--phi={2.0 ** 53!r}"],
+         "phi must"),
         (["--config", str(tmp_path)], str(tmp_path)),
         (["--command", "readout-scan", "--n-range", "2", "--k", "0",
           "--cache", str(a_file), "--out", str(tmp_path / "out.csv")], str(a_file)),
@@ -508,6 +556,8 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         ({"command": "pure-qfi", "n_range": {"3": 1}}, "n_range"),
         # a removed field
         ({"command": "readout-scan", "n_range": "2", "grid_points": 801}, "grid_points"),
+        ({"command": "single", "n_range": "4", "k": 0, "m": 10 ** 30}, "m must lie"),
+        ({"command": "single", "n_range": "4", "k": 0, "phi": -1e20}, "phi must"),
     ]
     for index, (content, named) in enumerate(bad_files):
         config_file = tmp_path / f"bad{index}.json"
@@ -569,6 +619,18 @@ def test_every_flag_is_a_config_field():
     assert set(cli._SCALAR_FIELDS) == config_fields - {"n_range", "eta_list", "alpha"}
     assert vars(build_parser().parse_args(["--eta", "0.5", "--n-range", "2"])) == {
         "eta_list": "0.5", "n_range": "2"}
+
+
+def test_m_past_n_and_phi_at_the_ceiling_still_run(tmp_path):
+    out = tmp_path / "out.csv"
+    assert main(["--command", "readout-scan", "--n-range", "4", "--k", "0", "--m", "5",
+                 "--eta", "0.9", "--out", str(out)]) == 0
+    _, (row,) = read_csv(out)
+    assert row["m"] == "5" and row["status"] == "degenerate"
+    assert main(["--command", "single", "--n-range", "4", "--k", "0",
+                 f"--phi={-2.0 ** 52!r}", "--out", str(out)]) == 0
+    _, (row,) = read_csv(out)
+    assert row["phi_star"] == "0.0" and math.isfinite(float(row["delta_phi_at_phi"]))
 
 
 def test_max_n_is_gone_and_exits_2(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
+from kerrmet import estimation
 from kerrmet.estimation import (
     BlockPairs,
     DegenerateOperatingPointError,
@@ -17,6 +18,7 @@ from kerrmet.estimation import (
     measurement_mm,
     min_delta_phi,
     qcrb,
+    qfi_over_k,
     qfi_pure_analytic,
 )
 from kerrmet.fock import (
@@ -314,6 +316,35 @@ def test_max_qfi_over_k_matches_exhaustive():
     assert k_star == int(np.argmax(values))
 
 
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
+@pytest.mark.parametrize("chi", [0.0, 0.05])
+def test_k_scan_matches_the_per_k_families_bit_for_bit(eta, chi):
+    # the batched scan packs each k's classes from its channel-map terms,
+    # several k to one spectral step; N = 40 and 60 take several chunks
+    for n in [*range(1, 13), 20, 40, 60]:
+        want = oracle.k_scan(n, eta, chi)
+        assert qfi_over_k(n, eta, chi, range(n // 2 + 1)) == want, n
+        # ties break toward the smaller k: at eta = 0 every k gives 0
+        assert max_qfi_over_k(n, eta, chi) == (want.index(max(want)), max(want)), n
+
+
+def test_k_scan_pairs_iterate_as_the_family_pairs(monkeypatch):
+    # no flat buffer is built, yet the pairs the scan hands to the spectral
+    # step still iterate as (rho block, rho' block), bit for bit the families'
+    seen = []
+    spectral = estimation._qfi_from_block_pairs
+    monkeypatch.setattr(estimation, "_qfi_from_block_pairs",
+                        lambda pairs: seen.append(pairs) or spectral(pairs))
+    n, eta, chi = 9, 0.7, 0.05
+    qfi_over_k(n, eta, chi, range(n // 2 + 1))
+    got = [item for pairs in seen for item in pairs]
+    want = [item for k in range(n // 2 + 1)
+            for item in PhasedFamily(NoonLikeSpec(n, k), chi=chi, eta=eta)._pairs()]
+    assert len(got) == len(want) == (n // 2 + 1) * (n + 1)
+    for (rho, rho_prime), (rho_want, rho_prime_want) in zip(got, want):
+        assert np.array_equal(rho, rho_want) and np.array_equal(rho_prime, rho_prime_want)
+
+
 # ---------------------------------------------------------------- bounds
 
 
@@ -395,6 +426,18 @@ def flat_bound(n: int) -> int:
     """Four complex flat block buffers: O(N^3) bytes, where one dense
     dim x dim complex matrix takes O(N^4)."""
     return 4 * int(block_offsets(n)[-1]) * 16
+
+
+def test_k_scan_peak_memory():
+    # the scan keeps no flat buffer of N^3/3 floats per k: one family per
+    # k, one at a time, peaks at 7.8 MB; all 51 of N = 100 take 142 MB
+    tracemalloc.start()
+    try:
+        max_qfi_over_k(100, 0.9, 0.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= flat_bound(100)
 
 
 def test_measurement_mm_peak_memory():

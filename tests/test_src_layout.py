@@ -22,6 +22,7 @@ ORACLE_NAMES = {
     "_check_hermitian", "_band_rows", "_entries", "derivative_factors",
     "spectral_norm", "block_entries", "_class_chunks", "CHUNK_ENTRIES",
     "HERMITICITY_ATOL", "_golden_section", "GOLDEN_TOL", "TIE_RTOL", "ReadoutResult",
+    "_residue_classes",
 }
 # methods and fields that belong to the dense oracle, or were deleted
 ORACLE_METHODS = {
@@ -167,5 +168,17 @@ def test_moment_profile_reads_its_weights_off_the_band():
     attributes = [node for node in nodes if isinstance(node, ast.Attribute)]
     names = {node.attr for node in attributes} | {
         node.id for node in nodes if isinstance(node, ast.Name)}
-    assert not names & {"matmul", "argsort", "_residue_classes"}
+    assert not names & {"matmul", "argsort", "_residue_classes", "_block_classes",
+                        "_packed_classes"}
     assert not [node for node in attributes if ast.unparse(node.value) == "np.linalg"]
+
+
+def test_k_scan_builds_no_family():
+    # the k-scan packs each k's channel-map terms itself: no PhasedFamily,
+    # and so no flat buffer, per k
+    tree = ast.parse((PACKAGE / "estimation.py").read_text())
+    scans = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+             and node.name in ("qfi_over_k", "max_qfi_over_k")]
+    assert len(scans) == 2
+    assert "PhasedFamily" not in {node.id for scan in scans for node in ast.walk(scan)
+                                  if isinstance(node, ast.Name)}
