@@ -12,7 +12,7 @@ so the eigenbasis is found class by class, one batched eigh per class
 size.  The quantum Cramer-Rao bound is delta_phi >= 1/F.  Readout
 performance is judged by error propagation,
 delta_phi = sqrt(Var O) / |d<O>/dphi|, which for the coincidence readouts
-is smallest at the operating point phi = 0 (see ``min_delta_phi``).
+is smallest at the operating point phi = 0 (see ``MomentProfile``).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .fock import (
     TwoModeBasis,
     block_diagonal,
     block_offsets,
+    check_trace,
     lowering_power,
 )
 from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
@@ -130,10 +131,15 @@ def _packed_classes(n_max: int, blocks: np.ndarray, rows: np.ndarray, steps: np.
         for s, lo, hi in zip(range(1, ends.size), ends, ends[1:]) if s == 1 or hi > lo]
 
 
+def _class_step(n_max: int, stride: int) -> int:
+    """A block's residue-class step: the stride, or n_max + 1 if it is 0 or larger."""
+    return stride if 0 < stride <= n_max else n_max + 1
+
+
 @lru_cache(maxsize=4)
 def _block_classes(n_max: int, stride: int):
     """Stacks of all residue classes of a state's blocks, gathered in its flat buffer."""
-    step = stride if 0 < stride <= n_max else n_max + 1
+    step = _class_step(n_max, stride)
     t, r = np.nonzero(np.arange(step) <= np.arange(n_max + 1)[:, None])
     *_, stacks = _packed_classes(n_max, t, r, np.full(t.size, step))
     offsets = block_offsets(n_max)
@@ -204,9 +210,8 @@ class KScanPairs(BlockPairs):
         values = np.concatenate([values for _, _, values in points])
         t = np.searchsorted(offsets, positions, side="right") - 1
         i, j = np.divmod(positions - offsets[t], t + 1)
-        trace = np.bincount(point[i == j], values[i == j], len(points))
-        if np.abs(trace - 1.0).max() > 1e-10:
-            raise NumericalError(f"family state trace {trace.tolist()!r} deviates from 1")
+        for trace in np.bincount(point[i == j], values[i == j], len(points)):
+            check_trace(trace, "family state")
         row, r = np.divmod(i, steps[point])  # the term's row in its class {r, r + step, ...}
         key = (point * n + t) * n + r
         rank = np.zeros(len(points) * n * n, dtype=np.int32)  # of each class (k, T, r) by size
@@ -363,9 +368,7 @@ class PhasedFamily:
         branches = branch_amplitudes(N, input_spec.alpha)
         self.stride = math.gcd(*(n1 - branches[0][0] for n1, _, _ in branches))
         self.rho0_flat = cross_lossy_blocks(branches, branches, N, self.eta).flat
-        trace = self.rho0_flat[block_diagonal(N)].sum()
-        if abs(trace - 1.0) > 1e-10:
-            raise NumericalError(f"family state trace {trace!r} deviates from 1")
+        check_trace(self.rho0_flat[block_diagonal(N)].sum(), "family state")
         self.g_flat = generator_flat(N, self.chi)
 
     def _pairs(self) -> BlockPairs:
@@ -375,17 +378,12 @@ class PhasedFamily:
         return _qfi_from_block_pairs(self._pairs())
 
     def moment_profile(self, obs: HermitianOperator) -> "MomentProfile":
-        """Exact scan machinery: <O>(phi) = Re sum_j w_j e^{i phi theta j}
-        with theta = 1 + chi N/2 and w_j = sum_T sum_{c-r=j} rho_0[r, c] O[c, r],
-        and likewise for <O^2>.
-
-        O = iA with A[r + m, r] = x_r = -A[r, r + m] on each block's index r,
-        so only j = +-m (of <O>) and j = 0, +-2m (of <O^2>) carry terms, read
-        off the band state by state.  Summed per (T, j) in r order, then the
-        rows in T order, they give a block-by-block bincount's sums, less
-        zeros.  The weights belong to O/scale, with scale = 2^e taken from
-        the band's largest amplitude f 2^e, 0.5 <= f < 1.
-        """
+        """The readout's ``MomentProfile``, rate = (1 + chi N/2) m, read off
+        the band state by state: O = iA with A[r + m, r] = x_r = -A[r, r + m]
+        on each block's index r, so a, c and f read rho_0 at offsets m, 0
+        and 2m, each summed per T in r order, then over the rows in T order.
+        They belong to O/scale, with scale = 2^e taken from the band's
+        largest amplitude f 2^e, 0.5 <= f < 1."""
         if obs.basis != self.basis:
             raise BasisMismatchError("observable basis does not match the family")
         N, m = self.input_spec.N, obs.m
@@ -407,23 +405,34 @@ class PhasedFamily:
         # <O> reads x_r at (r, r +- m); O^2 = -A^2 holds x_r^2 + x_{r-m}^2 at
         # (r, r), two rounded squares added, and -x_r x_{r+m} at (r, r +- 2m)
         mean = rho(up, m) * x[up]
-        far = rho(up2, 2 * m) * -(x[up2] * x[up2 + m])
         near = self.rho0_flat[diag] * (x * x + np.bincount(up + m, x[up] * x[up], x.size))
-        # the terms of j = -2m, -m, 0, m, 2m, each in state order
-        slots = [(up2, far), (up, -mean), (np.arange(x.size), near), (up, mean), (up2, far)]
-        bins = np.concatenate([total[states] * 5 + slot for slot, (states, _) in enumerate(slots)])
-        sums = np.bincount(bins, np.concatenate([terms for _, terms in slots]), 5 * (N + 1))
-        sums = sums.reshape(N + 1, 5).sum(axis=0)  # the rows in T order
-        odd = np.arange(5) % 2 == 1
-        return MomentProfile((1.0 + 0.5 * self.chi * N) * (m * np.arange(-2, 3)),
-                             0.0 + 1j * np.where(odd, sums, 0.0), np.where(odd, 0.0, sums),
-                             scale)
+        far = rho(up2, 2 * m) * -(x[up2] * x[up2 + m])
+        slots = [(up, mean), (np.arange(x.size), near), (up2, far)]
+        bins = np.concatenate([total[states] * 3 + slot for slot, (states, _) in enumerate(slots)])
+        sums = np.bincount(bins, np.concatenate([terms for _, terms in slots]), 3 * (N + 1))
+        half_a, c, f = sums.reshape(N + 1, 3).sum(axis=0)  # the rows in T order
+        return MomentProfile((1.0 + 0.5 * self.chi * N) * m, -2.0 * half_a, c, f, scale)
 
 
 class MomentProfile:
-    """<O>(phi) = Re sum_j w_j e^{i phi d_j} and friends, exact per family.
+    """<O>(phi) = a sin u and <O^2>(phi) = c + 2f cos 2u with u = rate phi.
 
-    The weights belong to O/scale, a power of two; ``mean``,
+    rho(phi)'s block entry (r, r + j) turns with phi at the rate theta j,
+    and the readout O = iA connects r with r +- m, so <O> holds e^{+-iu}
+    and <O^2> holds 1 and e^{+-2iu}.  Every input has real coefficients
+    and both arms lose equally, so rho_0 is real symmetric, and A is real
+    antisymmetric: the weights of e^{+-iu} are -+ia/2 and those of
+    e^{+-2iu} are both f.  The slope is d<O>/dphi = a rate cos u, and
+
+        delta_phi^2 = (P - Q sin^2 u) / (a rate cos u)^2,
+
+    with P = c + 2f and Q = 4f + a^2.  Its derivative in sin^2 u has the
+    sign of P - Q, which is Var O at u = pi/2 and so never negative: the
+    minimum lies where sin u = 0, at phi = 0 (and each multiple of
+    pi / rate), and the profile is flat when P = Q.  With a = 0 the readout
+    cannot see the branch coherence, and the slope vanishes at every phi.
+
+    a, c and f belong to O/scale, a power of two; ``mean``,
     ``second_moment`` and ``variance`` multiply the scale back, while
     delta_phi does not depend on it.  ``variance_floor`` (in the units of
     O/scale) is PSD_FLOOR * max(1, scale/2)^2 in those of O: a variance
@@ -432,22 +441,25 @@ class MomentProfile:
     never looser than PSD_FLOOR * max(1, ||O||^2).
     """
 
-    def __init__(self, freqs: np.ndarray, w_mean: np.ndarray,
-                 w_sq: np.ndarray, scale: float):
-        w_mean = np.asarray(w_mean, dtype=complex)
-        w_sq = np.asarray(w_sq, dtype=complex)
-        # a frequency whose weights are both zero adds exact zeros: drop it
-        keep = (w_mean != 0) | (w_sq != 0)
-        self.freqs, self.w_mean, self.w_sq = np.asarray(freqs)[keep], w_mean[keep], w_sq[keep]
-        self.scale = scale
+    def __init__(self, rate: float, a: float, c: float, f: float, scale: float):
+        self.rate, self.a, self.c, self.f, self.scale = map(float, (rate, a, c, f, scale))
         self.variance_floor = PSD_FLOOR * max(1.0 / scale, 0.5) ** 2
         # relative to the signal, not to ||O||: under heavy loss the branch
         # coherence, and with it every slope, lies many orders below ||O||
-        self.slope_floor = DEGENERACY_FACTOR * float(np.abs(self.freqs * self.w_mean).sum())
+        self.slope_floor = DEGENERACY_FACTOR * abs(self.a * self.rate)
 
-    def _phases(self, phi):
-        return np.exp(1j * np.multiply.outer(np.asarray(phi, dtype=float),
-                                             self.freqs))
+    @property
+    def freqs(self) -> np.ndarray:
+        """The frequencies j rate, |j| <= 2, of nonzero weight (f, a, c, a, f)."""
+        j = np.arange(-2, 3)
+        return self.rate * j[np.array([self.f, self.a, self.c, self.a, self.f]) != 0]
+
+    def _moments(self, phi):
+        """u = rate phi, and <O> and <O^2> of O/scale at phi."""
+        u = self.rate * np.asarray(phi, dtype=float)
+        wave = self.f * np.cos(2.0 * u)
+        # <O^2> adds its terms in the order j = -2, 0, 2; + 0.0 makes a zero mean +0
+        return u, self.a * np.sin(u) + 0.0, (wave + self.c) + wave
 
     def _unscaled(self, values, power: int):
         """values * scale**power, exact; OverflowError past the float range."""
@@ -459,10 +471,10 @@ class MomentProfile:
         return out
 
     def mean(self, phi):
-        return self._unscaled((self._phases(phi) @ self.w_mean).real, 1)
+        return self._unscaled(self._moments(phi)[1], 1)
 
     def second_moment(self, phi):
-        return self._unscaled((self._phases(phi) @ self.w_sq).real, 2)
+        return self._unscaled(self._moments(phi)[2], 2)
 
     def _checked_variance(self, mean, second):
         """Var of O/scale from its mean and second moment; NumericalError
@@ -477,22 +489,18 @@ class MomentProfile:
         return np.clip(var, 0.0, None)
 
     def variance(self, phi):
-        phases = self._phases(phi)
-        return self._unscaled(self._checked_variance(
-            (phases @ self.w_mean).real, (phases @ self.w_sq).real), 2)
+        return self._unscaled(self._checked_variance(*self._moments(phi)[1:]), 2)
 
     def delta_phi(self, phi):
         """sqrt(Var)/|slope| with NaN at degenerate operating points.
 
         A point counts as degenerate when the signal slope falls below its
-        threshold or the variance falls below its round-off floor; for the
-        sinusoidal readouts here both happen in the same neighborhoods.  A
+        threshold or the variance falls below its round-off floor; for
+        these sinusoidal profiles both happen in the same neighborhoods.  A
         variance negative beyond round-off raises NumericalError.
         """
-        phases = self._phases(phi)
-        mean = (phases @ self.w_mean).real
-        second = (phases @ self.w_sq).real
-        slope = np.abs((phases @ (1j * self.freqs * self.w_mean)).real)
+        u, mean, second = self._moments(phi)
+        slope = np.abs(self.a * self.rate * np.cos(u))
         var = self._checked_variance(mean, second)
         good = (slope > self.slope_floor) & (
             var >= VARIANCE_FLOOR_FACTOR * (np.abs(second) + mean ** 2))
@@ -512,7 +520,7 @@ def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
     for k in ks:
         kets, _, amps = zip(*branch_amplitudes(N, NoonLikeSpec(N, k).alpha))
         stride = math.gcd(*(n1 - kets[0] for n1 in kets))
-        step = stride if 0 < stride <= N else N + 1  # as in _block_classes
+        step = _class_step(N, stride)
         positions, terms = ChannelMap(kets, kets, N, eta).terms(np.outer(amps, amps).ravel())
         nonzero = terms != 0  # a zero term adds an exact 0 to its entry
         cost = 16 * nonzero.sum() + int((rows * -(-rows // step)).sum())
@@ -536,25 +544,9 @@ def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
 
 def min_delta_phi(profile: MomentProfile) -> float:
     """The readout's smallest delta_phi over all operating points: its
-    value at phi = 0, where it is reached.
-
-    Every input has real coefficients and both arms lose equally, so rho_0
-    is real symmetric, and the readout is O = iA with A real antisymmetric.
-    With u = theta m phi, <O> = a sin u and <O^2> = c + 2f cos 2u, so
-
-        delta_phi^2 = (P - Q sin^2 u) / (a theta m cos u)^2,
-
-    with P = c + 2f and Q = 4f + a^2.  Its derivative in sin^2 u has the
-    sign of P - Q, which is Var O at u = pi/2 and so never negative: the
-    minimum lies where sin u = 0, at phi = 0 (and each multiple of
-    pi / (theta m)), and the profile is flat when P = Q.  A degenerate
-    phi = 0 (a = 0: the readout cannot see the branch coherence, and the
-    slope vanishes at every phi) raises DegenerateOperatingPointError.
-
-    The profile must come from PhasedFamily.moment_profile of a
-    measurement_mm readout: other weights need not have their minimum at
-    phi = 0.
-    """
+    value at phi = 0, where it is reached for any profile whose variance is
+    nowhere negative (see ``MomentProfile``).  A degenerate phi = 0
+    (a = 0) raises DegenerateOperatingPointError."""
     value = float(profile.delta_phi(np.zeros(1))[0])
     if math.isnan(value):
         raise DegenerateOperatingPointError("the signal slope vanishes at phi = 0")

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PSD_FLOOR = -1e-10
+TRACE_ATOL = 1e-10  # the most a state's trace may miss 1 by
 
 # above this occupation, scalar combinatorics switch to log-gamma floats
 _EXACT_FACTORIAL_LIMIT = 20
@@ -39,6 +40,12 @@ class BasisMismatchError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to deliver a trustworthy result."""
+
+
+def check_trace(trace: float, what: str) -> None:
+    """NumericalError unless the trace lies within TRACE_ATOL of 1 (a NaN does not)."""
+    if not abs(trace - 1.0) <= TRACE_ATOL:
+        raise NumericalError(f"{what} trace {float(trace)!r} deviates from 1")
 
 
 def falling_factorial(n: int, m: int) -> float:

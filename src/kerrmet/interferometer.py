@@ -55,6 +55,8 @@ class SuperpositionSpec:
     @classmethod
     def normalized(cls, N: int, alpha) -> "SuperpositionSpec":
         alpha = np.asarray(alpha, dtype=float)
+        # a power-of-two rescale is exact and keeps the squared weight in range
+        alpha = np.ldexp(alpha, -math.frexp(np.abs(alpha).max(initial=0.0))[1])
         weight = cls.squared_weight(N, alpha)
         if weight == 0.0:
             raise ValueError("cannot normalize an all-zero coefficient vector")

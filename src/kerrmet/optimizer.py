@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .estimation import BlockPairs, QfiResult, _qfi_from_block_pairs, generator_flat
-from .fock import NumericalError, block_diagonal
+from .fock import block_diagonal, check_trace
 from .interferometer import SuperpositionSpec, ket_fold, superposition_length
 from .loss import ChannelMap
 
@@ -110,9 +110,7 @@ class _QuadraticQfiModel:
     def _rho(self, alpha: np.ndarray) -> np.ndarray:
         amplitudes = self.fold @ alpha
         rho_flat = self.channel.scatter(np.outer(amplitudes, amplitudes).ravel())
-        trace = rho_flat[self.diag_idx].sum()
-        if abs(trace - 1.0) > 1e-10:
-            raise NumericalError(f"model state trace {trace!r} deviates from 1")
+        check_trace(rho_flat[self.diag_idx].sum(), "model state")
         return rho_flat
 
     def _pairs(self, alpha: np.ndarray) -> BlockPairs:

@@ -186,6 +186,36 @@ def test_single_lossy_matches_brute_force(tmp_path):
     assert float(row["qfi"]) == pytest.approx(1.0, rel=1e-10)
 
 
+@pytest.mark.parametrize("alpha, plain", [
+    ([1e-200, 0.0], [1.0, 0.0]),  # the squared weight underflows to 0
+    ([1e200, 1e200], [1.0, 1.0]),  # it overflows to inf
+    ([1e-160, 0.0], [1.0, 0.0]),  # it is subnormal
+])
+def test_single_alpha_of_any_finite_size(tmp_path, alpha, plain):
+    # alpha is normalized after an exact power-of-two rescale: any finite,
+    # nonzero size gives the row of the same direction at unit size.  The
+    # rescaled entries keep their own mantissas, so the normalized alpha may
+    # differ from the plain one in its last bit: same digest, and every
+    # number within a few ulp
+    rows = []
+    for name, values in (("scaled", alpha), ("plain", plain)):
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps({"alpha": values}))
+        out = tmp_path / f"{name}.csv"
+        assert main(["--command", "single", "--n-range", "2", "--eta", "0.9",
+                     "--config", str(config), "--out", str(out)]) == 0
+        (row,) = body_without_timing(out)[1]
+        rows.append(row)
+    assert rows[0].keys() == rows[1].keys()
+    for key, value in rows[0].items():
+        try:
+            number = float(value)
+        except ValueError:
+            assert value == rows[1][key], key
+        else:
+            assert number == pytest.approx(float(rows[1][key]), rel=1e-14, abs=0.0), key
+
+
 def test_single_matches_dense_oracle(tmp_path):
     # single reads its point columns off the moment profile; the dense
     # state and the pointwise delta_phi are the independent check
@@ -701,7 +731,7 @@ _TYPED_VALUES = {
     "k": st.integers(0, 8),
     "m": st.integers(1, 8),
     "seed": st.integers(0, 3),
-    "alpha": st.lists(st.floats(-1, 1), min_size=1, max_size=5),
+    "alpha": st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=5),
     "format": st.sampled_from(FORMATS),
     "out": st.sampled_from(["out.csv", "sub/out.csv", ".", ""]),
     "cache": st.sampled_from(["cache", ""]),

@@ -9,9 +9,11 @@ from kerrmet import estimation
 from kerrmet.estimation import (
     BlockPairs,
     DegenerateOperatingPointError,
+    KScanPairs,
     MomentProfile,
     PhasedFamily,
     UndefinedBoundError,
+    _class_step,
     _qfi_from_block_pairs,
     generator_flat,
     max_qfi_over_k,
@@ -28,9 +30,17 @@ from kerrmet.fock import (
     PSD_FLOOR,
     TwoModeBasis,
     block_offsets,
+    check_trace,
     falling_factorial,
 )
-from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
+from kerrmet.interferometer import (
+    NoonLikeSpec,
+    SuperpositionSpec,
+    branch_amplitudes,
+    superposition_length,
+)
+from kerrmet.loss import ChannelMap
+from kerrmet.optimizer import OptimizationProblem, _QuadraticQfiModel
 
 
 def qfi_pinv_oracle(rho: oracle.DensityOperator, rhop: oracle.DenseOperator) -> float:
@@ -489,7 +499,8 @@ def test_moment_profile_scale_is_exact():
     assert mantissa == 0.5 and profile.scale > 1.0
     assert 0.5 <= np.abs(obs.matrix).max() / profile.scale < 1.0
     s = profile.scale
-    plain = MomentProfile(profile.freqs, profile.w_mean * s, profile.w_sq * s * s, 1.0)
+    plain = MomentProfile(profile.rate, profile.a * s, profile.c * s * s, profile.f * s * s,
+                          1.0)
     phi = np.linspace(0.0, np.pi, 97)
     for name in ("mean", "second_moment", "variance", "delta_phi"):
         assert np.array_equal(getattr(profile, name)(phi), getattr(plain, name)(phi),
@@ -518,36 +529,45 @@ def random_band(basis: TwoModeBasis, m: int, rng) -> HermitianOperator:
 def assert_profile_matches_oracle(family, obs):
     got = family.moment_profile(obs)
     want = oracle.moment_profile(family, obs)
-    kept = np.isin(want.freqs, got.freqs)
+    kept = (want.w_mean != 0) | (want.w_sq != 0)
     assert np.array_equal(got.freqs, want.freqs[kept])
     # the oracle scales by ||O|| and the band by max |x|, with
     # max |x| <= ||O|| <= 2 max |x|: the scales differ by 1 or 2, exactly
     ratio = want.scale / got.scale
     assert ratio in (1.0, 2.0)
-    got_mean, got_sq = got.w_mean / ratio, got.w_sq / ratio ** 2
-    assert np.array_equal(got_mean, want.w_mean[kept])
-    assert not want.w_mean[~kept].any() and not want.w_sq[~kept].any()
-    # the j = 0 weight of <O^2> sums the diagonal of O^2, x_r^2 + x_{r-m}^2:
-    # the band adds two rounded squares, while the oracle's dense product
-    # (OpenBLAS zgemm) fuses the second multiply-add.  They agree exactly
-    # when 2m > N, where each diagonal entry is a single square, and to a
-    # few eps otherwise (1.94 eps at worst, in 87 of the 4131 profiles here)
-    n = family.input_spec.N
-    zero = got.freqs == 0
-    assert np.array_equal(got_sq[~zero], want.w_sq[kept][~zero])
-    if 2 * obs.m > n:
-        assert np.array_equal(got_sq[zero], want.w_sq[kept][zero])
+    a, c, f = got.a / ratio, got.c / ratio ** 2, got.f / ratio ** 2
+    # <O> = a sin u and <O^2> = c + 2f cos 2u: the oracle's weights at
+    # j = -N..N are +-ia/2 at j = -+m, c at 0 and f at +-2m, exact zeros
+    # elsewhere (and a = 0 where m > N, f = 0 where 2m > N)
+    n, m = family.input_spec.N, obs.m
+    w_mean, w_sq = np.zeros(2 * n + 1, dtype=complex), np.zeros(2 * n + 1, dtype=complex)
+    if m <= n:
+        w_mean[n - m], w_mean[n + m] = 0.5j * a, -0.5j * a
     else:
-        assert np.allclose(got_sq[zero], want.w_sq[kept][zero],
-                           rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert a == 0.0
+    if 2 * m <= n:
+        w_sq[n - 2 * m] = w_sq[n + 2 * m] = f
+    else:
+        assert f == 0.0
+    w_sq[n] = want.w_sq[n]  # c, compared below
+    assert np.array_equal(w_mean, want.w_mean) and np.array_equal(w_sq, want.w_sq)
+    # c sums the diagonal of O^2, x_r^2 + x_{r-m}^2: the band adds two
+    # rounded squares, while the oracle's dense product (OpenBLAS zgemm)
+    # fuses the second multiply-add.  They agree exactly when 2m > N, where
+    # each diagonal entry is a single square, and to a few eps otherwise
+    # (1.94 eps at worst, in 87 of the 4131 profiles here)
+    if 2 * m > n:
+        assert c == want.w_sq[n]
+    else:
+        assert np.allclose(c, want.w_sq[n], rtol=4 * np.finfo(float).eps, atol=0.0)
     return got
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.05])
 @pytest.mark.parametrize("eta", [0.0, 0.5, 0.9, 1.0])
 def test_moment_profile_matches_the_blockwise_oracle(eta, chi):
-    # the band's weights equal the per-block bincount bit for bit, but for
-    # the j = 0 weight of <O^2> at 2m <= N: every m on a random dense input,
+    # the band's sums equal the per-block bincount's weights bit for bit,
+    # but for c at 2m <= N: every m on a random dense input,
     # plus a band of random amplitudes; every k at the readout m = N - 2k
     rng = np.random.default_rng(12)
     for n in range(1, 25):
@@ -722,22 +742,21 @@ def test_min_delta_phi_rejects_degenerate_grid():
 
 
 def test_min_delta_phi_all_zero_profile_is_degenerate():
-    # at eta = 0 only the vacuum survives: every weight, slope and slope
+    # at eta = 0 only the vacuum survives: every sum, slope and slope
     # floor is exactly zero, and no point may divide by it
     family = PhasedFamily(NoonLikeSpec(4, 0), chi=0.0, eta=0.0)
     profile = family.moment_profile(measurement_mm(4, family.basis))
-    assert not profile.w_mean.any() and profile.slope_floor == 0.0
+    assert (profile.a, profile.c, profile.f) == (0.0, 0.0, 0.0)
+    assert profile.slope_floor == 0.0 and not profile.freqs.size
     assert np.isnan(profile.delta_phi(np.linspace(0.0, np.pi, 11))).all()
     with pytest.raises(DegenerateOperatingPointError):
         min_delta_phi(profile)
 
 
 def test_min_delta_phi_rejects_negative_variance():
-    # <O> = 2 cos(phi), <O^2> = 1: Var O = 1 - 4 cos^2(phi) < 0 near phi = 0,
-    # and -3 at phi = 0
-    freqs = np.array([-1.0, 1.0])
-    profile = MomentProfile(freqs, np.array([1.0, 1.0]), np.array([0.5, 0.5]),
-                            scale=1.0)
+    # <O> = 2 sin(phi), <O^2> = 0.5 - 2 cos(2 phi): c + 2f < 0, and
+    # Var O = 0.5 - 2 cos(2 phi) - 4 sin^2(phi) = -1.5 at every phi
+    profile = MomentProfile(rate=1.0, a=2.0, c=0.5, f=-1.0, scale=1.0)
     with pytest.raises(NumericalError):
         profile.delta_phi(np.array([0.0, 0.3]))
     with pytest.raises(NumericalError):
@@ -781,3 +800,39 @@ def test_phased_family_validation():
         PhasedFamily(NoonLikeSpec(2, 0), eta=1.5)
     with pytest.raises(TypeError):
         PhasedFamily("not a spec")
+
+
+def _doubled_state(caller: str):
+    """Build, by ``caller``, the state of NoonLikeSpec(4, 1) with its
+    amplitudes doubled: trace 4."""
+    n, spec = 4, NoonLikeSpec(4, 1)
+    if caller == "PhasedFamily":
+        doubled = SuperpositionSpec(n, spec.alpha)
+        object.__setattr__(doubled, "alpha", tuple(2.0 * a for a in spec.alpha))
+        PhasedFamily(doubled, chi=0.0, eta=0.9)
+    elif caller == "KScanPairs":
+        kets, _, amps = zip(*branch_amplitudes(n, 2.0 * np.array(spec.alpha)))
+        positions, terms = ChannelMap(kets, kets, n, 0.9).terms(np.outer(amps, amps).ravel())
+        KScanPairs(generator_flat(n, 0.0), n, [(_class_step(n, 2), positions, terms)])
+    else:
+        model = _QuadraticQfiModel(OptimizationProblem(N=n, eta=0.9, chi=0.0))
+        model._rho(2.0 * np.array(spec.alpha))
+
+
+@pytest.mark.parametrize("caller", ["PhasedFamily", "KScanPairs", "_QuadraticQfiModel"])
+def test_a_state_whose_trace_is_off_raises(caller):
+    with pytest.raises(NumericalError, match="deviates from 1"):
+        _doubled_state(caller)
+
+
+def test_check_trace_tolerance():
+    check_trace(1.0 + 5e-11, "state")
+    check_trace(np.float64(1.0 - 5e-11), "state")
+    for trace in (1.0 + 2e-10, np.float64(0.9), math.nan):
+        with pytest.raises(NumericalError, match="state trace"):
+            check_trace(trace, "state")
+
+
+def test_class_step():
+    # the stride, or past every block when it is 0 or exceeds N
+    assert [_class_step(6, stride) for stride in (0, 1, 2, 6, 7, 12)] == [7, 1, 2, 6, 7, 7]

@@ -6,8 +6,9 @@ phi in [0, pi]; the readout bound, which needs no dense oracle, is also
 drawn at 9 <= N <= 30 over random alpha and two-branch inputs.  The
 readout's closed-form operating point phi = 0 is checked at every m
 against the dense oracle at N <= 8, and against a grid plus
-golden-section search at N <= 30.  The examples are
-derandomized, so every run checks the same inputs.
+golden-section search at N <= 30, and the profile's mean, variance and
+delta_phi at every m against the dense oracle at any phi in [-pi, pi].
+The examples are derandomized, so every run checks the same inputs.
 """
 
 import math
@@ -157,3 +158,34 @@ def test_no_grid_point_beats_phi_zero(spec, eta, chi):
                 oracle.scan_delta_phi(profile)
             continue
         assert oracle.scan_delta_phi(profile).min_delta_phi >= best * (1 - 1e-10)
+
+
+@PROPERTY_SETTINGS
+@given(specs(), etas, chis, st.floats(-math.pi, math.pi))
+def test_moment_profile_is_the_dense_readout_at_any_phi(spec, eta, chi, phi):
+    # mean and variance to 1e-12 of the scale (3.4e-15 at worst in 300
+    # random draws);
+    # delta_phi to 1e-9 relative plus the round-off of sqrt(Var)/|slope|,
+    # which grows as the slope and the variance shrink
+    family = PhasedFamily(spec, chi=chi, eta=eta)
+    state = oracle.rho(family, phi).matrix
+    tangent = oracle.rho_prime(family, phi).matrix
+    at = np.array([phi])
+    for m in range(1, spec.N + 1):
+        obs = measurement_mm(m, family.basis)
+        dense = oracle.dense(obs).matrix
+        mean = float(np.sum(state * dense.T).real)
+        second = float(np.sum(state * (dense @ dense).T).real)
+        slope = abs(float(np.sum(tangent * dense.T).real))
+        var = second - mean ** 2
+        profile = family.moment_profile(obs)
+        size = profile.scale
+        assert profile.mean(at)[0] == pytest.approx(mean, rel=0.0, abs=1e-12 * size)
+        assert profile.variance(at)[0] == pytest.approx(var, rel=0.0, abs=1e-12 * size ** 2)
+        got = profile.delta_phi(at)[0]
+        if math.isnan(got):  # degenerate: the slope or the variance vanishes
+            assert (slope <= 1e-9 * profile.rate * size
+                    or var <= 1e-5 * (abs(second) + mean ** 2))
+            continue
+        round_off = 1e-12 * (profile.rate * size / slope + size ** 2 / var)
+        assert got == pytest.approx(math.sqrt(var) / slope, rel=1e-9 + round_off)

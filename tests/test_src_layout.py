@@ -173,6 +173,23 @@ def test_moment_profile_reads_its_weights_off_the_band():
     assert not [node for node in attributes if ast.unparse(node.value) == "np.linalg"]
 
 
+def test_readout_profile_is_real():
+    # <O> = a sin u and <O^2> = c + 2f cos 2u in real arithmetic: the
+    # profile and its build hold no complex literal, no complex dtype and no
+    # complex exponential
+    tree = ast.parse((PACKAGE / "estimation.py").read_text())
+    scopes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.ClassDef) and node.name == "MomentProfile"
+              or isinstance(node, ast.FunctionDef) and node.name == "moment_profile"]
+    assert len(scopes) == 2
+    nodes = [node for scope in scopes for node in ast.walk(scope)]
+    assert not [node for node in nodes if isinstance(node, ast.Constant)
+                and isinstance(node.value, complex)]
+    assert "complex" not in {node.id for node in nodes if isinstance(node, ast.Name)}
+    assert not [node for node in nodes if isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] == "exp"]
+
+
 def test_k_scan_builds_no_family():
     # the k-scan packs each k's channel-map terms itself: no PhasedFamily,
     # and so no flat buffer, per k
