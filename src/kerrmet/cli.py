@@ -223,7 +223,9 @@ class OptimizeCache:
             check = qfi_objective(np.asarray(outcome.alpha_star), problem)
         except (OSError, ValueError, KeyError, TypeError):
             return None
-        if abs(check - outcome.qfi_star) > 1e-9 * max(1.0, abs(outcome.qfi_star)):
+        # a NaN or infinite stored value would pass a plain "> tol" test
+        if not (math.isfinite(outcome.qfi_star)
+                and abs(check - outcome.qfi_star) <= 1e-9 * max(1.0, abs(outcome.qfi_star))):
             return None
         return outcome
 

@@ -72,21 +72,41 @@ class ChannelMap:
         self.kappa = np.concatenate(products)
         del products
         self.dyads = np.concatenate(dyads)
-        self.size = int(offsets[-1])
+        self.size, self.n_dyads = int(offsets[-1]), len(kets) * len(bras)
+        self.chunk = max(1, 2 ** 12 // self.kappa.size)  # rows per stacked bincount
 
     def terms(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Each term's flat position and value for the dyad weights, in scatter order."""
         return self.positions, weights[self.dyads] * self.kappa
 
     def scatter(self, weights: np.ndarray) -> np.ndarray:
-        """Flat float64 blocks T = 0..N of the output for the real
-        combination sum_d weights[d] |dyad d>: one in-order sum of the terms."""
-        return np.bincount(*self.terms(weights), self.size)
+        """Flat float64 blocks T = 0..N of the output for the real combination
+        sum_d weights[d] |dyad d>, row by row for a (B, dyads) stack of
+        weights: one in-order sum of the terms."""
+        return self._binned(weights, self.dyads, self.positions, self.size)
 
     def real_adjoint(self, dual: np.ndarray) -> np.ndarray:
-        """Tr[C(|dyad d>) Z] for each dyad d (every dyad has a q = p = 0
-        term), with ``dual`` the flat real blocks of Z^T."""
-        return np.bincount(self.dyads, dual[self.positions] * self.kappa)
+        """Tr[C(|dyad d>) Z] for each dyad d, with ``dual`` the flat real
+        blocks of Z^T, row by row for a (B, size) stack."""
+        return self._binned(dual, self.positions, self.dyads, self.n_dyads)
+
+    def _binned(self, rows: np.ndarray, take, into, length: int) -> np.ndarray:
+        """np.bincount(into, rows[take] * kappa, length) for one row, or for
+        each row of a (B, n) stack: there one bincount per chunk of rows, with
+        per-row offsets, sums each bin's terms in the row's own order."""
+        if rows.ndim == 1:
+            return np.bincount(into, rows[take] * self.kappa, length)
+        if self.chunk == 1:  # a large map: each row's own call, no offset copy
+            return np.array([self._binned(row, take, into, length) for row in rows])
+        step = np.arange(min(self.chunk, len(rows)))[:, None]
+        take, into = take + rows.shape[1] * step, into + length * step
+        out = np.empty(len(rows) * length)
+        for start in range(0, len(rows), self.chunk):
+            part = rows[start:start + self.chunk]
+            values = (part.ravel()[take[:len(part)]] * self.kappa).ravel()
+            out[start * length:(start + len(part)) * length] = np.bincount(
+                into[:len(part)].ravel(), values, len(part) * length)
+        return out.reshape(len(rows), length)
 
 
 def cross_lossy_blocks(ket_branches, bra_branches, N: int, eta: float) -> FlatBlocks:

@@ -108,16 +108,15 @@ class _QuadraticQfiModel:
         self.n = n
 
     def _rho(self, alpha: np.ndarray) -> np.ndarray:
-        amplitudes = self.fold @ alpha
-        rho_flat = self.channel.scatter(np.outer(amplitudes, amplitudes).ravel())
-        check_trace(rho_flat[self.diag_idx].sum(), "model state")
+        a = alpha @ self.fold.T  # the ket amplitudes
+        rho_flat = self.channel.scatter((a[..., None] * a[..., None, :]).reshape(*a.shape[:-1], -1))
+        for trace in np.atleast_1d(rho_flat[..., self.diag_idx].sum(-1)):
+            check_trace(trace, "model state")
         return rho_flat
 
     def _pairs(self, alpha: np.ndarray) -> BlockPairs:
         """The pairs of rho(alpha), for one point (S,) or a (B, S) stack."""
-        rho_flat = self._rho(alpha) if alpha.ndim == 1 else np.array(
-            [self._rho(point) for point in alpha])
-        return BlockPairs(rho_flat, self.g_flat, self.n, 1)
+        return BlockPairs(self._rho(alpha), self.g_flat, self.n, 1)
 
     def qfi(self, alpha: np.ndarray, with_sld: bool = False) -> QfiResult:
         """The spectral step at alpha, one point (S,) or a (B, S) stack."""
@@ -126,9 +125,9 @@ class _QuadraticQfiModel:
     def seesaw(self, alpha: np.ndarray):
         """F at normalized alpha, M(L)_kl = Re(2 Tr[rho'_kl L] - Tr[R_kl L^2])
         at the SLD L of rho(alpha), and the gradient 2(M alpha - F W alpha)
-        of F(alpha / sqrt(alpha^T W alpha)) there.  For a (B, S) stack of
-        points the spectral step is one batched call and each result gains
-        a leading axis of length B; a point's bits do not depend on its batch.
+        of F(alpha / sqrt(alpha^T W alpha)) there.  A (B, S) stack of points
+        is batched at every step, and each result gains a leading axis of
+        length B; a point's bits do not depend on its batch.
         """
         points = alpha.reshape(-1, alpha.shape[-1])
         result = self.qfi(points, with_sld=True)
@@ -136,15 +135,14 @@ class _QuadraticQfiModel:
         duals = np.concatenate(
             [(2.0 * f * j + j @ j).reshape(len(points), -1)
              for f, j in zip(self.factors, result.sld)], axis=1)
-        ms, gradients = [], []
-        for point, value, dual in zip(points, result.qfi, duals):
-            m = self.fold.T @ self.channel.real_adjoint(dual).reshape(self.n + 1, -1) @ self.fold
-            m = 0.5 * (m + m.T)
-            ms.append(m)
-            gradients.append(2.0 * (m @ point - value * self.metric * point))
+        adjoint = self.channel.real_adjoint(duals).reshape(len(points), self.n + 1, -1)
+        ms = self.fold.T @ adjoint @ self.fold
+        ms = 0.5 * (ms + ms.swapaxes(1, 2))
+        gradients = 2.0 * ((ms @ points[:, :, None])[:, :, 0]
+                           - np.array(result.qfi)[:, None] * self.metric * points)
         if alpha.ndim == 1:
             return result.qfi[0], ms[0], gradients[0]
-        return result.qfi, np.array(ms), np.array(gradients)
+        return result.qfi, ms, gradients
 
 
 # only the latest problem's model: a cache check hands it to the rerun
@@ -178,8 +176,8 @@ class _Climb:
 def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
     """See-saw from alpha, then quasi-Newton steps where the see-saw crawls:
     a generator that yields each normalized point it needs evaluated,
-    receives that point's ``seesaw`` result (F, M, gradient), and returns
-    its ``_Climb``.
+    receives from ``_lockstep`` that point's F, see-saw step and gradient,
+    and returns its ``_Climb``.
 
     Works in u = W^(1/2) alpha on the unit sphere, where the see-saw step
     is the top eigenvector of W^(-1/2) M W^(-1/2) and the gradient is
@@ -187,17 +185,13 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
     round-off, stays within round-off of the best F so far and lowers the
     gradient norm.  The climb stops once the gradient norm is within
     tol * max(1, F) (converged), when the budget of SLD evaluations is
-    spent, or when no step is accepted.
+    spent, or when no step is accepted.  Norms are np.linalg.norm's own
+    math.sqrt(v.dot(v)).
     """
     root = np.sqrt(metric)
-
-    def evaluate(u):
-        value, m, gradient = yield u / root
-        return value, m / np.outer(root, root), gradient / root
-
     u = root * alpha
-    u /= np.linalg.norm(u)
-    value, k, g = yield from evaluate(u)
+    u /= math.sqrt(u.dot(u))
+    value, top, g = yield u / root
     evaluations = 1
     history = [value]
     ceiling = value  # the best F so far; accepted steps stay within noise of it
@@ -207,7 +201,7 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
         if new_value > value + gain:
             return True
         return (new_value >= ceiling - _VALUE_NOISE * max(1.0, ceiling)
-                and np.linalg.norm(new_g) < np.linalg.norm(g))
+                and math.sqrt(new_g.dot(new_g)) < math.sqrt(g.dot(g)))
 
     identity = np.eye(u.size)
     inv_hessian = None  # of -F on the tangent space, from BFGS updates
@@ -215,7 +209,7 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
     last_step = np.inf
     converged = False
     while True:
-        if np.linalg.norm(g) <= tol * max(1.0, value):
+        if math.sqrt(g.dot(g)) <= tol * max(1.0, value):
             converged = True
             break
         if evaluations >= budget:
@@ -225,7 +219,7 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
             tangent = identity - np.outer(u, u)
             direction = tangent @ inv_hessian @ tangent @ g
             # a quasi-Newton step may not outrun the last accepted step twice over
-            length = np.linalg.norm(direction)
+            length = math.sqrt(direction.dot(direction))
             if length > 2.0 * last_step:
                 direction *= 2.0 * last_step / length
             ascent = g @ direction
@@ -234,8 +228,8 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
                 if evaluations >= budget:
                     break
                 point = u + t * direction
-                point /= np.linalg.norm(point)
-                candidate = yield from evaluate(point)
+                point /= math.sqrt(point.dot(point))
+                candidate = yield point / root
                 evaluations += 1
                 if accepted(candidate, _ARMIJO * t * ascent):
                     trial = point, candidate
@@ -246,30 +240,30 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
         if trial is None:
             if evaluations >= budget:
                 break
-            point = np.linalg.eigh(k)[1][:, -1]
+            point = top
             if point @ u < 0:
                 point = -point
-            candidate = yield from evaluate(point)
+            candidate = yield point / root
             evaluations += 1
             if not accepted(candidate, 0.0):
                 break
             trial = point, candidate
-            polishing = polishing or (np.linalg.norm(point - u)
-                                      > _CRAWL_RATIO * last_step)
-        point, (new_value, new_k, new_g) = trial
-        last_step = np.linalg.norm(point - u)
+            step = point - u
+            polishing = polishing or math.sqrt(step.dot(step)) > _CRAWL_RATIO * last_step
+        point, (new_value, new_top, new_g) = trial
         # BFGS update of the inverse Hessian of -F, carrying the old
         # gradient to the new tangent space by projection
         s = point - u
+        last_step = math.sqrt(s.dot(s))
         s -= point * (point @ s)
         y = -(new_g - (g - point * (point @ g)))
         sy = s @ y
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+        if sy > 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             if inv_hessian is None:
                 inv_hessian = (sy / (y @ y)) * identity
             v = identity - np.outer(s, y) / sy
             inv_hessian = v @ inv_hessian @ v.T + np.outer(s, s) / sy
-        u, value, k, g = point, new_value, new_k, new_g
+        u, value, top, g = point, new_value, new_top, new_g
         ceiling = max(ceiling, value)
         history.append(value)
     return _Climb(alpha=u / root, value=value, evaluations=evaluations,
@@ -278,15 +272,19 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
 
 def _lockstep(model: _QuadraticQfiModel, climbs: list) -> list[_Climb]:
     """Drive ``_climb`` generators to their ends in lockstep: each round
-    sends every pending point to one batched ``seesaw`` call."""
+    sends every pending point to one batched ``seesaw`` call and one batched
+    ``eigh`` for their see-saw steps.  A climb's step is a column view of its
+    own copy of its eigenvectors, which rounds as a lone ``eigh``'s does."""
+    root = np.sqrt(model.metric)
     results = [None] * len(climbs)
     pending = {index: next(climb) for index, climb in enumerate(climbs)}
     while pending:
-        values, ms, gradients = model.seesaw(np.array(list(pending.values())))
+        values, stack, gradients = model.seesaw(np.array(list(pending.values())))
+        stack, gradients = np.linalg.eigh(stack / np.outer(root, root))[1], gradients / root
         sent, pending = pending, {}
-        for index, value, m, g in zip(sent, values, ms, gradients):
+        for index, value, vecs, g in zip(sent, values, stack, gradients):
             try:
-                pending[index] = climbs[index].send((value, m, g))
+                pending[index] = climbs[index].send((value, vecs.copy()[:, -1], g))
             except StopIteration as stop:
                 results[index] = stop.value
     return results

@@ -417,6 +417,26 @@ def test_cache_integrity_recomputes_stale_entries(tmp_path):
     assert again.qfi_star == pytest.approx(outcome.qfi_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("poison", ["NaN", "Infinity", "-Infinity"])
+def test_cache_non_finite_entry_is_recomputed(tmp_path, poison):
+    # NaN and inf fail no "difference > tol" test; such an entry is a miss
+    cache = tmp_path / "cache"
+    args = ["--command", "optimize-scan", "--n-range", "2", "--eta", "0.6",
+            "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "first.csv")]) == 0
+    (path,) = cache.glob("opt-*.json")
+    text = path.read_text()
+    data = json.loads(text)
+    path.write_text(json.dumps({**data, "qfi_star": float(poison)}))
+    assert f'"qfi_star": {poison}' in path.read_text()
+    assert main(args + ["--out", str(tmp_path / "again.csv")]) == 0
+    _, (row,) = read_csv(tmp_path / "again.csv")
+    assert row["cached"] == "false"
+    assert float(row["qfi"]) == pytest.approx(data["qfi_star"], rel=1e-12)
+    assert math.isfinite(float(row["qcrb"]))
+    assert path.read_text() == text
+
+
 def test_cache_truncated_entry_is_recomputed(tmp_path):
     cache = OptimizeCache(tmp_path / "cache")
     problem = OptimizationProblem(N=2, eta=0.9, chi=1e-8, restarts=2,

@@ -244,3 +244,36 @@ def test_channel_map_lists_the_terms_dyad_by_dyad(n, eta):
         assert channel.positions.tobytes() == np.concatenate(positions).tobytes()
         assert channel.kappa.tobytes() == np.concatenate(products).tobytes()
         assert channel.dyads.tobytes() == np.concatenate(dyads).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 12])
+@pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
+def test_stacked_channel_ops_match_one_row_calls(n, eta):
+    # a (B, n) stack runs one bincount per chunk of rows with per-row
+    # offsets: the same terms in the same order within each bin as the
+    # row's own call, which is the one-row bincount of the terms
+    channel = ChannelMap(range(n + 1), range(n + 1), n, eta)
+    rng = np.random.default_rng(n)
+    for rows in sorted({1, max(1, channel.chunk - 1), channel.chunk, channel.chunk + 1,
+                        2 * channel.chunk + 1}):
+        weights = rng.normal(size=(rows, channel.n_dyads))
+        duals = rng.normal(size=(rows, channel.size))
+        outputs, adjoints = channel.scatter(weights), channel.real_adjoint(duals)
+        assert outputs.shape == (rows, channel.size)
+        assert adjoints.shape == (rows, channel.n_dyads)
+        for weight, dual, output, adjoint in zip(weights, duals, outputs, adjoints):
+            alone = channel.scatter(weight)
+            assert alone.tobytes() == np.bincount(*channel.terms(weight), channel.size).tobytes()
+            assert output.tobytes() == alone.tobytes()
+            alone = channel.real_adjoint(dual)
+            want = np.bincount(channel.dyads, dual[channel.positions] * channel.kappa)
+            assert alone.tobytes() == want.tobytes()
+            assert adjoint.tobytes() == alone.tobytes()
+
+
+def test_chunk_size_follows_the_term_count():
+    # a few thousand terms per bincount: a whole N = 3 round of the
+    # optimizer in one, one row per chunk from N = 12 (3185 terms) on
+    assert ChannelMap(range(4), range(4), 3, 0.6).chunk == 2 ** 12 // 50 == 81
+    assert ChannelMap(range(13), range(13), 12, 0.6).kappa.size == 3185
+    assert ChannelMap(range(13), range(13), 12, 0.6).chunk == 1

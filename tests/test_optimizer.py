@@ -322,3 +322,49 @@ def test_lockstep_starts_match_starts_driven_alone(monkeypatch, eta, chi):
         assert together.evaluations == apart.evaluations
         assert repr(together.per_restart) == repr(apart.per_restart)
         assert together.converged == apart.converged
+
+
+def test_lockstep_round_runs_one_seesaw_eigh(monkeypatch):
+    # every pending climb's see-saw step comes from one batched eigh over
+    # the round's (B, S, S) stack: one call per round, none per climb
+    import sys
+
+    import kerrmet.optimizer as optimizer
+
+    eigh, seesaw = np.linalg.eigh, _QuadraticQfiModel.seesaw
+    rounds, steps = [], []
+
+    def counted_eigh(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == optimizer.__name__:
+            steps.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    def counted_seesaw(model, alpha):
+        rounds.append(len(alpha))
+        return seesaw(model, alpha)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(_QuadraticQfiModel, "seesaw", counted_seesaw)
+    problem = OptimizationProblem(N=3, eta=0.6, chi=0.0, restarts=16)
+    outcome = optimize_alpha(problem)
+    assert len(outcome.per_restart) == 17
+    assert sum(rounds) == outcome.evaluations
+    assert len(steps) == len(rounds) > 2
+    assert steps == [(points, problem.dimension, problem.dimension) for points in rounds]
+
+
+def test_seesaw_round_memory_stays_bounded():
+    # at N = 40 every chunk holds one point; a single scatter over all 17
+    # points would hold 17 copies of the term list (about 139 MB)
+    problem = OptimizationProblem(N=40, eta=0.9, chi=1e-8)
+    model = _model_for(problem)
+    rng = np.random.default_rng(40)
+    points = np.array([_unit(problem, rng) for _ in range(17)])
+    model.seesaw(points)  # the class tables are cached on first use
+    tracemalloc.start()
+    try:
+        model.seesaw(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak

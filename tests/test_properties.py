@@ -8,17 +8,23 @@ readout's closed-form operating point phi = 0 is checked at every m
 against the dense oracle at N <= 8, and against a grid plus
 golden-section search at N <= 30, and the profile's mean, variance and
 delta_phi at every m against the dense oracle at any phi in [-pi, pi].
-The examples are derandomized, so every run checks the same inputs.
+Every optimize-scan row at N <= 8, eta in (0, 1) and chi in {0, 0.2}
+stays below the lossy linear bound.  The examples are derandomized, so
+every run checks the same inputs.
 """
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
+from kerrmet.cli import main
 from kerrmet.estimation import (
     DegenerateOperatingPointError,
     PhasedFamily,
@@ -90,6 +96,30 @@ def test_qfi_below_linear_loss_bound(spec, eta, chi):
     theta = 1.0 + 0.5 * chi * spec.N
     bound = theta ** 2 * eta * spec.N / (1.0 - eta)
     assert PhasedFamily(spec, chi=chi, eta=eta).qfi().qfi <= bound * (1 + 1e-12) + 1e-12
+
+
+@settings(derandomize=True, deadline=None, max_examples=20, database=None)
+@given(st.integers(1, 8), st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                   min_size=1, max_size=2),
+       st.sampled_from([0.0, 0.2]))
+@example(8, [0.9, 0.99], 0.0)  # where the optimized states come closest
+@example(8, [0.6, 0.999], 0.2)
+def test_optimized_rows_below_linear_loss_bound(n, eta_list, chi):
+    # the optimized input is an N-photon input too, so every optimize-scan
+    # row obeys the same asymptotic bound theta^2 eta N / (1 - eta)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "rows.csv"
+        assert main(["--command", "optimize-scan", "--n-range", str(n),
+                     "--eta", ",".join(repr(eta) for eta in eta_list),
+                     "--chi", repr(chi), "--out", str(out)]) == 0
+        rows = list(csv.DictReader(line for line in out.read_text().splitlines()
+                                   if not line.startswith("#")))
+    assert len(rows) == len(eta_list)
+    for row in rows:
+        eta = float(row["eta"])
+        theta = 1.0 + 0.5 * chi * n
+        bound = theta ** 2 * eta * n / (1.0 - eta)
+        assert float(row["qfi"]) <= bound * (1 + 1e-12) + 1e-12, row
 
 
 @PROPERTY_SETTINGS

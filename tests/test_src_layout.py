@@ -112,9 +112,10 @@ def test_package_exports_only_names_defined_in_src():
 
 # every np.linalg.eigh or eigvalsh call in the package, by (module,
 # enclosing function): the spectral step, whose batched call covers every
-# residue class of every block, and the see-saw step, the top eigenvector
-# of the S x S matrix M(L)
-EIGH_SITES = [("estimation.py", "_qfi_from_block_pairs"), ("optimizer.py", "_climb")]
+# residue class of every block, and the see-saw step, whose batched call
+# takes the top eigenvector of the S x S matrix M(L) at every point of a
+# lockstep round
+EIGH_SITES = [("estimation.py", "_qfi_from_block_pairs"), ("optimizer.py", "_lockstep")]
 
 
 class _EighCalls(ast.NodeVisitor):
