@@ -47,7 +47,7 @@ from .estimation import (
 )
 from .fock import NumericalError
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
-from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha, qfi_objective
+from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha
 
 ALGO_VERSION = 3
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
@@ -188,10 +188,11 @@ def _row(config: ExperimentConfig, t0: float, **columns) -> ResultRecord:
 class OptimizeCache:
     """One JSON document per optimization, keyed by a content digest.
 
-    A cache hit is re-validated with one objective evaluation; entries
-    that are unreadable, malformed or no longer reproduce their stored
-    value are recomputed.  An entry is written to a temporary file and
-    renamed into place, so an interrupted run never leaves a partial one.
+    A hit is re-validated on the lossy family of its coefficients, which
+    ``checked`` keeps with its QFI; entries that are unreadable, malformed or
+    no longer reproduce their stored value are recomputed.  An entry is
+    written to a temporary file and renamed into place, so an interrupted
+    run never leaves a partial one.
     """
 
     def __init__(self, directory: str | Path | None):
@@ -220,13 +221,16 @@ class OptimizeCache:
                 evaluations=int(data["evaluations"]),
                 converged=bool(data["converged"]),
                 per_restart=[(int(s), float(v)) for s, v in data["per_restart"]])
-            check = qfi_objective(np.asarray(outcome.alpha_star), problem)
-        except (OSError, ValueError, KeyError, TypeError):
+            family = PhasedFamily(SuperpositionSpec(problem.N, outcome.alpha_star),
+                                  chi=problem.chi, eta=problem.eta)
+            check = family.qfi().qfi
+        except (OSError, ValueError, KeyError, TypeError, NumericalError):
             return None
         # a NaN or infinite stored value would pass a plain "> tol" test
         if not (math.isfinite(outcome.qfi_star)
                 and abs(check - outcome.qfi_star) <= 1e-9 * max(1.0, abs(outcome.qfi_star))):
             return None
+        self.checked = family, check
         return outcome
 
     def store(self, problem: OptimizationProblem, outcome: OptimizationOutcome) -> None:
@@ -315,15 +319,16 @@ def run_optimize_scan(config: ExperimentConfig, records: list[ResultRecord]) -> 
 
 def _readout_input(config: ExperimentConfig, n: int, eta: float,
                    cache: OptimizeCache):
+    """The input, its digest, and its family and QFI if a cache hit checked them."""
     if config.k is not None:
-        return NoonLikeSpec(n, config.k), f"k={config.k}"
+        return NoonLikeSpec(n, config.k), f"k={config.k}", None
     if config.alpha is not None:
         spec = SuperpositionSpec.normalized(n, config.alpha)
-        return spec, _alpha_digest(spec.alpha)
+        return spec, _alpha_digest(spec.alpha), None
     problem = OptimizationProblem(N=n, eta=eta, chi=config.chi, seed=config.seed)
-    outcome, _ = cache.get_or_run(problem)
-    return (SuperpositionSpec(n, outcome.alpha_star),
-            _alpha_digest(outcome.alpha_star))
+    outcome, from_cache = cache.get_or_run(problem)
+    return (SuperpositionSpec(n, outcome.alpha_star), _alpha_digest(outcome.alpha_star),
+            cache.checked if from_cache else None)
 
 
 def _readout_point(config: ExperimentConfig, n: int, eta: float,
@@ -332,11 +337,11 @@ def _readout_point(config: ExperimentConfig, n: int, eta: float,
     at (N, eta) at its best operating point, phi = 0, and the moment
     profile every readout column comes from."""
     t0 = time.perf_counter()
-    spec, digest = _readout_input(config, n, eta, cache)
+    spec, digest, checked = _readout_input(config, n, eta, cache)
     m = config.m if config.m is not None else n
-    family = PhasedFamily(spec, chi=config.chi, eta=eta)
+    family = checked[0] if checked else PhasedFamily(spec, chi=config.chi, eta=eta)
     profile = family.moment_profile(measurement_mm(m, family.basis))
-    qfi_value = family.qfi().qfi
+    qfi_value = checked[1] if checked else family.qfi().qfi
     extras = {"m": m, "inv_delta_phi": np.nan, "inv_delta_x": np.nan,
               "status": "ok"}
     try:

@@ -36,9 +36,10 @@ from .fock import (
     block_offsets,
     check_trace,
     lowering_power,
+    runs,
 )
 from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
-from .loss import ChannelMap, cross_lossy_blocks
+from .loss import cross_lossy_blocks, survival_table
 
 logger = logging.getLogger(__name__)
 
@@ -136,18 +137,20 @@ def _class_step(n_max: int, stride: int) -> int:
     return stride if 0 < stride <= n_max else n_max + 1
 
 
+def _class_entries(n_max: int, t: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Where the entries of classes (block T, generator indices) lie in a flat buffer."""
+    rows = diag - (t * (t + 1) // 2)[:, None]  # the class's indices in block T
+    starts = block_offsets(n_max)[t][:, None] + rows * (t + 1)[:, None]
+    return starts[:, :, None] + rows[:, None, :]
+
+
 @lru_cache(maxsize=4)
 def _block_classes(n_max: int, stride: int):
     """Stacks of all residue classes of a state's blocks, gathered in its flat buffer."""
     step = _class_step(n_max, stride)
     t, r = np.nonzero(np.arange(step) <= np.arange(n_max + 1)[:, None])
     *_, stacks = _packed_classes(n_max, t, r, np.full(t.size, step))
-    offsets = block_offsets(n_max)
-    for index, (t, _, diag) in enumerate(stacks):
-        rows = diag - (t * (t + 1) // 2)[:, None]  # the class's indices in block T
-        starts = offsets[t][:, None] + rows * (t + 1)[:, None]
-        stacks[index] = (t, starts[:, :, None] + rows[:, None, :], diag)
-    return tuple(stacks)
+    return tuple((t, _class_entries(n_max, t, diag), diag) for t, _, diag in stacks)
 
 
 class BlockPairs(Sequence):
@@ -193,40 +196,54 @@ class BlockPairs(Sequence):
 
 
 class KScanPairs(BlockPairs):
-    """The pairs of NoonLikeSpec(N, k) for several k, one point each, from
-    each k's class step and nonzero channel-map terms (step, positions,
-    values): ``rho_flat`` packs the classes that hold a term, each entry the
-    in-order sum of its terms as in ``PhasedFamily``'s flat buffer; an item
-    rebuilds its block from the terms.  A class left out is all zero."""
+    """The pairs of NoonLikeSpec(N, k), k <= N/2, from (k, branch amplitude a),
+    one point each: losing (q, p) of dyad (n1, m1) puts a^2 (((kappa[n1, q]
+    kappa[m1, q]) kappa[N - n1, p]) kappa[N - m1, p]) at (n1 - q, m1 - q) of
+    block T = N - q - p.  ``rho_flat`` packs the classes holding a nonzero term,
+    each entry the sum of its terms (two at most), bit for bit the family's."""
 
     lead = None  # the points hold different classes: no spectrum is formed
+    unpacked = None, None  # the point whose flat buffer an item read last
 
-    def __init__(self, g_flat: np.ndarray, n_max: int, points: list):
+    def __init__(self, g_flat: np.ndarray, n_max: int, eta: float, points: list):
         self.g_flat, self.n_max, self.n_points = g_flat, n_max, len(points)
-        self.points, n, offsets = points, n_max + 1, block_offsets(n_max)
-        steps = np.array([step for step, _, _ in points])
-        point = np.repeat(np.arange(len(points)), [terms.size for _, terms, _ in points])
-        positions = np.concatenate([terms for _, terms, _ in points])
-        values = np.concatenate([values for _, _, values in points])
-        t = np.searchsorted(offsets, positions, side="right") - 1
-        i, j = np.divmod(positions - offsets[t], t + 1)
-        for trace in np.bincount(point[i == j], values[i == j], len(points)):
+        N, n, kappa = n_max, n_max + 1, survival_table(n_max, eta).ravel()
+        steps = np.array([_class_step(N, N - 2 * k) for k, _ in points])
+        # each point's dyads (n1, m1) of {k, N - k}, their lines q, and the lines' terms p
+        point, kets, bras = np.array([(i, n1, m1) for i, (k, _) in enumerate(points)
+                                      for n1 in dict.fromkeys((k, N - k))
+                                      for m1 in dict.fromkeys((k, N - k))]).T
+        dyad, q = runs(np.minimum(kets, bras) + 1)
+        n1, m1, point = kets[dyad], bras[dyad], point[dyad]
+        line, p = runs(N + 1 - np.maximum(n1, m1))
+        values = (kappa[n1 * n + q] * kappa[m1 * n + q])[line] * kappa[((N - n1) * n)[line] + p]
+        values *= kappa[((N - m1) * n)[line] + p]
+        values *= np.array([a * a for _, a in points])[point][line]
+        for trace in np.bincount(point[line], values * (n1 == m1)[line], len(points)):
             check_trace(trace, "family state")
-        row, r = np.divmod(i, steps[point])  # the term's row in its class {r, r + step, ...}
-        key = (point * n + t) * n + r
-        rank = np.zeros(len(points) * n * n, dtype=np.int32)  # of each class (k, T, r) by size
-        rank[key] = 1
-        blocks, rows = np.divmod(np.flatnonzero(rank), n)  # in (k, T, r) order
-        perm, sizes, starts, self.stacks = _packed_classes(n_max, blocks, rows, steps[blocks // n])
+        kept = values != 0  # a zero term adds an exact 0 and packs no class
+        values, line, p = values[kept], line[kept], p[kept]
+        (row, r), col = np.divmod(n1 - q, steps[point]), (m1 - q) // steps[point]
+        key = ((point * n + N - q) * n + r)[line] - n * p  # each term's class (k, T, r)
+        held = np.zeros(len(points) * n * n, dtype=bool)
+        held[key] = True
+        blocks, rows = np.divmod(np.flatnonzero(held), n)  # in (k, T, r) order
+        perm, sizes, starts, self.stacks = _packed_classes(N, blocks, rows, steps[blocks // n])
+        rank = np.empty(held.size, dtype=np.intp)  # of each class held, by size
         rank[(blocks * n + rows)[perm]] = np.arange(perm.size)
-        at = rank[key]  # each term's class
-        self.rho_flat = np.bincount(starts[at] + row * sizes[at] + j // steps[point], values,
+        at = rank[key]
+        self.rho_flat = np.bincount(starts[at] + row[line] * sizes[at] + col[line], values,
                                     starts[-1])
 
     def _block(self, point: int, t: int) -> np.ndarray:
-        (_, pos, values), (start, end) = self.points[point], block_offsets(t)[-2:]
-        inside = (pos >= start) & (pos < end)
-        return np.bincount(pos[inside] - start, values[inside], end - start).reshape(t + 1, -1)
+        if self.unpacked[0] != point:  # scatter the point's classes to its flat buffer
+            n, flat = self.n_max + 1, np.zeros(block_offsets(self.n_max)[-1])
+            for blocks, run, diag in self.stacks:  # each lists its classes in point order
+                lo, hi = np.searchsorted(blocks, (point * n, point * n + n))
+                flat[_class_entries(self.n_max, blocks[lo:hi] % n, diag[lo:hi])] = (
+                    self.rho_flat[run].reshape(diag.shape + diag.shape[-1:])[lo:hi])
+            self.unpacked = point, FlatBlocks(flat, self.n_max)
+        return self.unpacked[1][t][1]
 
 
 def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResult:
@@ -512,24 +529,21 @@ class MomentProfile:
 def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
     """PhasedFamily(NoonLikeSpec(N, k), chi, eta).qfi().qfi for each k of
     ``ks``, bit for bit, by one spectral step per chunk of k's: at most
-    max(flat buffer, 2^18) entries, sixteen per term and ceil((T + 1) / step)
-    rows for each class of a block T."""
+    max(flat buffer, 2^18) entries, sixteen per term of the k's dyads and
+    ceil((T + 1) / step) rows for each class of a block T."""
     g_flat, rows, budget = generator_flat(N, chi), np.arange(1, N + 2), max(
         block_offsets(N)[-1], 1 << 18)
     values, chunk, held = [], [], 0
     for k in ks:
-        kets, _, amps = zip(*branch_amplitudes(N, NoonLikeSpec(N, k).alpha))
-        stride = math.gcd(*(n1 - kets[0] for n1 in kets))
-        step = _class_step(N, stride)
-        positions, terms = ChannelMap(kets, kets, N, eta).terms(np.outer(amps, amps).ravel())
-        nonzero = terms != 0  # a zero term adds an exact 0 to its entry
-        cost = 16 * nonzero.sum() + int((rows * -(-rows // step)).sum())
+        (k, _, amp), *_ = branch_amplitudes(N, NoonLikeSpec(N, k).alpha)  # k <= N/2
+        terms = (k + 1) ** 2 if 2 * k == N else 2 * (k + 1) * (N + 2)  # of the k's dyads
+        cost = 16 * terms + int((rows * -(-rows // _class_step(N, N - 2 * k))).sum())
         if chunk and held + cost > budget:
-            values += _qfi_from_block_pairs(KScanPairs(g_flat, N, chunk)).qfi
+            values += _qfi_from_block_pairs(KScanPairs(g_flat, N, eta, chunk)).qfi
             chunk, held = [], 0
-        chunk.append((step, positions[nonzero], terms[nonzero]))
+        chunk.append((k, amp))
         held += cost
-    return values + _qfi_from_block_pairs(KScanPairs(g_flat, N, chunk)).qfi
+    return values + _qfi_from_block_pairs(KScanPairs(g_flat, N, eta, chunk)).qfi
 
 
 def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:

@@ -66,6 +66,12 @@ def falling_factorial(n: int, m: int) -> float:
     return math.exp(math.lgamma(n + 1) - math.lgamma(n - m + 1))
 
 
+def runs(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs of these lengths laid end to end: each item's run and its index in the run."""
+    run = np.repeat(np.arange(lengths.size), lengths)
+    return run, np.arange(run.size) - (np.cumsum(lengths) - lengths)[run]
+
+
 class TwoModeBasis:
     """Graded two-mode Fock basis truncated at n1 + n2 <= n_total_max.
 
@@ -79,12 +85,8 @@ class TwoModeBasis:
             raise ValueError("n_total_max must be non-negative")
         self.n_total_max = int(n_total_max)
         self.dim = (self.n_total_max + 1) * (self.n_total_max + 2) // 2
-        totals = np.repeat(np.arange(self.n_total_max + 1),
-                           np.arange(1, self.n_total_max + 2))
-        starts = totals * (totals + 1) // 2
-        self.n1 = np.arange(self.dim) - starts
-        self.n2 = totals - self.n1
-        self.total = totals
+        self.total, self.n1 = runs(np.arange(1, self.n_total_max + 2))
+        self.n2 = self.total - self.n1
 
     def index_of(self, n1: int, n2: int) -> int:
         if n1 < 0 or n2 < 0:
@@ -122,8 +124,7 @@ def block_offsets(n_max: int) -> np.ndarray:
 def block_diagonal(n_max: int) -> np.ndarray:
     """Positions of the diagonal entries of blocks 0..n_max in such a
     flat buffer, block by block."""
-    t = np.repeat(np.arange(n_max + 1), np.arange(1, n_max + 2))
-    i = np.arange(t.size) - t * (t + 1) // 2
+    t, i = runs(np.arange(1, n_max + 2))
     return block_offsets(n_max)[t] + i * (t + 2)
 
 

@@ -4,8 +4,9 @@ Losing (q, p) photons maps each input ket |n1, n2> to |n1-q, n2-p> with
 survival amplitude sqrt((1-eta)^q eta^(n1-q) n1!/((n1-q)! q!)) per mode,
 and summing the resulting rank-one contributions over (q, p) reproduces
 the channel exactly.  ``ChannelMap`` lists those terms for fixed-N ket
-dyads once.  The closed form assumes equal loss in both arms, and loss
-commutes with the Kerr phase, so it needs no phase.
+dyads once; the k-scan (``estimation.KScanPairs``) reads its two-branch
+terms off ``survival_table`` itself.  The closed form assumes equal loss
+in both arms, and loss commutes with the Kerr phase, so it needs no phase.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def survival_table(n_max: int, eta: float) -> np.ndarray:
     """kappa[n, q] = single-mode amplitude for losing q of n photons,
     sqrt(C(n, q) (1-eta)^q eta^(n-q)), for all n, q <= n_max at once;
     0 * log(0) counts as 0, so eta = 0 and eta = 1 are exact.  Built once
-    per (n_max, eta) and read-only, so the families of a k-scan share it.
+    per (n_max, eta) and read-only, so all chunks of a k-scan share it.
     """
     log_fact = np.array([math.lgamma(k + 1) for k in range(n_max + 1)])
     n = np.arange(n_max + 1)[:, None]
@@ -74,10 +75,6 @@ class ChannelMap:
         self.dyads = np.concatenate(dyads)
         self.size, self.n_dyads = int(offsets[-1]), len(kets) * len(bras)
         self.chunk = max(1, 2 ** 12 // self.kappa.size)  # rows per stacked bincount
-
-    def terms(self, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each term's flat position and value for the dyad weights, in scatter order."""
-        return self.positions, weights[self.dyads] * self.kappa
 
     def scatter(self, weights: np.ndarray) -> np.ndarray:
         """Flat float64 blocks T = 0..N of the output for the real combination

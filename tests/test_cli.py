@@ -27,6 +27,7 @@ from kerrmet.cli import (
     parse_eta_list,
     parse_n_range,
 )
+from kerrmet import estimation, optimizer
 from kerrmet.optimizer import OptimizationProblem
 
 
@@ -434,6 +435,43 @@ def test_cache_non_finite_entry_is_recomputed(tmp_path, poison):
     assert row["cached"] == "false"
     assert float(row["qfi"]) == pytest.approx(data["qfi_star"], rel=1e-12)
     assert math.isfinite(float(row["qcrb"]))
+    assert path.read_text() == text
+
+
+def test_cached_readout_row_takes_one_spectral_step(tmp_path, monkeypatch):
+    # a hit is checked on the lossy family the readout row reads, so the
+    # row's Fisher information is computed once and builds no optimizer model
+    args = ["--command", "readout-scan", "--n-range", "3", "--eta", "0.6",
+            "--cache", str(tmp_path / "cache")]
+    assert main(args + ["--out", str(tmp_path / "fill.csv")]) == 0
+    calls = []
+    for module in (estimation, optimizer):
+        monkeypatch.setattr(module, "_qfi_from_block_pairs",
+                            lambda pairs, *rest, spectral=module._qfi_from_block_pairs:
+                            calls.append(pairs) or spectral(pairs, *rest))
+    monkeypatch.setattr(optimizer, "_QuadraticQfiModel", None)
+    assert main(args + ["--out", str(tmp_path / "hit.csv")]) == 0
+    assert len(calls) == 1
+    assert (body_without_timing(tmp_path / "hit.csv")
+            == body_without_timing(tmp_path / "fill.csv"))
+
+
+@pytest.mark.parametrize("command", ["optimize-scan", "readout-scan"])
+def test_cache_entry_with_a_nan_coefficient_is_recomputed(tmp_path, command):
+    # NaN coefficients pass the normalization check and give a state of NaN
+    # trace: the entry is a miss, not an error
+    cache = tmp_path / "cache"
+    args = ["--command", command, "--n-range", "2", "--eta", "0.6", "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "first.csv")]) == 0
+    (path,) = cache.glob("opt-*.json")
+    text = path.read_text()
+    data = json.loads(text)
+    path.write_text(json.dumps({**data, "alpha_star": [math.nan] * len(data["alpha_star"])}))
+    problem, reader = OptimizationProblem(N=2, eta=0.6, chi=1e-8), OptimizeCache(cache)
+    assert reader._path(problem) == path and reader.load(problem) is None
+    assert main(args + ["--out", str(tmp_path / "again.csv")]) == 0
+    assert (body_without_timing(tmp_path / "again.csv")
+            == body_without_timing(tmp_path / "first.csv"))
     assert path.read_text() == text
 
 

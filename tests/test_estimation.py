@@ -39,7 +39,7 @@ from kerrmet.interferometer import (
     branch_amplitudes,
     superposition_length,
 )
-from kerrmet.loss import ChannelMap
+from kerrmet.loss import survival_table
 from kerrmet.optimizer import OptimizationProblem, _QuadraticQfiModel
 
 
@@ -336,6 +336,18 @@ def test_k_scan_matches_the_per_k_families_bit_for_bit(eta, chi):
         assert qfi_over_k(n, eta, chi, range(n // 2 + 1)) == want, n
         # ties break toward the smaller k: at eta = 0 every k gives 0
         assert max_qfi_over_k(n, eta, chi) == (want.index(max(want)), max(want)), n
+
+
+@pytest.mark.parametrize("eta", [1e-6, 1e-3, 0.999])
+def test_k_scan_matches_the_families_at_extreme_loss(eta):
+    # at eta = 1e-6 the no-loss term eta^N of a dyad underflows to an exact
+    # zero from N = 54 on: the scan drops zero terms and packs no class that
+    # holds only those, and every value still equals the family's
+    for n in (33, 59, 61):
+        kappa = survival_table(n, eta)
+        assert (kappa[0, 0] * kappa[0, 0] * kappa[n, 0] * kappa[n, 0] == 0) == (
+            eta == 1e-6 and n >= 54)
+        assert qfi_over_k(n, eta, 0.0, range(n // 2 + 1)) == oracle.k_scan(n, eta, 0.0), n
 
 
 def test_k_scan_pairs_iterate_as_the_family_pairs(monkeypatch):
@@ -811,9 +823,8 @@ def _doubled_state(caller: str):
         object.__setattr__(doubled, "alpha", tuple(2.0 * a for a in spec.alpha))
         PhasedFamily(doubled, chi=0.0, eta=0.9)
     elif caller == "KScanPairs":
-        kets, _, amps = zip(*branch_amplitudes(n, 2.0 * np.array(spec.alpha)))
-        positions, terms = ChannelMap(kets, kets, n, 0.9).terms(np.outer(amps, amps).ravel())
-        KScanPairs(generator_flat(n, 0.0), n, [(_class_step(n, 2), positions, terms)])
+        (k, _, amp), *_ = branch_amplitudes(n, 2.0 * np.array(spec.alpha))
+        KScanPairs(generator_flat(n, 0.0), n, 0.9, [(k, amp)])
     else:
         model = _QuadraticQfiModel(OptimizationProblem(N=n, eta=0.9, chi=0.0))
         model._rho(2.0 * np.array(spec.alpha))

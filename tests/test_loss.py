@@ -263,7 +263,9 @@ def test_stacked_channel_ops_match_one_row_calls(n, eta):
         assert adjoints.shape == (rows, channel.n_dyads)
         for weight, dual, output, adjoint in zip(weights, duals, outputs, adjoints):
             alone = channel.scatter(weight)
-            assert alone.tobytes() == np.bincount(*channel.terms(weight), channel.size).tobytes()
+            want = np.bincount(channel.positions, weight[channel.dyads] * channel.kappa,
+                               channel.size)
+            assert alone.tobytes() == want.tobytes()
             assert output.tobytes() == alone.tobytes()
             alone = channel.real_adjoint(dual)
             want = np.bincount(channel.dyads, dual[channel.positions] * channel.kappa)

@@ -200,3 +200,16 @@ def test_k_scan_builds_no_family():
     assert len(scans) == 2
     assert "PhasedFamily" not in {node.id for scan in scans for node in ast.walk(scan)
                                   if isinstance(node, ast.Name)}
+
+
+def test_k_scan_builds_no_channel_map():
+    # the k-scan enumerates each k's terms from the survival table itself:
+    # no ChannelMap, and so no flat positions, per k
+    tree = ast.parse((PACKAGE / "estimation.py").read_text())
+    scopes = [node for node in ast.walk(tree)
+              if isinstance(node, ast.FunctionDef) and node.name == "qfi_over_k"
+              or isinstance(node, ast.ClassDef) and node.name == "KScanPairs"]
+    assert len(scopes) == 2
+    assert "ChannelMap" not in {node.id if isinstance(node, ast.Name) else node.attr
+                                for scope in scopes for node in ast.walk(scope)
+                                if isinstance(node, (ast.Name, ast.Attribute))}
