@@ -31,6 +31,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (20, 40, 60, 100, 200)
+REPEATS = 9  # processes per tree, N and thread setting
 ETA, CHI = 0.9, 0.0
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -84,17 +85,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--baseline", required=True, type=Path,
                         help="the src directory of the tree to compare with")
-    parser.add_argument("--repeats", type=int, default=5, help="processes per point (>= 5)")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_kscan.json")
     args = parser.parse_args(argv)
-    if args.repeats < 5:
-        parser.error("--repeats must be at least 5")
     trees = {"baseline": args.baseline.resolve(), "change": ROOT / "src"}
     results = []
     for threads in ("1", "default"):
         for n in SIZES:
             samples = {name: [] for name in trees}
-            for repeat in range(args.repeats):
+            for repeat in range(REPEATS):
                 order = list(trees) if repeat % 2 == 0 else list(trees)[::-1]
                 for name in order:
                     samples[name].append(_sample(trees[name], n, threads))
@@ -110,7 +108,7 @@ def main(argv=None) -> int:
     report = {
         "call": f"max_qfi_over_k(N, {ETA}, {CHI})",
         "samples": "one fresh process per call, the trees alternating; import not timed",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__,
                  "blas": _blas()},

@@ -188,11 +188,10 @@ def _row(config: ExperimentConfig, t0: float, **columns) -> ResultRecord:
 class OptimizeCache:
     """One JSON document per optimization, keyed by a content digest.
 
-    A hit is re-validated on the lossy family of its coefficients, which
-    ``checked`` keeps with its QFI; entries that are unreadable, malformed or
-    no longer reproduce their stored value are recomputed.  An entry is
-    written to a temporary file and renamed into place, so an interrupted
-    run never leaves a partial one.
+    A hit is re-validated on the lossy family of its coefficients, kept in
+    ``checked`` with its QFI; unreadable, malformed or stale entries are
+    recomputed.  An entry is written to a temporary file and renamed into
+    place, so an interrupted run never leaves a partial one.
     """
 
     def __init__(self, directory: str | Path | None):

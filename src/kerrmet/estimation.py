@@ -225,11 +225,10 @@ class KScanPairs(BlockPairs):
         values, line, p = values[kept], line[kept], p[kept]
         (row, r), col = np.divmod(n1 - q, steps[point]), (m1 - q) // steps[point]
         key = ((point * n + N - q) * n + r)[line] - n * p  # each term's class (k, T, r)
-        held = np.zeros(len(points) * n * n, dtype=bool)
-        held[key] = True
-        blocks, rows = np.divmod(np.flatnonzero(held), n)  # in (k, T, r) order
+        rank = np.zeros(len(points) * n * n, dtype=np.int32)  # of each class held, by size
+        rank[key] = 1
+        blocks, rows = np.divmod(np.flatnonzero(rank), n)  # in (k, T, r) order
         perm, sizes, starts, self.stacks = _packed_classes(N, blocks, rows, steps[blocks // n])
-        rank = np.empty(held.size, dtype=np.intp)  # of each class held, by size
         rank[(blocks * n + rows)[perm]] = np.arange(perm.size)
         at = rank[key]
         self.rho_flat = np.bincount(starts[at] + row[line] * sizes[at] + col[line], values,

@@ -4,9 +4,8 @@ Losing (q, p) photons maps each input ket |n1, n2> to |n1-q, n2-p> with
 survival amplitude sqrt((1-eta)^q eta^(n1-q) n1!/((n1-q)! q!)) per mode,
 and summing the resulting rank-one contributions over (q, p) reproduces
 the channel exactly.  ``ChannelMap`` lists those terms for fixed-N ket
-dyads once; the k-scan (``estimation.KScanPairs``) reads its two-branch
-terms off ``survival_table`` itself.  The closed form assumes equal loss
-in both arms, and loss commutes with the Kerr phase, so it needs no phase.
+dyads once (the k-scan reads them off ``survival_table``).  Equal loss in
+both arms is assumed; loss commutes with the Kerr phase, so no phase enters.
 """
 
 from __future__ import annotations
