@@ -13,7 +13,7 @@ Commands
 Records carry a fixed column order; re-running a command with the same
 configuration and cache reproduces every column byte for byte except
 wall_time_ms.  Exit codes: 0 success (including rows flagged
-non-converged or degenerate), 2 configuration error (a bad value, or a
+non-converged or degenerate), 2 configuration error (a bad flag or value, or a
 --config, --out or --cache path that cannot be used, reported before any
 work), 3 unrecoverable numerical error or out of memory (partial results
 are flushed).
@@ -21,7 +21,6 @@ are flushed).
 
 from __future__ import annotations
 
-import argparse
 import csv
 import hashlib
 import json
@@ -120,9 +119,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         # destinations are not part of the experiment: dropping them keeps
         # re-runs byte-identical wherever the files land
-        data = asdict(self)
-        data.pop("out")
-        data.pop("cache")
+        data = {key: value for key, value in asdict(self).items() if key not in ("out", "cache")}
         data["code_version"] = __version__
         return data
 
@@ -188,8 +185,8 @@ def _row(config: ExperimentConfig, t0: float, **columns) -> ResultRecord:
 class OptimizeCache:
     """One JSON document per optimization, keyed by a content digest.
 
-    A hit is re-validated on the lossy family of its coefficients, kept in
-    ``checked`` with its QFI; unreadable, malformed or stale entries are
+    A hit is re-validated on the lossy family of its coefficients, which is
+    returned with its QFI; unreadable, malformed or stale entries are
     recomputed.  An entry is written to a temporary file and renamed into
     place, so an interrupted run never leaves a partial one.
     """
@@ -209,7 +206,8 @@ class OptimizeCache:
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
         return self.directory / f"opt-{digest}.json"
 
-    def load(self, problem: OptimizationProblem) -> OptimizationOutcome | None:
+    def load(self, problem: OptimizationProblem) -> tuple[OptimizationOutcome, tuple] | None:
+        """The stored outcome and its checked (family, qfi), or None on a miss."""
         if self.directory is None:
             return None
         try:
@@ -229,8 +227,7 @@ class OptimizeCache:
         if not (math.isfinite(outcome.qfi_star)
                 and abs(check - outcome.qfi_star) <= 1e-9 * max(1.0, abs(outcome.qfi_star))):
             return None
-        self.checked = family, check
-        return outcome
+        return outcome, (family, check)
 
     def store(self, problem: OptimizationProblem, outcome: OptimizationOutcome) -> None:
         if self.directory is None:
@@ -245,13 +242,12 @@ class OptimizeCache:
             os.unlink(tmp)
             raise
 
-    def get_or_run(self, problem: OptimizationProblem) -> tuple[OptimizationOutcome, bool]:
-        cached = self.load(problem)
-        if cached is not None:
-            return cached, True
-        outcome = optimize_alpha(problem)
-        self.store(problem, outcome)
-        return outcome, False
+    def get_or_run(self, problem: OptimizationProblem) -> tuple[OptimizationOutcome, tuple | None]:
+        hit = self.load(problem)
+        if hit is None:
+            hit = optimize_alpha(problem), None
+            self.store(problem, hit[0])
+        return hit
 
 
 def run_pure_qfi(config: ExperimentConfig, records: list[ResultRecord]) -> dict:
@@ -304,13 +300,13 @@ def run_optimize_scan(config: ExperimentConfig, records: list[ResultRecord]) -> 
             t0 = time.perf_counter()
             problem = OptimizationProblem(N=n, eta=eta, chi=config.chi,
                                           seed=config.seed)
-            outcome, from_cache = cache.get_or_run(problem)
+            outcome, checked = cache.get_or_run(problem)
             records.append(_row(
                 config, t0, N=n, k_or_alpha_digest=_alpha_digest(outcome.alpha_star),
                 eta=eta, qfi=outcome.qfi_star,
                 extras={"converged": outcome.converged,
                         "evaluations": outcome.evaluations,
-                        "cached": from_cache,
+                        "cached": checked is not None,
                         "alpha_star": json.dumps(list(outcome.alpha_star),
                                                   separators=(",", ":"))}))
     return {}
@@ -325,9 +321,8 @@ def _readout_input(config: ExperimentConfig, n: int, eta: float,
         spec = SuperpositionSpec.normalized(n, config.alpha)
         return spec, _alpha_digest(spec.alpha), None
     problem = OptimizationProblem(N=n, eta=eta, chi=config.chi, seed=config.seed)
-    outcome, from_cache = cache.get_or_run(problem)
-    return (SuperpositionSpec(n, outcome.alpha_star), _alpha_digest(outcome.alpha_star),
-            cache.checked if from_cache else None)
+    outcome, checked = cache.get_or_run(problem)
+    return SuperpositionSpec(n, outcome.alpha_star), _alpha_digest(outcome.alpha_star), checked
 
 
 def _readout_point(config: ExperimentConfig, n: int, eta: float,
@@ -391,6 +386,12 @@ _COMMANDS = {
 COMMANDS = tuple(_COMMANDS)
 
 
+def _dumps(value, **kwargs) -> str:
+    """Strict JSON: every non-finite float, at any depth, is written as null."""
+    text = json.dumps(value, sort_keys=True, default=str, **kwargs)
+    return json.dumps(json.loads(text, parse_constant=lambda _: None), **kwargs)
+
+
 def write_csv(records: list[ResultRecord], summary: dict,
               config: ExperimentConfig, stream) -> None:
     stream.write(f"# config {json.dumps(config.echo(), sort_keys=True)}\n")
@@ -403,7 +404,7 @@ def write_csv(records: list[ResultRecord], summary: dict,
         data = rec.as_dict()
         writer.writerow([_fmt(data.get(col)) for col in header])
     for key, value in sorted(summary.items()):
-        stream.write(f"# {key} {json.dumps(value, sort_keys=True, default=str)}\n")
+        stream.write(f"# {key} {_dumps(value)}\n")
 
 
 def write_json(records: list[ResultRecord], summary: dict,
@@ -411,8 +412,7 @@ def write_json(records: list[ResultRecord], summary: dict,
     doc = {"config": config.echo(),
            "records": [rec.as_dict() for rec in records],
            "summary": summary}
-    json.dump(doc, stream, indent=2, sort_keys=True, default=str)
-    stream.write("\n")
+    stream.write(_dumps(doc, indent=2) + "\n")
 
 
 def _emit(records, summary, config: ExperimentConfig) -> None:
@@ -449,21 +449,27 @@ def parse_eta_list(text: str) -> tuple[float, ...]:
         raise ConfigError(f"cannot parse eta list {text!r}") from err
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # dests are the config field names, and unset flags stay out of the
-    # namespace, so vars(args) holds exactly the fields the flags set
-    parser = argparse.ArgumentParser(
-        prog="kerrmet", argument_default=argparse.SUPPRESS,
-        description="Parameter scans for Kerr-nonlinear interferometer metrology")
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--n-range", help="A:B:S inclusive range or a single N")
-    parser.add_argument("--eta", dest="eta_list",
-                        help="comma-separated transmissivities, e.g. 0.9,1.0")
-    choices = {"command": COMMANDS, "format": FORMATS}
-    for name, (parse, *_) in _SCALAR_FIELDS.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=parse,
-                            choices=choices.get(name))
-    return parser
+# each flag's config field and value parser; range and list flags keep their text
+_FLAGS = {"--config": ("config", str), "--n-range": ("n_range", str),
+          "--eta": ("eta_list", str), **{"--" + name.replace("_", "-"): (name, spec[0])
+                                         for name, spec in _SCALAR_FIELDS.items()}}
+
+
+def parse_flags(argv) -> dict:
+    """The fields set by exact --flag value or --flag=value arguments; the last repeat wins."""
+    values, args = {}, iter(argv)
+    for arg in args:
+        flag, equals, text = arg.partition("=")
+        if flag not in _FLAGS:
+            raise ConfigError(f"unrecognized arguments: {arg}")
+        if not equals and (text := next(args, None)) is None:
+            raise ConfigError(f"argument {flag}: expected one argument")
+        name, kind = _FLAGS[flag]
+        try:
+            values[name] = kind(text)
+        except ValueError:
+            raise ConfigError(f"argument {flag}: invalid {kind.__name__} value: {text!r}") from None
+    return values
 
 
 def _coerce_scalars(values: dict) -> None:
@@ -494,8 +500,8 @@ def _read_config_file(path: Path) -> dict:
     return loaded
 
 
-def build_config(argv=None) -> ExperimentConfig:
-    values = vars(build_parser().parse_args(argv))
+def build_config(argv) -> ExperimentConfig:
+    values = parse_flags(argv)
     path = values.pop("config", None)
     if path:
         values = {**_read_config_file(Path(path)), **values}
@@ -544,6 +550,10 @@ def build_config(argv=None) -> ExperimentConfig:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(f"{__doc__}\nFlags, as --flag value or --flag=value: {' '.join(_FLAGS)}")
+        return 0
     try:
         config = build_config(argv)
     except ConfigError as err:

@@ -22,9 +22,9 @@ from kerrmet.cli import (
     ExperimentConfig,
     OptimizeCache,
     build_config,
-    build_parser,
     main,
     parse_eta_list,
+    parse_flags,
     parse_n_range,
 )
 from kerrmet import estimation, optimizer
@@ -527,10 +527,10 @@ def test_cache_concurrent_writers(tmp_path):
         if loaded is not None:
             stored = True
             reads += 1
-            assert loaded.qfi_star == qfi_star
+            assert loaded[0].qfi_star == qfi_star
     assert [w.wait(timeout=60) for w in writers] == [0, 0]
     assert reads > 0
-    assert cache.load(problem).qfi_star == qfi_star
+    assert cache.load(problem)[0].qfi_star == qfi_star
     assert [p.name for p in cache.directory.iterdir()] == [cache._path(problem).name]
 
 
@@ -575,6 +575,33 @@ def test_rerun_reproduces_body(tmp_path, case, fmt):
     assert bool(runs[0][1]) == (case == "optimize-then-readout")
 
 
+def strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not RFC 8259 JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_writes_non_finite_values_as_null(tmp_path):
+    # JSON has no NaN or Infinity: the non-readout delta_phi_min and the
+    # qcrb of a zero Fisher information are null, in the document and in the
+    # CSV's '#' lines, while the CSV cells keep nan and inf
+    out = tmp_path / "records.json"
+    assert main(["--command", "pure-qfi", "--n-range", "2", "--format", "json",
+                 "--out", str(out)]) == 0
+    records = strict_loads(out.read_text())["records"]
+    assert [record["delta_phi_min"] for record in records] == [None] * 3
+    assert [record["qcrb"] is None for record in records] == [False, True, False]
+    assert records[1]["qfi"] == 0.0
+    out = tmp_path / "scan.csv"
+    assert main(["--command", "qfi-scan", "--n-range", "5", "--eta", "0.9",
+                 "--out", str(out)]) == 0
+    comments, (row,) = read_csv(out)
+    (slopes,) = [line for line in comments if line.startswith("# loglog_slopes ")]
+    assert strict_loads(slopes.split(" ", 2)[2]) == {
+        "0.9": {"slope": None, "n_min": 5, "n_max": 5}}
+    assert row["delta_phi_min"] == "nan"
+
+
 def test_json_output_mirror(tmp_path):
     out = tmp_path / "records.json"
     code = main(["--command", "pure-qfi", "--n-range", "2", "--format", "json",
@@ -615,12 +642,26 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
          str(missing_out)),
         (["--command", "pure-qfi", "--n-range", "2", "--out", str(tmp_path)],
          str(tmp_path)),
+        (["--command", "pure-qfi", "--n-range", "2", "--seed", "-5"], "seed must be >= 0"),
     ]
-    # --grid-points went with the operating-point search: argparse exits 2
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--command", "readout-scan", "--n-range", "2", "--grid-points", "801"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --grid-points" in capsys.readouterr().err
+    # each flag that cannot be read, and its whole error line
+    bad_flags = [
+        # --grid-points went with the operating-point search
+        (["--command", "readout-scan", "--n-range", "2", "--grid-points", "801"],
+         "unrecognized arguments: --grid-points"),
+        (["--command", "pure-qfi", "--n-range", "2", "--k", "x"],
+         "argument --k: invalid int value: 'x'"),
+        (["--command", "pure-qfi", "--n-range", "2", "--chi", "abc"],
+         "argument --chi: invalid float value: 'abc'"),
+        (["--command", "pure-qfi", "--n-range", "2", "--out"],
+         "argument --out: expected one argument"),
+        (["--command", "bogus", "--n-range", "2"], "unknown command 'bogus'"),
+        (["--command", "pure-qfi", "--n-range", "2", "--format", "xml"],
+         "unknown format 'xml'"),
+        (["qfi-scan", "--n-range", "2"], "unrecognized arguments: qfi-scan"),
+        # flag names are exact: no prefix abbreviation
+        (["--com", "pure-qfi"], "unrecognized arguments: --com"),
+    ]
     # each config file, and the field its error must name (None: not checked)
     bad_files = [
         ({"command": "single", "n_range": "3", "alpha": [0.0, 0.0]}, None),
@@ -657,6 +698,9 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("config error: "), argv
         assert named is None or named in line, line
+    for argv, message in bad_flags:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
     # every case fails before it writes anything
     assert sorted(tmp_path.iterdir()) == before
 
@@ -696,17 +740,49 @@ def test_integer_float_fields_become_floats(tmp_path):
 
 
 def test_every_flag_is_a_config_field():
-    # one name per setting: argparse dests are the config fields, so the
-    # parsed flags are the overrides, and every scalar field is type-checked
+    # one name per setting: each flag sets a config field, so the parsed
+    # flags are the overrides, and every scalar field is type-checked
     import kerrmet.cli as cli
 
     config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    dests = {action.dest for action in build_parser()._actions} - {"help", "config"}
+    dests = {name for name, _ in cli._FLAGS.values()} - {"config"}
     assert dests <= config_fields
     assert config_fields - dests == {"alpha"}  # set only in config files
     assert set(cli._SCALAR_FIELDS) == config_fields - {"n_range", "eta_list", "alpha"}
-    assert vars(build_parser().parse_args(["--eta", "0.5", "--n-range", "2"])) == {
+    assert all(flag == "--" + name.replace("_", "-") for flag, (name, _) in cli._FLAGS.items()
+               if flag != "--eta")
+    assert parse_flags(["--eta", "0.5", "--n-range", "2"]) == {
         "eta_list": "0.5", "n_range": "2"}
+    # --flag=value, and the last of a repeated flag wins
+    assert parse_flags(["--n-range=2:4", "--k", "1", "--chi", "1", "--k=0"]) == {
+        "n_range": "2:4", "k": 0, "chi": 1.0}
+    config = build_config(["--command", "pure-qfi", "--n-range=2:4", "--chi", "1",
+                           "--chi", "0.5"])
+    assert config.n_range == (2, 3, 4) and config.chi == 0.5
+
+
+def test_module_entry_point(tmp_path):
+    # python -m kerrmet.cli reads sys.argv: a good argv exits 0, a bad one
+    # exits 2 with one line, --help names every command and flag
+    import kerrmet
+    import kerrmet.cli as cli
+
+    env = dict(os.environ, PYTHONPATH=str(Path(kerrmet.__file__).parents[1]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "kerrmet.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    out = tmp_path / "pure.csv"
+    good = run("--command", "pure-qfi", "--n-range", "2", "--out", str(out))
+    assert (good.returncode, good.stdout, good.stderr) == (0, "", "")
+    assert len(read_csv(out)[1]) == 3
+    bad = run("--command", "pure-qfi", "--k", "x")
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr == "config error: argument --k: invalid int value: 'x'\n"
+    shown = run("--help")
+    assert (shown.returncode, shown.stderr) == (0, "")
+    assert all(name in shown.stdout for name in [*cli._FLAGS, *COMMANDS])
 
 
 def test_m_past_n_and_phi_at_the_ceiling_still_run(tmp_path):
@@ -723,11 +799,9 @@ def test_m_past_n_and_phi_at_the_ceiling_still_run(tmp_path):
 
 def test_max_n_is_gone_and_exits_2(tmp_path, capsys):
     # the N range's upper end is the only way to set the largest N: the
-    # flag is unknown to argparse, and the config field is unknown
-    with pytest.raises(SystemExit) as exit_info:
-        main(["--command", "optimize-scan", "--n-range", "1:4:1", "--max-n", "6"])
-    assert exit_info.value.code == 2
-    assert "unrecognized arguments: --max-n" in capsys.readouterr().err
+    # flag is unknown, and so is the config field
+    assert main(["--command", "optimize-scan", "--n-range", "1:4:1", "--max-n", "6"]) == 2
+    assert capsys.readouterr() == ("", "config error: unrecognized arguments: --max-n\n")
     config_file = tmp_path / "config.json"
     config_file.write_text(json.dumps({"command": "optimize-scan", "n_range": "1:4",
                                        "max_n": 10 ** 30}))

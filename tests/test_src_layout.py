@@ -4,7 +4,10 @@ imports them again, nor allocates a dim x dim array; the spectral step is
 the only eigendecomposition of a state."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,6 +99,17 @@ def test_dense_allocation_guard_flags(line):
 ])
 def test_dense_allocation_guard_passes(line):
     assert not dense_allocations(line)
+
+
+def test_src_imports_no_argparse():
+    # the CLI reads its flags off the config-field table: argparse, with the
+    # gettext and locale it imports, cost every run milliseconds
+    code = ("import sys, kerrmet.cli; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"
 
 
 def test_package_exports_only_names_defined_in_src():
