@@ -29,7 +29,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ from .estimation import (
     qfi_over_k,
     qfi_pure_analytic,
 )
-from .fock import NumericalError
+from .fock import NumericalError, Record
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha
 
@@ -63,8 +62,7 @@ class ConfigError(ValueError):
     """Invalid experiment configuration (exit code 2)."""
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(Record):
     command: str
     n_range: tuple[int, ...]
     eta_list: tuple[float, ...]
@@ -119,7 +117,7 @@ class ExperimentConfig:
     def echo(self) -> dict:
         # destinations are not part of the experiment: dropping them keeps
         # re-runs byte-identical wherever the files land
-        data = {key: value for key, value in asdict(self).items() if key not in ("out", "cache")}
+        data = {key: value for key, value in vars(self).items() if key not in ("out", "cache")}
         data["code_version"] = __version__
         return data
 
@@ -130,12 +128,11 @@ _KINDS = {"str": (str, str, "a string"), "int": (int, int, "an integer"),
           "float": (float, (int, float), "a number")}
 # each scalar config field's kind, read off its annotation, and whether it
 # may be null ("int | None"); n_range, eta_list and alpha are parsed apart
-_SCALAR_FIELDS = {f.name: (*_KINDS[f.type.split(" | ")[0]], f.type.endswith("| None"))
-                  for f in fields(ExperimentConfig) if not f.type.startswith("tuple")}
+_SCALAR_FIELDS = {name: (*_KINDS[kind.split(" | ")[0]], kind.endswith("| None"))
+                  for name, kind in ExperimentConfig.__annotations__.items() if "tuple" not in kind}
 
 
-@dataclass
-class ResultRecord:
+class ResultRecord(Record):
     command: str
     N: int
     k_or_alpha_digest: str
@@ -147,7 +144,7 @@ class ResultRecord:
     seed: int
     delta_phi_min: float = np.nan  # set by the readout commands
     code_version: str = __version__
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     @property
     def qcrb(self) -> float:
@@ -176,8 +173,8 @@ def _alpha_digest(alpha) -> str:
 
 def _row(config: ExperimentConfig, t0: float, **columns) -> ResultRecord:
     """A record with the columns every command takes from the config, timed
-    from t0; phi_star is --phi unless given."""
-    columns.setdefault("phi_star", config.phi)
+    from t0; phi_star is --phi and extras empty unless given."""
+    columns = {"phi_star": config.phi, "extras": {}, **columns}
     return ResultRecord(command=config.command, chi=config.chi, seed=config.seed,
                         wall_time_ms=1e3 * (time.perf_counter() - t0), **columns)
 
@@ -201,7 +198,7 @@ class OptimizeCache:
                                   f"{err.strerror}") from err
 
     def _path(self, problem: OptimizationProblem) -> Path:
-        payload = {**asdict(problem), "algo": ALGO_VERSION}
+        payload = {**vars(problem), "algo": ALGO_VERSION}
         digest = hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()).hexdigest()[:24]
         return self.directory / f"opt-{digest}.json"
@@ -221,7 +218,7 @@ class OptimizeCache:
             family = PhasedFamily(SuperpositionSpec(problem.N, outcome.alpha_star),
                                   chi=problem.chi, eta=problem.eta)
             check = family.qfi().qfi
-        except (OSError, ValueError, KeyError, TypeError, NumericalError):
+        except (OSError, ValueError, KeyError, TypeError, OverflowError, NumericalError):
             return None
         # a NaN or infinite stored value would pass a plain "> tol" test
         if not (math.isfinite(outcome.qfi_star)
@@ -236,7 +233,7 @@ class OptimizeCache:
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as stream:
-                stream.write(json.dumps(asdict(outcome), sort_keys=True))
+                stream.write(json.dumps(vars(outcome), sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
@@ -505,7 +502,7 @@ def build_config(argv) -> ExperimentConfig:
     path = values.pop("config", None)
     if path:
         values = {**_read_config_file(Path(path)), **values}
-    unknown = set(values) - set(ExperimentConfig.__dataclass_fields__)
+    unknown = set(values) - set(ExperimentConfig.__annotations__)
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     if values.get("command") is None:

@@ -17,10 +17,8 @@ is smallest at the operating point phi = 0 (see ``MomentProfile``).
 
 from __future__ import annotations
 
-import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,17 +29,17 @@ from .fock import (
     HermitianOperator,
     NumericalError,
     PSD_FLOOR,
+    Record,
     TwoModeBasis,
     block_diagonal,
     block_offsets,
     check_trace,
+    debug,
     lowering_power,
     runs,
 )
 from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
 from .loss import cross_lossy_blocks, survival_table
-
-logger = logging.getLogger(__name__)
 
 # eigenvalue pairs below this fraction of their block's largest eigenvalue
 # count as kernel
@@ -65,8 +63,7 @@ class UndefinedBoundError(ValueError):
     """The Cramer-Rao bound is undefined at zero Fisher information."""
 
 
-@dataclass
-class QfiResult:
+class QfiResult(Record):
     """Fisher information F^2 (so that (delta phi)^2 >= 1/qfi) plus
     diagnostics, and the SLD blocks when they were asked for.
 
@@ -109,8 +106,8 @@ def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
     if lo < PSD_FLOOR:
         raise ValueError(f"{context}: eigenvalue {lo:.3e} below PSD floor")
     if lo < 0.0:
-        logger.debug("%s: clamping %d negative eigenvalues (min %.3e) to 0",
-                     context, int((values < 0).sum()), lo)
+        debug(__name__, "%s: clamping %d negative eigenvalues (min %.3e) to 0",
+              context, int((values < 0).sum()), lo)
         values = np.clip(values, 0.0, None)
     return values
 
@@ -500,8 +497,8 @@ class MomentProfile:
         if lo < self.variance_floor:
             raise NumericalError(f"variance {lo:.3e} below round-off floor")
         if lo < 0.0:
-            logger.debug("clamping %d negative variances (min %.3e) to 0",
-                         int(np.sum(var < 0)), lo)
+            debug(__name__, "clamping %d negative variances (min %.3e) to 0",
+                  int(np.sum(var < 0)), lo)
         return np.clip(var, 0.0, None)
 
     def variance(self, phi):

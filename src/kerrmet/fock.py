@@ -18,8 +18,8 @@ modulo the branch stride of the input (see ``kerrmet.estimation``).
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,40 @@ class BasisMismatchError(ValueError):
 
 class NumericalError(RuntimeError):
     """A numerical routine failed to deliver a trustworthy result."""
+
+
+class Record:
+    """A record of the fields its class annotates, each defaulting to the class attribute of
+    its name: equal by its fields and, declared ``frozen=True``, immutable and hashable."""
+
+    def __init_subclass__(cls, frozen: bool = False):
+        cls._defaults = {n: getattr(cls, n) for n in cls.__annotations__ if hasattr(cls, n)}
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = cls._reject
+            cls.__hash__ = lambda self: hash(tuple(vars(self).values()))
+
+    def __init__(self, *args, **kwargs):
+        names = self.__annotations__
+        values = dict(self._defaults, **dict(zip(names, args)), **kwargs)
+        if len(args) > len(names) or values.keys() != names.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields {list(names)}, each once")
+        self.__dict__.update({name: values[name] for name in names})
+        getattr(self, "__post_init__", lambda: None)()
+
+    def _reject(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+def debug(module: str, message: str, *args) -> None:
+    """DEBUG log to ``module``'s logger once logging is imported: until then it has no handler."""
+    if "logging" in sys.modules:
+        sys.modules["logging"].getLogger(module).debug(message, *args)
 
 
 def check_trace(trace: float, what: str) -> None:
@@ -147,7 +181,6 @@ class FlatBlocks(Sequence):
         return t, self.flat[start:start + (t + 1) ** 2].reshape(t + 1, t + 1)
 
 
-@dataclass(eq=False)
 class HermitianOperator:
     """The m-photon coincidence readout O = i(x - x^dag), x = (a1^dag)^m a2^m,
     as a band: entry j of ``matrix`` is x_j, the real amplitude of the shift
@@ -156,9 +189,9 @@ class HermitianOperator:
     Hermitian by construction; m >= 1 and x_j = 0 where n2 < m, or
     ValueError names the first state that breaks it."""
 
-    basis: TwoModeBasis
-    m: int
-    matrix: np.ndarray
+    def __init__(self, basis: TwoModeBasis, m: int, matrix: np.ndarray):
+        self.basis, self.m, self.matrix = basis, m, matrix
+        self.__post_init__()
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=float)

@@ -12,9 +12,10 @@ kbar = 1, so phase and displacement uncertainties coincide numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .fock import Record
 
 NORMALIZATION_ATOL = 1e-12
 
@@ -24,8 +25,7 @@ def superposition_length(N: int) -> int:
     return N // 2 + 1
 
 
-@dataclass(frozen=True)
-class SuperpositionSpec:
+class SuperpositionSpec(Record, frozen=True):
     """Fixed-N input sum_k alpha_k {|N-k, k> + |k, N-k>} with real alpha, ket
     amplitudes B alpha (B = ``ket_fold(N)``) and squared_weight |B alpha|^2 = 1."""
 

@@ -18,19 +18,15 @@ to the best two-branch state, so the search never reports worse than it.
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .estimation import BlockPairs, QfiResult, _qfi_from_block_pairs, generator_flat
-from .fock import block_diagonal, check_trace
+from .fock import Record, block_diagonal, check_trace, debug
 from .interferometer import SuperpositionSpec, ket_fold, superposition_length
 from .loss import ChannelMap
-
-logger = logging.getLogger(__name__)
 
 RANDOM_GENERATOR = "numpy.random.default_rng (PCG64)"
 # weight of the uniform admixture to the best one-hot start, which is
@@ -46,8 +42,7 @@ _MAX_HALVINGS = 6
 _VALUE_NOISE = 1e-12
 
 
-@dataclass(frozen=True)
-class OptimizationProblem:
+class OptimizationProblem(Record, frozen=True):
     """Coefficient optimization at one (N, eta, chi) point; the Fisher
     information does not depend on the operating phase."""
 
@@ -78,8 +73,7 @@ class OptimizationProblem:
         return superposition_length(self.N)
 
 
-@dataclass
-class OptimizationOutcome:
+class OptimizationOutcome(Record):
     alpha_star: tuple[float, ...]
     qfi_star: float
     evaluations: int
@@ -162,8 +156,7 @@ def qfi_objective(alpha, problem: OptimizationProblem) -> float:
     return _model_for(problem).qfi(alpha / math.sqrt(weight)).qfi
 
 
-@dataclass
-class _Climb:
+class _Climb(Record):
     """One start's end point, its SLD evaluations and accepted F values."""
 
     alpha: np.ndarray
@@ -307,8 +300,8 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
     dim = problem.dimension
     n = problem.N
     n_starts = problem.restarts + 1
-    logger.debug("optimize_alpha N=%d eta=%.3f: %d starts x %d evals, rng=%s",
-                 n, problem.eta, n_starts, problem.max_evals, RANDOM_GENERATOR)
+    debug(__name__, "optimize_alpha N=%d eta=%.3f: %d starts x %d evals, rng=%s",
+          n, problem.eta, n_starts, problem.max_evals, RANDOM_GENERATOR)
 
     def scale_of(x):
         return x / math.sqrt(SuperpositionSpec.squared_weight(n, x))

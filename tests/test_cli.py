@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -438,6 +437,30 @@ def test_cache_non_finite_entry_is_recomputed(tmp_path, poison):
     assert path.read_text() == text
 
 
+@pytest.mark.parametrize("poison", ["evaluations", "per_restart seed"])
+def test_cache_entry_with_an_overflowing_integer_is_recomputed(tmp_path, poison):
+    # JSON's 1e400 reads as inf, which int() cannot convert: such an entry
+    # is a miss and is replaced, not an exit 3 on every re-run
+    cache = tmp_path / "cache"
+    args = ["--command", "optimize-scan", "--n-range", "2", "--eta", "0.6",
+            "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "first.csv")]) == 0
+    (path,) = cache.glob("opt-*.json")
+    text = path.read_text()
+    data = json.loads(text)
+    if poison == "evaluations":
+        data["evaluations"] = "HUGE"
+    else:
+        data["per_restart"][1][0] = "HUGE"
+    path.write_text(json.dumps(data).replace('"HUGE"', "1e400"))
+    assert "1e400" in path.read_text()
+    assert main(args + ["--out", str(tmp_path / "again.csv")]) == 0
+    # recomputed (cached false, as in the first run) and stored again
+    assert (body_without_timing(tmp_path / "again.csv")
+            == body_without_timing(tmp_path / "first.csv"))
+    assert path.read_text() == text
+
+
 def test_cached_readout_row_takes_one_spectral_step(tmp_path, monkeypatch):
     # a hit is checked on the lossy family the readout row reads, so the
     # row's Fisher information is computed once and builds no optimizer model
@@ -744,7 +767,7 @@ def test_every_flag_is_a_config_field():
     # flags are the overrides, and every scalar field is type-checked
     import kerrmet.cli as cli
 
-    config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    config_fields = set(ExperimentConfig.__annotations__)
     dests = {name for name, _ in cli._FLAGS.values()} - {"config"}
     assert dests <= config_fields
     assert config_fields - dests == {"alpha"}  # set only in config files
@@ -871,7 +894,7 @@ _TYPED_VALUES = {
 # a null N range runs the command's default range, and a string names a
 # range or a path: these fields take no untyped string or null
 _NO_FREE_STRING = {"n_range", "out", "cache"}
-_FIELD_NAMES = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+_FIELD_NAMES = sorted(ExperimentConfig.__annotations__)
 
 
 @st.composite

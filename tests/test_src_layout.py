@@ -103,9 +103,11 @@ def test_dense_allocation_guard_passes(line):
 
 def test_src_imports_no_argparse():
     # the CLI reads its flags off the config-field table: argparse, with the
-    # gettext and locale it imports, cost every run milliseconds
-    code = ("import sys, kerrmet.cli; "
-            "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))")
+    # gettext and locale it imports, cost every run milliseconds; so did
+    # logging, for three debug records no handler would receive, and the
+    # dataclass decorators, whose place the plain Record base takes
+    code = ("import sys, kerrmet.cli; print(sorted({'argparse', 'gettext', 'locale', "
+            "'logging', 'dataclasses'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
