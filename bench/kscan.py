@@ -8,7 +8,10 @@ The trees alternate within each repeat, once with one BLAS thread
 (``OMP_NUM_THREADS=1`` and the OpenBLAS/MKL equivalents) and once with
 the library's default.  The result is written as JSON: per thread
 setting and N, each tree's median and quartiles of the call time and its
-median peak RSS, and the change's median over the baseline's.
+median peak RSS, the change's median over the baseline's, whether every
+sample returned the same bits (``same_result``) and the same k
+(``same_k``), and the largest relative difference between the two trees'
+values (``max_rel_diff``).
 
 Run from the repository root, against a checkout of the commit to
 compare with (a ``git clone`` or ``git archive`` of it):
@@ -97,14 +100,19 @@ def main(argv=None) -> int:
                 for name in order:
                     samples[name].append(_sample(trees[name], n, threads))
             values = {s["qfi"] for name in trees for s in samples[name]}
+            qfi = {name: [float.fromhex(s["qfi"]) for s in samples[name]] for name in trees}
             row = {"threads": threads, "N": n, "same_result": len(values) == 1,
+                   "same_k": len({s["k"] for name in trees for s in samples[name]}) == 1,
+                   "max_rel_diff": max(abs(c - b) / b for b in qfi["baseline"]
+                                       for c in qfi["change"]),  # the max QFI is positive
                    **{name: _summary(samples[name]) for name in trees}}
             row["change_over_baseline"] = row["change"]["median_s"] / row["baseline"]["median_s"]
             results.append(row)
             print(f"threads={threads} N={n}: {row['baseline']['median_s']:.4f} s -> "
                   f"{row['change']['median_s']:.4f} s, peak RSS "
                   f"{row['baseline']['peak_rss_mb']:.1f} -> {row['change']['peak_rss_mb']:.1f} MB,"
-                  f" same result {row['same_result']}", flush=True)
+                  f" same result {row['same_result']} (max rel diff {row['max_rel_diff']:.1e})",
+                  flush=True)
     report = {
         "call": f"max_qfi_over_k(N, {ETA}, {CHI})",
         "samples": "one fresh process per call, the trees alternating; import not timed",

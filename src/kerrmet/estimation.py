@@ -8,9 +8,9 @@ derivative in the eigenbasis of each total-photon-number block T of rho,
 with eps_T relative to the block's largest eigenvalue, which on a pure
 unitary family reduces to 4 Var(H).  Each block is itself block-diagonal
 over the residue classes of its index mod the branch stride of the input,
-so the eigenbasis is found class by class, one batched eigh per class
-size.  The quantum Cramer-Rao bound is delta_phi >= 1/F.  Readout
-performance is judged by error propagation,
+so the eigenbasis is found class by class: 2 x 2 classes in closed form,
+larger ones by one batched eigh per size.  The quantum Cramer-Rao bound
+is delta_phi >= 1/F.  Readout performance is judged by error propagation,
 delta_phi = sqrt(Var O) / |d<O>/dphi|, which for the coincidence readouts
 is smallest at the operating point phi = 0 (see ``MomentProfile``).
 """
@@ -255,6 +255,11 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     one matrix at a time and each point's terms are summed on their own,
     so a point's result does not depend on the other points of its batch.
 
+    A 2 x 2 class [[a, b], [b, d]] needs no eigh: p_-+ = (a + d)/2 -+
+    hypot((a - d)/2, b), and K = kappa Omega with kappa = (g_0 - g_1) b and
+    Omega = [[0, 1], [-1, 0]].  As V^T Omega V = det(V) Omega, the class
+    adds one term 4 kappa^2 / (p_- + p_+) and J = (2 kappa / (p_- + p_+)) Omega.
+
     An eigenvalue pair counts as kernel when p_j + p_k is at most
     RANK_CUTOFF_FACTOR times the largest eigenvalue of its block T (over
     all of the block's classes): eigh's error in a block scales with the
@@ -272,9 +277,17 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
         x = flat[gather].reshape(diag.shape + diag.shape[-1:])
         return 0.5 * (x + x.swapaxes(1, 2))
 
+    def solve(gather, diag):  # eigenvalues, and V or (2 x 2 classes) kappa = (g_0 - g_1) b
+        if diag.shape[1] > 2:
+            return np.linalg.eigh(classes(gather, diag))
+        (a, upper, lower, d), g = flat[gather].reshape(-1, 4).T, pairs.g_flat[diag]
+        b = 0.5 * (upper + lower)
+        mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
+        return np.stack([mid - radius, mid + radius], axis=1), (g[:, 0] - g[:, 1]) * b
+
     # stack 0 holds the 1 x 1 classes: each is its own eigenbasis, with
     # rho' entry (g_r - g_r) rho_rr = 0, so no Fisher information
-    solved = [np.linalg.eigh(classes(gather, diag)) for _, gather, diag in stacks[1:]]
+    solved = [solve(gather, diag) for _, gather, diag in stacks[1:]]
     spectrum = [flat[stacks[0][1]].reshape(-1, 1)] + [vals for vals, _ in solved]
     probs = [_clamped_probabilities(vals, "qfi block") for vals in spectrum]
     # largest eigenvalue of each block of each point, over all of its classes
@@ -284,20 +297,30 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     totals = [0.0] * n_points
     sld_flat = np.zeros_like(flat) if with_sld else None
     for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
-        g = pairs.g_flat[diag]
-        vecs_t = vecs.swapaxes(1, 2)
-        a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather, diag)) @ vecs
-        psum = p[:, :, None] + p[:, None, :]
-        mask = psum > (RANK_CUTOFF_FACTOR * top[blocks])[:, None, None]
-        terms = 2.0 * a[mask] ** 2 / psum[mask]
+        cutoff = RANK_CUTOFF_FACTOR * top[blocks]
+        if vecs.ndim == 1:  # kappa: one term 4 kappa^2 / (p_0 + p_1) per kept class
+            psum = p[:, 0] + p[:, 1]
+            mask = psum > cutoff
+            terms, counts = 4.0 * vecs[mask] ** 2 / psum[mask], mask
+        else:
+            g = pairs.g_flat[diag]
+            vecs_t = vecs.swapaxes(1, 2)
+            a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather, diag)) @ vecs
+            psum = p[:, :, None] + p[:, None, :]
+            mask = psum > cutoff[:, None, None]
+            terms, counts = 2.0 * a[mask] ** 2 / psum[mask], mask.sum(axis=(1, 2))
         if n_points == 1:
             totals[0] += float(terms.sum())
         else:  # the kept terms lie point after point: one in-order sum per point
-            kept = np.bincount(blocks // (pairs.n_max + 1), mask.sum(axis=(1, 2)), n_points)
+            kept = np.bincount(blocks // (pairs.n_max + 1), counts, n_points)
             ends = np.cumsum(kept).astype(int)
             for point in np.flatnonzero(kept):
                 totals[point] += float(terms[ends[point] - int(kept[point]):ends[point]].sum())
-        if with_sld:
+        if with_sld and vecs.ndim == 1:  # J = (2 kappa / (p_0 + p_1)) Omega
+            core = np.zeros_like(psum)
+            core[mask] = 2.0 * vecs[mask] / psum[mask]
+            sld_flat[gather] = core[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        elif with_sld:
             core = np.zeros_like(a)
             core[mask] = 2.0 * a[mask] / psum[mask]
             sld = vecs @ core @ vecs_t

@@ -47,18 +47,25 @@ class Record:
     its name: equal by its fields and, declared ``frozen=True``, immutable and hashable."""
 
     def __init_subclass__(cls, frozen: bool = False):
-        cls._defaults = {n: getattr(cls, n) for n in cls.__annotations__ if hasattr(cls, n)}
+        cls._fields, cls._names = tuple(cls.__annotations__), cls.__annotations__.keys()
+        cls._defaults = {n: getattr(cls, n) for n in cls._fields if hasattr(cls, n)}
         if frozen:
             cls.__setattr__ = cls.__delattr__ = cls._reject
             cls.__hash__ = lambda self: hash(tuple(vars(self).values()))
 
     def __init__(self, *args, **kwargs):
-        names = self.__annotations__
-        values = dict(self._defaults, **dict(zip(names, args)), **kwargs)
-        if len(args) > len(names) or values.keys() != names.keys():
-            raise TypeError(f"{type(self).__name__} takes the fields {list(names)}, each once")
-        self.__dict__.update({name: values[name] for name in names})
-        getattr(self, "__post_init__", lambda: None)()
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # else every field by position, in order
+            values = dict(self._defaults, **dict(zip(fields, args)), **kwargs) if args else {
+                **self._defaults, **kwargs}
+            if len(args) > len(fields) or values.keys() != self._names:
+                raise TypeError(f"{type(self).__name__} takes the fields {list(fields)}, each once")
+            args = map(values.__getitem__, fields)
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Checks a record's fields once they are set: none unless its class defines them."""
 
     def _reject(self, name, *value):
         raise AttributeError(f"cannot assign to field {name!r} of a frozen {type(self).__name__}")

@@ -221,6 +221,95 @@ def test_class_split_sld_is_zero_between_classes():
         assert np.all(block[(i - j) % family.stride != 0] == 0.0)
 
 
+def _stride_two_pairs(classes):
+    """BlockPairs of N = 4 at stride 2 with the given (T, rows, class matrix)
+    written into a zeroed flat buffer."""
+    blocks = FlatBlocks(np.zeros(55), 4)
+    for t, rows, matrix in classes:
+        blocks[t][1][np.ix_(rows, rows)] = matrix
+    return BlockPairs(blocks.flat, generator_flat(4, 0.05), 4, 2)
+
+
+TWO_BY_TWO = {
+    "rank two": [[0.3, 0.1], [0.1, 0.2]],
+    "rank one": [[0.1, math.sqrt(0.005)], [math.sqrt(0.005), 0.05]],
+    "a = d, b = 0": [[0.07, 0.0], [0.0, 0.07]],
+    "b = 0, a != d": [[0.04, 0.0], [0.0, 0.01]],
+}
+
+
+@pytest.mark.parametrize("case", TWO_BY_TWO)
+def test_two_by_two_classes_in_closed_form(case, monkeypatch):
+    # the case fills 2 x 2 classes of blocks 2, 3 and 4 next to a rank-two
+    # 2 x 2 class and a 3 x 3 class, which still goes to eigh
+    x = np.array(TWO_BY_TWO[case])
+    pairs = _stride_two_pairs([(2, [0, 2], x), (3, [0, 2], TWO_BY_TWO["rank two"]),
+                               (3, [1, 3], 0.5 * x), (4, [1, 3], 2.0 * x),
+                               (4, [0, 2, 4], np.full((3, 3), 0.01) + np.diag([0.1, 0.2, 0.3]))])
+    shapes, eigh = [], np.linalg.eigh  # the class shapes handed to eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: shapes.append(x.shape[1:]) or eigh(x))
+    got = _qfi_from_block_pairs(pairs, with_sld=True)
+    assert shapes == [(3, 3)]
+    want = oracle.blockwise_qfi(pairs, with_sld=True)
+    assert got.qfi == pytest.approx(want.qfi, rel=1e-12, abs=1e-300)
+    assert np.abs(got.spectrum - want.spectrum).max() <= 1e-13
+    for t, (j, b) in enumerate(zip(got.sld, want.sld)):
+        assert np.abs(1j * j - b).max() <= 1e-12 * max(1.0, np.abs(b).max()), t
+    # on its own the class adds 4 kappa^2 / (a + d), and J_02 = 2 kappa / (a + d)
+    alone = _qfi_from_block_pairs(_stride_two_pairs([(2, [0, 2], x)]), with_sld=True)
+    g = generator_flat(4, 0.05)[3:6]
+    assert alone.qfi == pytest.approx(4 * ((g[0] - g[2]) * x[0, 1]) ** 2 / np.trace(x),
+                                      rel=1e-12, abs=0.0)
+    assert alone.sld[2][0, 2] == -alone.sld[2][2, 0] == pytest.approx(
+        2 * (g[0] - g[2]) * x[0, 1] / np.trace(x), rel=1e-12, abs=0.0)
+
+
+def test_two_by_two_batch_sums_each_point_in_order():
+    # each point of a batch gets the bits of its own single-point result
+    cases = list(TWO_BY_TWO.values())
+    flats = [_stride_two_pairs([(2, [0, 2], x), (3, [1, 3], cases[i - 1]),
+                                (4, [1, 3], 0.5 * x)]).rho_flat
+             for i, x in enumerate(map(np.array, cases))]
+    batch = BlockPairs(np.stack(flats), generator_flat(4, 0.05), 4, 2)
+    got = _qfi_from_block_pairs(batch, with_sld=True)
+    for i, flat in enumerate(flats):
+        one = _qfi_from_block_pairs(BlockPairs(flat, generator_flat(4, 0.05), 4, 2),
+                                    with_sld=True)
+        assert got.qfi[i] == one.qfi
+        assert all(np.array_equal(many[i], sld) for many, sld in zip(got.sld, one.sld))
+
+
+@pytest.mark.parametrize("scale, kept", [(1.0 - 1e-9, False), (1.0 + 1e-9, True)])
+def test_two_by_two_class_at_the_rank_cutoff(scale, kept):
+    # block 3 has largest eigenvalue 1 exactly (class {1, 3}), so a class
+    # of trace w counts when w exceeds RANK_CUTOFF_FACTOR
+    w = estimation.RANK_CUTOFF_FACTOR * scale
+    small = [[w / 2, w / 4], [w / 4, w / 2]]
+    result = _qfi_from_block_pairs(
+        _stride_two_pairs([(3, [1, 3], [[1.0, 0.0], [0.0, 0.0]]), (3, [0, 2], small)]),
+        with_sld=True)
+    g = generator_flat(4, 0.05)[6:10]
+    kappa = (g[0] - g[2]) * w / 4
+    assert result.qfi == (pytest.approx(4 * kappa ** 2 / w, rel=1e-12) if kept else 0.0)
+    assert result.sld[3].any() == kept
+
+
+def test_two_by_two_eigenvalues_are_clamped_at_the_psd_floor():
+    # p_- = -1e-12 lies above PSD_FLOOR: clamped to 0, and the class's term
+    # is 4 kappa^2 / p_+; p_- = -1e-9 lies below it and raises
+    b = 0.5 + 1e-12
+    pairs = _stride_two_pairs([(2, [0, 2], [[0.5, b], [b, 0.5]])])
+    result = _qfi_from_block_pairs(pairs)
+    assert PSD_FLOOR < result.spectrum[0] < 0.0
+    g = generator_flat(4, 0.05)[3:6]
+    assert result.qfi == pytest.approx(4 * ((g[0] - g[2]) * b) ** 2 / (1.0 + 1e-12),
+                                       rel=1e-12)
+    assert result.qfi == pytest.approx(oracle.blockwise_qfi(pairs).qfi, rel=1e-12)
+    b = 0.5 + 1e-9
+    with pytest.raises(ValueError, match="below PSD floor"):
+        _qfi_from_block_pairs(_stride_two_pairs([(2, [0, 2], [[0.5, b], [b, 0.5]])]))
+
+
 def test_qfi_result_diagnostics():
     family = PhasedFamily(NoonLikeSpec(3, 0), chi=0.0, eta=0.7)
     result = family.qfi()
