@@ -15,8 +15,9 @@ configuration and cache reproduces every column byte for byte except
 wall_time_ms.  Exit codes: 0 success (including rows flagged
 non-converged or degenerate), 2 configuration error (a bad flag or value, or a
 --config, --out or --cache path that cannot be used, reported before any
-work), 3 unrecoverable numerical error or out of memory (partial results
-are flushed).
+work; an --out that opens but takes no writes, a full device say, is
+reported when the rows are written, also in place of an exit 3), 3
+unrecoverable numerical error or out of memory (partial results are flushed).
 """
 
 from __future__ import annotations
@@ -415,8 +416,11 @@ def write_json(records: list[ResultRecord], summary: dict,
 def _emit(records, summary, config: ExperimentConfig) -> None:
     writer = write_csv if config.format == "csv" else write_json
     if config.out:
-        with open(config.out, "w") as stream:
-            writer(records, summary, config, stream)
+        try:
+            with open(config.out, "w") as stream:
+                writer(records, summary, config, stream)
+        except OSError as err:  # a full device, or a file that takes no writes
+            raise ConfigError(f"output {config.out} cannot be written: {err}") from None
     else:
         writer(records, summary, config, sys.stdout)
 
@@ -484,10 +488,10 @@ def _coerce_scalars(values: dict) -> None:
 
 
 def _read_config_file(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
     try:
         loaded = json.loads(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path} does not exist") from None
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
     except (OSError, ValueError) as err:
@@ -539,9 +543,13 @@ def build_config(argv) -> ExperimentConfig:
     # a bad destination fails here, before any work, not after the scan
     if values.get("out"):
         out = Path(values["out"])
-        if out.is_dir():
+        try:
+            is_dir, parent_is_dir = out.is_dir(), out.parent.is_dir()
+        except OSError as err:  # a name too long for the file system
+            raise ConfigError(f"output {out} cannot be used: {err}") from None
+        if is_dir:
             raise ConfigError(f"output {out} is a directory")
-        if not out.parent.is_dir():
+        if not parent_is_dir:
             raise ConfigError(f"output {out}: directory {out.parent} does not exist")
     return ExperimentConfig(**values)
 
@@ -551,26 +559,23 @@ def main(argv=None) -> int:
     if "-h" in argv or "--help" in argv:
         print(f"{__doc__}\nFlags, as --flag value or --flag=value: {' '.join(_FLAGS)}")
         return 0
-    try:
-        config = build_config(argv)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
     records: list[ResultRecord] = []
     summary: dict = {}
     try:
-        summary = _COMMANDS[config.command][0](config, records)
+        config = build_config(argv)
+        try:
+            summary = _COMMANDS[config.command][0](config, records)
+        except (NumericalError, FloatingPointError, OverflowError, MemoryError,
+                np.linalg.LinAlgError) as err:
+            message = str(err) or type(err).__name__  # a bare MemoryError has no text
+            print(f"numerical error: {message}", file=sys.stderr)
+            summary["error"] = message
+            _emit(records, summary, config)  # flush whatever completed
+            return 3
+        _emit(records, summary, config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError, OverflowError, MemoryError,
-            np.linalg.LinAlgError) as err:
-        message = str(err) or type(err).__name__  # a bare MemoryError has no text
-        print(f"numerical error: {message}", file=sys.stderr)
-        summary["error"] = message
-        _emit(records, summary, config)  # flush whatever completed
-        return 3
-    _emit(records, summary, config)
     return 0
 
 

@@ -36,10 +36,9 @@ from .fock import (
     check_trace,
     debug,
     lowering_power,
-    runs,
 )
-from .interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
-from .loss import cross_lossy_blocks, survival_table
+from .interferometer import SuperpositionSpec, branch_amplitudes
+from .loss import cross_lossy_blocks, dyad_terms
 
 # eigenvalue pairs below this fraction of their block's largest eigenvalue
 # count as kernel
@@ -194,27 +193,24 @@ class BlockPairs(Sequence):
 
 class KScanPairs(BlockPairs):
     """The pairs of NoonLikeSpec(N, k), k <= N/2, from (k, branch amplitude a),
-    one point each: losing (q, p) of dyad (n1, m1) puts a^2 (((kappa[n1, q]
-    kappa[m1, q]) kappa[N - n1, p]) kappa[N - m1, p]) at (n1 - q, m1 - q) of
-    block T = N - q - p.  ``rho_flat`` packs the classes holding a nonzero term,
-    each entry the sum of its terms (two at most), bit for bit the family's."""
+    one point each: every ``dyad_terms`` term of the dyads of {k, N - k},
+    times a^2, lands at (n1 - q, m1 - q) of block T = N - q - p.  ``rho_flat``
+    packs the classes holding a nonzero term, each entry the sum of its terms
+    (two at most), bit for bit the family's."""
 
     lead = None  # the points hold different classes: no spectrum is formed
     unpacked = None, None  # the point whose flat buffer an item read last
 
     def __init__(self, g_flat: np.ndarray, n_max: int, eta: float, points: list):
         self.g_flat, self.n_max, self.n_points = g_flat, n_max, len(points)
-        N, n, kappa = n_max, n_max + 1, survival_table(n_max, eta).ravel()
+        N, n = n_max, n_max + 1
         steps = np.array([_class_step(N, N - 2 * k) for k, _ in points])
-        # each point's dyads (n1, m1) of {k, N - k}, their lines q, and the lines' terms p
+        # each point's dyads (n1, m1) of {k, N - k}, point by point
         point, kets, bras = np.array([(i, n1, m1) for i, (k, _) in enumerate(points)
                                       for n1 in dict.fromkeys((k, N - k))
                                       for m1 in dict.fromkeys((k, N - k))]).T
-        dyad, q = runs(np.minimum(kets, bras) + 1)
+        dyad, q, line, p, values = dyad_terms(kets, bras, N, eta)
         n1, m1, point = kets[dyad], bras[dyad], point[dyad]
-        line, p = runs(N + 1 - np.maximum(n1, m1))
-        values = (kappa[n1 * n + q] * kappa[m1 * n + q])[line] * kappa[((N - n1) * n)[line] + p]
-        values *= kappa[((N - m1) * n)[line] + p]
         values *= np.array([a * a for _, a in points])[point][line]
         for trace in np.bincount(point[line], values * (n1 == m1)[line], len(points)):
             check_trace(trace, "family state")
@@ -549,12 +545,17 @@ def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
     """PhasedFamily(NoonLikeSpec(N, k), chi, eta).qfi().qfi for each k of
     ``ks``, bit for bit, by one spectral step per chunk of k's: at most
     max(flat buffer, 2^18) entries, sixteen per term of the k's dyads and
-    ceil((T + 1) / step) rows for each class of a block T."""
+    ceil((T + 1) / step) rows for each class of a block T.  Each k enters as
+    min(k, N - k) with its ket's amplitude, 2^-1/2, or 1 at k = N/2."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     g_flat, rows, budget = generator_flat(N, chi), np.arange(1, N + 2), max(
         block_offsets(N)[-1], 1 << 18)
     values, chunk, held = [], [], 0
     for k in ks:
-        (k, _, amp), *_ = branch_amplitudes(N, NoonLikeSpec(N, k).alpha)  # k <= N/2
+        if not 0 <= k <= N:
+            raise ValueError(f"branch index k={k} outside [0, {N}]")
+        k, amp = min(k, N - k), 1.0 if 2 * k == N else 1.0 / math.sqrt(2.0)  # k <= N/2
         terms = (k + 1) ** 2 if 2 * k == N else 2 * (k + 1) * (N + 2)  # of the k's dyads
         cost = 16 * terms + int((rows * -(-rows // _class_step(N, N - 2 * k))).sum())
         if chunk and held + cost > budget:
@@ -569,8 +570,6 @@ def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:
     """Scan the branch index k of the two-branch family and return the
     maximizing (k, qfi); ties break toward smaller k, and k and N - k name
     the same state, so the scan stops at N/2."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
     values = qfi_over_k(N, eta, chi, range(N // 2 + 1))
     return max(enumerate(values), key=lambda item: item[1])  # the first maximum
 

@@ -3,9 +3,10 @@
 Losing (q, p) photons maps each input ket |n1, n2> to |n1-q, n2-p> with
 survival amplitude sqrt((1-eta)^q eta^(n1-q) n1!/((n1-q)! q!)) per mode,
 and summing the resulting rank-one contributions over (q, p) reproduces
-the channel exactly.  ``ChannelMap`` lists those terms for fixed-N ket
-dyads once (the k-scan reads them off ``survival_table``).  Equal loss in
-both arms is assumed; loss commutes with the Kerr phase, so no phase enters.
+the channel exactly.  ``dyad_terms`` lists those terms for any list of
+fixed-N dyads, the one reader of ``survival_table``, for ``ChannelMap`` and
+the k-scan alike.  Equal loss in both arms is assumed; loss commutes with
+the Kerr phase, so no phase enters.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import FlatBlocks, block_offsets
+from .fock import FlatBlocks, block_offsets, runs
 
 
 def _xlog(count: np.ndarray, x: float) -> np.ndarray:
@@ -43,35 +44,32 @@ def survival_table(n_max: int, eta: float) -> np.ndarray:
     return table
 
 
+def dyad_terms(n1: np.ndarray, m1: np.ndarray, N: int, eta: float):
+    """The terms of the dyads |n1[d], N - n1[d]><m1[d], N - m1[d]| in (dyad, q, p)
+    order: losing q mode-1 and p mode-2 photons puts ((kappa[n1, q] kappa[m1, q])
+    kappa[N - n1, p]) kappa[N - m1, p] at (n1 - q, m1 - q) of block T = N - q - p.
+    Returns each line (dyad, q) as dyad and q, and each term's line, p and product."""
+    n, kappa = N + 1, survival_table(N, eta).ravel()
+    dyad, q = runs(np.minimum(n1, m1) + 1)
+    n1, m1 = n1[dyad], m1[dyad]
+    line, p = runs(N + 1 - np.maximum(n1, m1))
+    values = (kappa[n1 * n + q] * kappa[m1 * n + q])[line] * kappa[((N - n1) * n)[line] + p]
+    values *= kappa[((N - m1) * n)[line] + p]
+    return dyad, q, line, p, values
+
+
 class ChannelMap:
     """The channel on the dyads |n1, N-n1><m1, N-m1|, dyad i * len(bras) + j
-    for the mode-1 occupations n1 = kets[i], m1 = bras[j].  Losing (q, p)
-    photons from a dyad lands on block T = N - q - p at entry (n1 - q, m1 - q)
-    with kappa[n1, q] kappa[m1, q] kappa[N - n1, p] kappa[N - m1, p]: each term
-    records that flat position, its dyad and that product, dyad by dyad."""
+    for the mode-1 occupations n1 = kets[i], m1 = bras[j]: for each of their
+    ``dyad_terms``, in its order, the flat position, the dyad and the product."""
 
     def __init__(self, kets, bras, N: int, eta: float):
-        kappa = survival_table(N, eta)
+        n1, m1 = np.repeat(kets, len(bras)), np.tile(bras, len(kets))
+        dyad, q, line, t, self.kappa = dyad_terms(n1, m1, N, eta)
+        t = (N - q)[line] - t  # each term's block T = N - q - p; p's array is freed
         offsets = block_offsets(N)
-        bras = np.asarray(bras)
-        positions, products, dyads = [], [], []
-        for i, n1 in enumerate(kets):
-            # every term of the dyads of ket n1, in (bra, q, p) order
-            q = np.arange(n1 + 1)[:, None]
-            p = np.arange(N - n1 + 1)
-            j, q, p = np.nonzero((q <= np.minimum(n1, bras)[:, None, None])
-                                 & (p <= N - np.maximum(n1, bras)[:, None, None]))
-            m1, t = bras[j], N - q - p
-            positions.append(offsets[t] + (n1 - q) * (t + 1) + (m1 - q))
-            products.append(kappa[n1, q] * kappa[m1, q] * kappa[N - n1, p] * kappa[N - m1, p])
-            dyads.append(i * len(bras) + j)
-        # each column's parts are dropped once joined, so the peak holds the
-        # map plus the parts of the columns still to join
-        self.positions = np.concatenate(positions)
-        del positions
-        self.kappa = np.concatenate(products)
-        del products
-        self.dyads = np.concatenate(dyads)
+        self.positions = offsets[t] + (n1[dyad] - q)[line] * (t + 1) + (m1[dyad] - q)[line]
+        self.dyads = dyad[line]
         self.size, self.n_dyads = int(offsets[-1]), len(kets) * len(bras)
         self.chunk = max(1, 2 ** 12 // self.kappa.size)  # rows per stacked bincount
 

@@ -639,10 +639,15 @@ def test_json_output_mirror(tmp_path):
                 1 / math.sqrt(record["qfi"]), rel=1e-12)
 
 
+# outputs that open but take no writes
+UNWRITABLE = [path for path in ("/dev/full", "/proc/version") if os.path.exists(path)]
+
+
 def test_bad_flag_values_exit_2(tmp_path, capsys):
     a_file = tmp_path / "a_file"
     a_file.write_text("")
     missing_out = tmp_path / "missing" / "x.csv"
+    too_long = str(tmp_path / ("x" * 300))  # a name the file system refuses
     # each case, and the path its error must name (None: no path involved)
     cases = [
         (["--command", "pure-qfi", "--n-range", "oops"], None),
@@ -666,6 +671,11 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
         (["--command", "pure-qfi", "--n-range", "2", "--out", str(tmp_path)],
          str(tmp_path)),
         (["--command", "pure-qfi", "--n-range", "2", "--seed", "-5"], "seed must be >= 0"),
+        (["--command", "pure-qfi", "--n-range", "2", "--out", too_long], too_long),
+        (["--config", too_long], too_long),
+        # these fail once the rows are written
+        *[(["--command", "pure-qfi", "--n-range", "2", "--out", path], path)
+          for path in UNWRITABLE],
     ]
     # each flag that cannot be read, and its whole error line
     bad_flags = [
@@ -724,8 +734,25 @@ def test_bad_flag_values_exit_2(tmp_path, capsys):
     for argv, message in bad_flags:
         assert main(argv) == 2, argv
         assert capsys.readouterr() == ("", f"config error: {message}\n")
-    # every case fails before it writes anything
+    # every case fails before it writes anything here
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_a_failed_flush_of_partial_results_exits_2(monkeypatch, capsys):
+    # the exit-3 flush meets an output that takes no writes: the rows are
+    # lost, so the run ends as a config error after the numerical one
+    import kerrmet.cli as cli
+    from kerrmet.fock import NumericalError
+
+    def failing(n, eta, chi, phi=0.0):
+        raise NumericalError("synthetic failure")
+
+    monkeypatch.setattr(cli, "max_qfi_over_k", failing)
+    for path in UNWRITABLE:
+        assert main(["--command", "qfi-scan", "--n-range", "1", "--out", path]) == 2
+        numerical, config = capsys.readouterr().err.splitlines()
+        assert numerical == "numerical error: synthetic failure"
+        assert config.startswith(f"config error: output {path} cannot be written")
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):

@@ -9,7 +9,7 @@ from kerrmet.estimation import PhasedFamily
 from kerrmet.fock import TwoModeBasis
 from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec, branch_amplitudes
 from kerrmet.fock import block_offsets
-from kerrmet.loss import ChannelMap, cross_lossy_blocks, survival_table
+from kerrmet.loss import ChannelMap, cross_lossy_blocks, dyad_terms, survival_table
 
 
 def spec_length(n):
@@ -225,25 +225,48 @@ def test_params_validation():
 @pytest.mark.parametrize("n", [1, 2, 5, 12])
 @pytest.mark.parametrize("eta", [0.0, 0.7, 1.0])
 def test_channel_map_lists_the_terms_dyad_by_dyad(n, eta):
-    # reference: each dyad's (q, p) grid built on its own, q-major, dyads
-    # in (ket, bra) order; the map must hold the same bytes in that order
+    # reference: each dyad's (q, p) grid built on its own, q-major, dyads in
+    # list order; dyad_terms must give the same terms in that order, for the
+    # (ket, bra) lists of a map and for the k-scan's dyads grouped by point
+    # (one dyad at k = N/2), and the map must hold the same bytes
     kappa = survival_table(n, eta)
     offsets = block_offsets(n)
+
+    def reference(dyad_list):
+        positions, products, dyads, qs, ps = [], [], [], [], []
+        for d, (n1, m1) in enumerate(dyad_list):
+            q = np.arange(min(n1, m1) + 1)[:, None]
+            p = np.arange(n - max(n1, m1) + 1)[None, :]
+            t = n - q - p
+            positions.append((offsets[t] + (n1 - q) * (t + 1) + (m1 - q)).ravel())
+            products.append((kappa[n1, q] * kappa[m1, q]
+                             * kappa[n - n1, p] * kappa[n - m1, p]).ravel())
+            dyads.append(np.full(q.size * p.size, d))
+            qs.append(np.broadcast_to(q, t.shape).ravel())
+            ps.append(np.broadcast_to(p, t.shape).ravel())
+        return [np.concatenate(parts) for parts in (positions, products, dyads, qs, ps)]
+
+    def check_terms(dyad_list):
+        want = reference(dyad_list)
+        n1, m1 = np.array(dyad_list).T
+        dyad, q, line, p, values = dyad_terms(n1, m1, n, eta)
+        assert np.array_equal(line, np.sort(line)) and np.unique(line).size == dyad.size
+        assert np.array_equal(dyad[line], want[2]) and np.array_equal(q[line], want[3])
+        assert np.array_equal(p, want[4])
+        assert values.tobytes() == want[1].tobytes()
+        return want
+
     for kets, bras in [(range(n + 1), range(n + 1)), ((0, n), (n, 0)), ((n,), (1, 0, n))]:
-        positions, products, dyads = [], [], []
-        for i, n1 in enumerate(kets):
-            for j, m1 in enumerate(bras):
-                q = np.arange(min(n1, m1) + 1)[:, None]
-                p = np.arange(n - max(n1, m1) + 1)[None, :]
-                t = n - q - p
-                positions.append((offsets[t] + (n1 - q) * (t + 1) + (m1 - q)).ravel())
-                products.append((kappa[n1, q] * kappa[m1, q]
-                                 * kappa[n - n1, p] * kappa[n - m1, p]).ravel())
-                dyads.append(np.full(q.size * p.size, i * len(bras) + j))
+        positions, products, dyads, _, _ = check_terms([(n1, m1) for n1 in kets for m1 in bras])
         channel = ChannelMap(kets, bras, n, eta)
-        assert channel.positions.tobytes() == np.concatenate(positions).tobytes()
-        assert channel.kappa.tobytes() == np.concatenate(products).tobytes()
-        assert channel.dyads.tobytes() == np.concatenate(dyads).tobytes()
+        assert channel.positions.tobytes() == positions.tobytes()
+        assert channel.kappa.tobytes() == products.tobytes()
+        assert channel.dyads.tobytes() == dyads.tobytes()
+    point_dyads = [[(n1, m1) for n1 in branches for m1 in branches]
+                   for branches in (dict.fromkeys((k, n - k)) for k in range(n // 2 + 1))]
+    check_terms([dyad for dyads in point_dyads for dyad in dyads])
+    check_terms(point_dyads[-1])  # k = n // 2: a single dyad when n is even
+    check_terms(point_dyads[-1] + point_dyads[0])
 
 
 @pytest.mark.parametrize("n", [1, 3, 6, 12])

@@ -134,9 +134,12 @@ def test_package_exports_only_names_defined_in_src():
 EIGH_SITES = [("estimation.py", "_qfi_from_block_pairs"), ("optimizer.py", "_lockstep")]
 
 
-class _EighCalls(ast.NodeVisitor):
-    def __init__(self, module):
+class _CallSites(ast.NodeVisitor):
+    """(module, enclosing top-level function) of each call to one of ``names``."""
+
+    def __init__(self, module, names):
         self.module = module
+        self.names = names
         self.scope = []
         self.sites = []
 
@@ -148,18 +151,29 @@ class _EighCalls(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Call(self, node):
-        if ast.unparse(node.func).split(".")[-1] in ("eigh", "eigvalsh"):
+        if ast.unparse(node.func).split(".")[-1] in self.names:
             self.sites.append((self.module, self.scope[0] if self.scope else None))
         self.generic_visit(node)
 
 
-def test_eigh_runs_at_one_spectral_site():
+def call_sites(*names):
     sites = []
     for path in SRC:
-        visitor = _EighCalls(path.name)
+        visitor = _CallSites(path.name, names)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         sites += visitor.sites
+    return sites
+
+
+def test_eigh_runs_at_one_spectral_site():
+    sites = call_sites("eigh", "eigvalsh")
     assert sorted(sites) == EIGH_SITES
+
+
+def test_only_dyad_terms_reads_the_survival_table():
+    # one enumeration of the loss terms: the channel map and the k-scan take
+    # theirs from loss.dyad_terms, the one caller of survival_table
+    assert call_sites("survival_table") == [("loss.py", "dyad_terms")]
 
 
 def test_optimizer_runs_the_spectral_step_from_one_site():
@@ -219,8 +233,8 @@ def test_k_scan_builds_no_family():
 
 
 def test_k_scan_builds_no_channel_map():
-    # the k-scan enumerates each k's terms from the survival table itself:
-    # no ChannelMap, and so no flat positions, per k
+    # the k-scan takes each k's terms from loss.dyad_terms and packs them
+    # into classes itself: no ChannelMap, and so no flat positions, per k
     tree = ast.parse((PACKAGE / "estimation.py").read_text())
     scopes = [node for node in ast.walk(tree)
               if isinstance(node, ast.FunctionDef) and node.name == "qfi_over_k"
