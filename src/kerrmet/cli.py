@@ -15,8 +15,9 @@ configuration and cache reproduces every column byte for byte except
 wall_time_ms.  Exit codes: 0 success (including rows flagged
 non-converged or degenerate), 2 configuration error (a bad flag or value, or a
 --config, --out or --cache path that cannot be used, reported before any
-work; an --out that opens but takes no writes, a full device say, is
-reported when the rows are written, also in place of an exit 3), 3
+work; an --out or stdout that takes no writes, a full device say, is
+reported when the rows are written, also in place of an exit 3; a pipe
+whose reader has closed it ends the run with exit 2 and no message), 3
 unrecoverable numerical error or out of memory (partial results are flushed).
 """
 
@@ -48,7 +49,7 @@ from .fock import NumericalError, Record
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha
 
-ALGO_VERSION = 3
+ALGO_VERSION = 4
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
 FORMATS = ("csv", "json")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",
@@ -415,14 +416,21 @@ def write_json(records: list[ResultRecord], summary: dict,
 
 def _emit(records, summary, config: ExperimentConfig) -> None:
     writer = write_csv if config.format == "csv" else write_json
-    if config.out:
-        try:
+    try:
+        if config.out:
             with open(config.out, "w") as stream:
                 writer(records, summary, config, stream)
-        except OSError as err:  # a full device, or a file that takes no writes
-            raise ConfigError(f"output {config.out} cannot be written: {err}") from None
-    else:
-        writer(records, summary, config, sys.stdout)
+        else:
+            writer(records, summary, config, sys.stdout)
+            sys.stdout.flush()
+    except OSError as err:  # a full device, a closed pipe, or a file that takes no writes
+        if not config.out:  # what stays buffered goes nowhere, so the final flush succeeds
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        if isinstance(err, BrokenPipeError):
+            raise  # the reader is gone: nothing to report to it
+        raise ConfigError(f"output {config.out or 'stdout'} cannot be written: {err}") from None
 
 
 def parse_n_range(text: str) -> tuple[int, ...]:
@@ -575,6 +583,8 @@ def main(argv=None) -> int:
         _emit(records, summary, config)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
         return 2
     return 0
 

@@ -155,27 +155,28 @@ class BlockPairs(Sequence):
     rho' = i[G, rho] for a diagonal generator G.
 
     The inputs and the Kraus elements are real, so rho is real symmetric
-    and rho' = iK with K real antisymmetric.  ``g_flat`` holds G's diagonal
-    per block, block T from T(T+1)/2 on.  ``stride`` is a common divisor of
-    the index offsets i - j of all nonzero entries (i, j) of every block, 0
-    when every block is diagonal.  ``rho_flat`` may carry a leading axis of
-    B points, (B, size), that share G and the stride; the items then run
-    point by point, and the points enter each class stack point-major
-    (block ids point * (N + 1) + T).  Item i, built on demand, is the
-    symmetric part of block T = i mod (N + 1) of its point, as the
-    spectral step uses it, and rho'.
+    (bit for bit, as ``dyad_terms`` builds it) and rho' = iK with K real
+    antisymmetric.  ``g_flat`` holds G's diagonal per block, block T from
+    T(T+1)/2 on.  ``stride`` is a common divisor of the index offsets i - j
+    of all nonzero entries (i, j) of every block, 0 when every block is
+    diagonal.  ``rho_flat`` may carry a leading axis of B points, (B, size),
+    that share G and the stride; ``rows`` holds it as (points, size), and
+    the spectral step gathers every row with one point's class stacks,
+    point-major (block ids point * (N + 1) + T).  Item i, built on demand,
+    is block T = i mod (N + 1) of its point, and rho'.
     """
 
     def __init__(self, rho_flat: np.ndarray, g_flat: np.ndarray, n_max: int,
                  stride: int):
         self.rho_flat, self.g_flat, self.n_max = rho_flat, g_flat, n_max
         self.lead = rho_flat.shape[:-1]  # () for one point, (B,) for a batch
-        self.n_points = math.prod(self.lead)
+        self.rows = rho_flat.reshape(-1, rho_flat.shape[-1])
+        self.n_points = len(self.rows)
         self.stacks = _block_classes(n_max, stride)
-        if self.n_points > 1:
-            shifts = [s * np.arange(self.n_points) for s in (n_max + 1, rho_flat.shape[1], 0)]
-            self.stacks = [tuple(np.add.outer(shift, index).reshape((-1,) + index.shape[1:])
-                                 for shift, index in zip(shifts, stack)) for stack in self.stacks]
+        if self.n_points > 1:  # only the block ids and generator indices repeat per point
+            shift = (n_max + 1) * np.arange(self.n_points)[:, None]
+            self.stacks = [((shift + blocks).ravel(), gather, np.tile(diag, (self.n_points, 1)))
+                           for blocks, gather, diag in self.stacks]
 
     def __len__(self) -> int:
         return (self.n_max + 1) * self.n_points
@@ -183,12 +184,11 @@ class BlockPairs(Sequence):
     def __getitem__(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         point, t = divmod(range(len(self))[i], self.n_max + 1)
         block = self._block(point, t)
-        block = 0.5 * (block + block.T)
         g = self.g_flat[t * (t + 1) // 2:(t + 1) * (t + 2) // 2]
         return block, 1j * (g[:, None] - g[None, :]) * block
 
     def _block(self, point: int, t: int) -> np.ndarray:
-        return FlatBlocks(self.rho_flat.reshape(self.n_points, -1)[point], self.n_max)[t][1]
+        return FlatBlocks(self.rows[point], self.n_max)[t][1]
 
 
 class KScanPairs(BlockPairs):
@@ -196,7 +196,8 @@ class KScanPairs(BlockPairs):
     one point each: every ``dyad_terms`` term of the dyads of {k, N - k},
     times a^2, lands at (n1 - q, m1 - q) of block T = N - q - p.  ``rho_flat``
     packs the classes holding a nonzero term, each entry the sum of its terms
-    (two at most), bit for bit the family's."""
+    (two at most), bit for bit the family's; its stacks span all points, so
+    ``rows`` is that buffer as one row."""
 
     lead = None  # the points hold different classes: no spectrum is formed
     unpacked = None, None  # the point whose flat buffer an item read last
@@ -226,6 +227,7 @@ class KScanPairs(BlockPairs):
         at = rank[key]
         self.rho_flat = np.bincount(starts[at] + row[line] * sizes[at] + col[line], values,
                                     starts[-1])
+        self.rows = self.rho_flat[None]
 
     def _block(self, point: int, t: int) -> np.ndarray:
         if self.unpacked[0] != point:  # scatter the point's classes to its flat buffer
@@ -267,31 +269,29 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     as the real antisymmetric J = V (2 a_jk / (p_j + p_k)) V^T on the
     eigenvalue pairs the QFI sum keeps, zero elsewhere (also between classes).
     """
-    n_points, stacks, flat = pairs.n_points, pairs.stacks, pairs.rho_flat.reshape(-1)
+    n_points, stacks, rows = pairs.n_points, pairs.stacks, pairs.rows
 
-    def classes(gather, diag):  # symmetric parts of the class matrices of a stack
-        x = flat[gather].reshape(diag.shape + diag.shape[-1:])
-        return 0.5 * (x + x.swapaxes(1, 2))
+    def classes(gather, diag):  # the class matrices of a stack, row after row
+        return rows[:, gather].reshape(diag.shape + diag.shape[-1:])
 
     def solve(gather, diag):  # eigenvalues, and V or (2 x 2 classes) kappa = (g_0 - g_1) b
         if diag.shape[1] > 2:
             return np.linalg.eigh(classes(gather, diag))
-        (a, upper, lower, d), g = flat[gather].reshape(-1, 4).T, pairs.g_flat[diag]
-        b = 0.5 * (upper + lower)
+        (a, b, _, d), g = classes(gather, diag).reshape(-1, 4).T, pairs.g_flat[diag]
         mid, radius = 0.5 * (a + d), np.hypot(0.5 * (a - d), b)
         return np.stack([mid - radius, mid + radius], axis=1), (g[:, 0] - g[:, 1]) * b
 
     # stack 0 holds the 1 x 1 classes: each is its own eigenbasis, with
     # rho' entry (g_r - g_r) rho_rr = 0, so no Fisher information
     solved = [solve(gather, diag) for _, gather, diag in stacks[1:]]
-    spectrum = [flat[stacks[0][1]].reshape(-1, 1)] + [vals for vals, _ in solved]
+    spectrum = [classes(*stacks[0][1:]).reshape(-1, 1)] + [vals for vals, _ in solved]
     probs = [_clamped_probabilities(vals, "qfi block") for vals in spectrum]
     # largest eigenvalue of each block of each point, over all of its classes
     top = np.zeros(n_points * (pairs.n_max + 1))
     np.maximum.at(top, np.concatenate([blocks for blocks, _, _ in stacks]),
                   np.concatenate([p[:, -1] for p in probs]))
     totals = [0.0] * n_points
-    sld_flat = np.zeros_like(flat) if with_sld else None
+    sld_flat = np.zeros_like(rows) if with_sld else None
     for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
         cutoff = RANK_CUTOFF_FACTOR * top[blocks]
         if vecs.ndim == 1:  # kappa: one term 4 kappa^2 / (p_0 + p_1) per kept class
@@ -315,12 +315,14 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
         if with_sld and vecs.ndim == 1:  # J = (2 kappa / (p_0 + p_1)) Omega
             core = np.zeros_like(psum)
             core[mask] = 2.0 * vecs[mask] / psum[mask]
-            sld_flat[gather] = core[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+            sld = core[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+            sld_flat[:, gather] = sld.reshape(len(rows), *gather.shape)
         elif with_sld:
             core = np.zeros_like(a)
             core[mask] = 2.0 * a[mask] / psum[mask]
             sld = vecs @ core @ vecs_t
-            sld_flat[gather] = 0.5 * (sld - sld.swapaxes(1, 2))
+            sld_flat[:, gather] = (0.5 * (sld - sld.swapaxes(1, 2))).reshape(
+                len(rows), *gather.shape)
     lead = pairs.lead  # None for a k-scan: no spectrum
     spectrum = None if lead is None else np.sort(
         np.concatenate([vals.reshape(*lead, -1) for vals in spectrum], axis=-1))
@@ -429,16 +431,12 @@ class PhasedFamily:
         # those whose target it shifts up again (n2 >= 2m)
         up = np.flatnonzero(self.basis.n2 >= m)
         up2 = np.flatnonzero(self.basis.n2 >= 2 * m)
-
-        def rho(states, j):  # rho_0's symmetrized entry (r, r + j) at each state r
-            at = diag[states]
-            return 0.5 * (self.rho0_flat[at + j] + self.rho0_flat[at + j * (total[states] + 1)])
-
         # <O> reads x_r at (r, r +- m); O^2 = -A^2 holds x_r^2 + x_{r-m}^2 at
-        # (r, r), two rounded squares added, and -x_r x_{r+m} at (r, r +- 2m)
-        mean = rho(up, m) * x[up]
+        # (r, r), two rounded squares added, and -x_r x_{r+m} at (r, r +- 2m);
+        # rho_0 is exactly symmetric, so its entry (r, r + j) lies at diag[r] + j
+        mean = self.rho0_flat[diag[up] + m] * x[up]
         near = self.rho0_flat[diag] * (x * x + np.bincount(up + m, x[up] * x[up], x.size))
-        far = rho(up2, 2 * m) * -(x[up2] * x[up2 + m])
+        far = self.rho0_flat[diag[up2] + 2 * m] * -(x[up2] * x[up2 + m])
         slots = [(up, mean), (np.arange(x.size), near), (up2, far)]
         bins = np.concatenate([total[states] * 3 + slot for slot, (states, _) in enumerate(slots)])
         sums = np.bincount(bins, np.concatenate([terms for _, terms in slots]), 3 * (N + 1))

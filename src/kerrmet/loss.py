@@ -46,15 +46,18 @@ def survival_table(n_max: int, eta: float) -> np.ndarray:
 
 def dyad_terms(n1: np.ndarray, m1: np.ndarray, N: int, eta: float):
     """The terms of the dyads |n1[d], N - n1[d]><m1[d], N - m1[d]| in (dyad, q, p)
-    order: losing q mode-1 and p mode-2 photons puts ((kappa[n1, q] kappa[m1, q])
-    kappa[N - n1, p]) kappa[N - m1, p] at (n1 - q, m1 - q) of block T = N - q - p.
+    order: losing q mode-1 and p mode-2 photons puts (kappa[n1, q] kappa[m1, q])
+    (kappa[N - n1, p] kappa[N - m1, p]) at (n1 - q, m1 - q) of block T = N - q - p.
+    Each factor is unchanged when n1 and m1 swap, so a dyad and its mirror give
+    the same bits, and every state summed from them is exactly symmetric.
     Returns each line (dyad, q) as dyad and q, and each term's line, p and product."""
     n, kappa = N + 1, survival_table(N, eta).ravel()
     dyad, q = runs(np.minimum(n1, m1) + 1)
     n1, m1 = n1[dyad], m1[dyad]
     line, p = runs(N + 1 - np.maximum(n1, m1))
-    values = (kappa[n1 * n + q] * kappa[m1 * n + q])[line] * kappa[((N - n1) * n)[line] + p]
+    values = kappa[((N - n1) * n)[line] + p]
     values *= kappa[((N - m1) * n)[line] + p]
+    values *= (kappa[n1 * n + q] * kappa[m1 * n + q])[line]
     return dyad, q, line, p, values
 
 

@@ -19,7 +19,6 @@ to the best two-branch state, so the search never reports worse than it.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -139,10 +138,6 @@ class _QuadraticQfiModel:
         return result.qfi, ms, gradients
 
 
-# only the latest problem's model: a cache check hands it to the rerun
-_model_for = lru_cache(maxsize=1)(_QuadraticQfiModel)
-
-
 def qfi_objective(alpha, problem: OptimizationProblem) -> float:
     """Fisher information of the lossy output for raw coefficients alpha,
     normalized inside, so invariant under positive rescaling of alpha."""
@@ -153,7 +148,7 @@ def qfi_objective(alpha, problem: OptimizationProblem) -> float:
     weight = SuperpositionSpec.squared_weight(problem.N, alpha)
     if weight <= 0 or not np.isfinite(weight):
         raise ValueError("alpha cannot be normalized")
-    return _model_for(problem).qfi(alpha / math.sqrt(weight)).qfi
+    return _QuadraticQfiModel(problem).qfi(alpha / math.sqrt(weight)).qfi
 
 
 class _Climb(Record):
@@ -296,7 +291,7 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
     probes, then the starts, climb in lockstep, one batched evaluation
     per round.
     """
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     dim = problem.dimension
     n = problem.N
     n_starts = problem.restarts + 1

@@ -363,8 +363,8 @@ def derivative_factors(g_flat: np.ndarray, n_max: int) -> list[np.ndarray]:
 
 
 def rho0_blocks(family: PhasedFamily) -> list[np.ndarray]:
-    """The blocks T = 0..N of a family's rho_0 (symmetric parts)."""
-    return [0.5 * (b + b.T) for _, b in FlatBlocks(family.rho0_flat, family.input_spec.N)]
+    """The blocks T = 0..N of a family's rho_0."""
+    return [b for _, b in FlatBlocks(family.rho0_flat, family.input_spec.N)]
 
 
 def _factors(family: PhasedFamily) -> list[np.ndarray]:

@@ -835,6 +835,58 @@ def test_module_entry_point(tmp_path):
     assert all(name in shown.stdout for name in [*cli._FLAGS, *COMMANDS])
 
 
+def _module_env(**extra):
+    import kerrmet
+
+    return dict(os.environ, PYTHONPATH=str(Path(kerrmet.__file__).parents[1]), **extra)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that takes no writes")
+def test_stdout_that_takes_no_writes_exits_2():
+    # a full device on stdout: one config error line, also after the exit-3
+    # flush, and no traceback from the interpreter's final flush
+    cases = [(["pure-qfi", "--n-range", "2"], ""),
+             (["pure-qfi", "--n-range", "2", "--format", "json"], ""),
+             # the N = 100 coincidence variance leaves the float range: exit 3
+             (["single", "--n-range", "100", "--k", "0", "--eta", "0.9"], "numerical error: ")]
+    for argv, first in cases:
+        with open("/dev/full", "w") as full:
+            result = subprocess.run([sys.executable, "-m", "kerrmet.cli", "--command", *argv],
+                                    env=_module_env(), stdout=full, stderr=subprocess.PIPE,
+                                    text=True, timeout=60)
+        *before, last = result.stderr.splitlines()
+        assert result.returncode == 2, result.stderr
+        assert [line[:len(first)] for line in before] == ([first] if first else [])
+        assert last == ("config error: output stdout cannot be written: "
+                        "[Errno 28] No space left on device")
+
+
+def test_closed_stdout_pipe_exits_2_quietly():
+    # the reader closes the pipe before any row is written
+    child = subprocess.Popen([sys.executable, "-m", "kerrmet.cli", "--command", "pure-qfi",
+                              "--n-range", "2"], env=_module_env(),
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert stderr == b""
+
+
+def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):
+    argvs = [["qfi-scan", "--n-range", "10:60:25", "--eta", "0.3,0.9"],
+             ["optimize-scan", "--n-range", "1:8", "--eta", "0.6"]]
+    for index, argv in enumerate(argvs):
+        bodies = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{index}-{threads}.csv"
+            env = _module_env(OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            subprocess.run([sys.executable, "-m", "kerrmet.cli", "--command", *argv,
+                            "--out", str(out)], env=env, check=True, timeout=300)
+            bodies.append(body_without_timing(out))
+        assert bodies[0] == bodies[1], argv
+
+
 def test_m_past_n_and_phi_at_the_ceiling_still_run(tmp_path):
     out = tmp_path / "out.csv"
     assert main(["--command", "readout-scan", "--n-range", "4", "--k", "0", "--m", "5",

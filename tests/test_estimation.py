@@ -454,6 +454,12 @@ def test_k_scan_pairs_iterate_as_the_family_pairs(monkeypatch):
     assert len(got) == len(want) == (n // 2 + 1) * (n + 1)
     for (rho, rho_prime), (rho_want, rho_prime_want) in zip(got, want):
         assert np.array_equal(rho, rho_want) and np.array_equal(rho_prime, rho_prime_want)
+    # a dyad and its mirror form every term's product alike, so each packed
+    # class is symmetric bit for bit
+    for pairs in seen:
+        for _, run, diag in pairs.stacks:
+            x = pairs.rho_flat[run].reshape(-1, diag.shape[1], diag.shape[1])
+            assert x.tobytes() == x.swapaxes(1, 2).tobytes()
 
 
 # ---------------------------------------------------------------- bounds

@@ -239,8 +239,8 @@ def test_channel_map_lists_the_terms_dyad_by_dyad(n, eta):
             p = np.arange(n - max(n1, m1) + 1)[None, :]
             t = n - q - p
             positions.append((offsets[t] + (n1 - q) * (t + 1) + (m1 - q)).ravel())
-            products.append((kappa[n1, q] * kappa[m1, q]
-                             * kappa[n - n1, p] * kappa[n - m1, p]).ravel())
+            products.append(((kappa[n1, q] * kappa[m1, q])
+                             * (kappa[n - n1, p] * kappa[n - m1, p])).ravel())
             dyads.append(np.full(q.size * p.size, d))
             qs.append(np.broadcast_to(q, t.shape).ravel())
             ps.append(np.broadcast_to(p, t.shape).ravel())

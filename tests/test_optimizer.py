@@ -13,13 +13,13 @@ from kerrmet.estimation import (
     max_qfi_over_k,
     qfi_pure_analytic,
 )
+from kerrmet.fock import FlatBlocks
 from kerrmet.interferometer import SuperpositionSpec
 from kerrmet.optimizer import (
     OptimizationProblem,
     _QuadraticQfiModel,
     _climb,
     _lockstep,
-    _model_for,
     optimize_alpha,
     qfi_objective,
 )
@@ -178,19 +178,23 @@ def test_model_rho_is_the_family_rho0(n, eta):
     # one channel path: for a dense alpha (every ket, the even-N midpoint
     # included) the model scatters the same terms in the same order
     problem = OptimizationProblem(N=n, eta=eta, chi=1e-8)
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     rng = np.random.default_rng(n)
     for _ in range(3):
         spec = SuperpositionSpec.normalized(n, rng.normal(size=problem.dimension))
         got = model._pairs(np.array(spec.alpha)).rho_flat
         want = PhasedFamily(spec, chi=1e-8, eta=eta).rho0_flat
         assert got.tobytes() == want.tobytes()
+        # a dyad and its mirror form every term's product alike, so each
+        # block is symmetric bit for bit
+        for _, block in FlatBlocks(got, n):
+            assert block.tobytes() == block.T.tobytes()
 
 
 @pytest.mark.parametrize("n, eta", [(1, 0.5), (4, 0.9), (7, 0.6), (8, 1.0), (12, 0.7)])
 def test_seesaw_matrix_matches_dense_model_rows(n, eta):
     problem = OptimizationProblem(N=n, eta=eta, chi=1e-4)
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     rows = oracle.model_rows(n, eta)
     for seed in range(3):
         alpha = _unit(problem, np.random.default_rng(seed))
@@ -220,7 +224,7 @@ def _unit(problem, rng):
 
 def test_seesaw_never_decreases_f():
     problem = OptimizationProblem(N=10, eta=0.9, chi=1e-8)
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     root = np.sqrt(model.metric)
     alpha = _unit(problem, np.random.default_rng(5))
     values = []
@@ -246,7 +250,7 @@ def test_seesaw_never_decreases_f():
 def test_gradient_matches_central_differences(n, eta, chi):
     problem = OptimizationProblem(N=n, eta=eta, chi=chi)
     alpha = _unit(problem, np.random.default_rng(n))
-    value, _, gradient = _model_for(problem).seesaw(alpha)
+    value, _, gradient = _QuadraticQfiModel(problem).seesaw(alpha)
     assert value == pytest.approx(qfi_objective(alpha, problem), rel=1e-12)
     h = 1e-5
     numeric = np.array([
@@ -255,15 +259,21 @@ def test_gradient_matches_central_differences(n, eta, chi):
     assert np.linalg.norm(gradient - numeric) <= 1e-6 * np.linalg.norm(gradient)
 
 
-def test_model_cache_keeps_only_the_latest_model():
+def test_no_model_outlives_its_call(monkeypatch):
     # each model's channel map holds about N^4/12 terms: a scan over N
-    # must not keep the models of earlier problems alive
-    first = OptimizationProblem(N=6, eta=0.9, chi=1e-8)
-    second = OptimizationProblem(N=7, eta=0.9, chi=1e-8)
-    model = weakref.ref(_model_for(first))
-    qfi_objective(np.ones(second.dimension), second)
+    # must not keep the model of an earlier problem alive
+    built, init = [], _QuadraticQfiModel.__init__
+
+    def recorded_init(model, problem):
+        built.append(weakref.ref(model))
+        init(model, problem)
+
+    monkeypatch.setattr(_QuadraticQfiModel, "__init__", recorded_init)
+    optimize_alpha(OptimizationProblem(N=6, eta=0.9, chi=1e-8, restarts=2))
+    qfi_objective(np.ones(3), OptimizationProblem(N=4, eta=0.9, chi=1e-8))
     gc.collect()
-    assert model() is None
+    assert len(built) == 2
+    assert all(model() is None for model in built)
 
 
 @pytest.mark.parametrize("chi", [0.0, 0.2])
@@ -273,7 +283,7 @@ def test_batched_seesaw_is_bit_identical_to_one_point_calls(eta, chi):
     # QFI terms are summed alone, so a point's bits ignore its batch
     for n in range(1, 9):
         problem = OptimizationProblem(N=n, eta=eta, chi=chi)
-        model = _model_for(problem)
+        model = _QuadraticQfiModel(problem)
         rng = np.random.default_rng(n)
         # the one-hot points have rank-deficient blocks
         one_hots = [e / math.sqrt(SuperpositionSpec.squared_weight(n, e))
@@ -292,7 +302,7 @@ def test_batched_seesaw_is_bit_identical_to_one_point_calls(eta, chi):
 def test_batched_pairs_run_point_by_point():
     # the pairs of a batch are every point's pairs, point after point
     problem = OptimizationProblem(N=4, eta=0.8, chi=0.1)
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     rng = np.random.default_rng(4)
     points = np.array([_unit(problem, rng) for _ in range(3)])
     batch = model._pairs(points)
@@ -357,7 +367,7 @@ def test_seesaw_round_memory_stays_bounded():
     # at N = 40 every chunk holds one point; a single scatter over all 17
     # points would hold 17 copies of the term list (about 139 MB)
     problem = OptimizationProblem(N=40, eta=0.9, chi=1e-8)
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     rng = np.random.default_rng(40)
     points = np.array([_unit(problem, rng) for _ in range(17)])
     model.seesaw(points)  # the class tables are cached on first use
@@ -367,4 +377,4 @@ def test_seesaw_round_memory_stays_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6, peak
+    assert peak < 13.5e6, peak

@@ -9,7 +9,7 @@ import pytest
 import oracle
 from kerrmet.estimation import PhasedFamily, _qfi_from_block_pairs
 from kerrmet.interferometer import NoonLikeSpec, SuperpositionSpec
-from kerrmet.optimizer import OptimizationProblem, _model_for
+from kerrmet.optimizer import OptimizationProblem, _QuadraticQfiModel
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9, 1.0])
@@ -17,7 +17,7 @@ from kerrmet.optimizer import OptimizationProblem, _model_for
 @pytest.mark.parametrize("n", [1, 4, 7, 12])
 def test_real_state_and_sld_match_the_complex_oracle(n, chi, eta):
     problem = OptimizationProblem(N=n, eta=eta, chi=chi)
-    model = _model_for(problem)
+    model = _QuadraticQfiModel(problem)
     rng = np.random.default_rng(100 * n + int(10 * eta))
     for _ in range(2):
         spec = SuperpositionSpec.normalized(n, rng.normal(size=problem.dimension))
@@ -56,6 +56,6 @@ def test_spectral_step_solves_only_real_matrices(monkeypatch):
     spec = SuperpositionSpec.normalized(9, np.arange(1.0, 6.0))
     PhasedFamily(spec, chi=0.1, eta=0.8).qfi()
     problem = OptimizationProblem(N=9, eta=0.8, chi=0.1)
-    _model_for(problem).seesaw(np.array(spec.alpha))
+    _QuadraticQfiModel(problem).seesaw(np.array(spec.alpha))
     assert seen
     assert all(dtype == np.float64 for dtype in seen), seen

@@ -24,7 +24,6 @@ from kerrmet.optimizer import (
     RANDOM_GENERATOR,
     OptimizationOutcome,
     OptimizationProblem,
-    _model_for,
     optimize_alpha,
 )
 
@@ -57,9 +56,6 @@ def test_equal_fields_give_equal_records_and_hashes():
     assert spec == SuperpositionSpec(4, list(spec.alpha))
     assert spec != NoonLikeSpec(4, 0) and spec != (4, spec.alpha)
     assert len({problem, same, spec, NoonLikeSpec(4, 3)}) == 2
-    # the optimizer's model cache is keyed by the problem's fields
-    _model_for.cache_clear()
-    assert _model_for(same) is _model_for(problem)
     # a mutable record compares by its fields and has no hash
     outcome = OptimizationOutcome(alpha_star=(1.0,), qfi_star=1.0, evaluations=1,
                                   converged=True, per_restart=[(0, 1.0)])
@@ -94,14 +90,15 @@ def test_config_echo_keeps_its_keys_and_values():
 
 
 def test_cache_file_names_are_unchanged(tmp_path):
-    # the digest of the problem's fields names the entry: a changed field
-    # table would orphan every filled cache
+    # the digest of the problem's fields and ALGO_VERSION names the entry: a
+    # changed field table would orphan every filled cache, as a raised
+    # ALGO_VERSION (4 here) does on purpose
     cache = OptimizeCache(tmp_path)
     assert cache._path(OptimizationProblem(N=2, eta=0.6, chi=1e-8)).name == (
-        "opt-c839ef1b33b25a5f81a16ef1.json")
+        "opt-701a913b6f21b08ef7175e1d.json")
     assert cache._path(OptimizationProblem(N=5, eta=0.9, chi=0.0, seed=3,
                                            restarts=4)).name == (
-        "opt-bab2bf6da49bd9ef4c0f2634.json")
+        "opt-211e08e171f097b36dd9d924.json")
 
 
 def test_eigenvalue_clamp_reaches_a_debug_handler(caplog):
