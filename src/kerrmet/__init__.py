@@ -33,7 +33,6 @@ from .optimizer import (
     OptimizationOutcome,
     OptimizationProblem,
     optimize_alpha,
-    qfi_objective,
 )
 
 __version__ = "0.1.0"

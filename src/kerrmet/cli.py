@@ -16,9 +16,10 @@ wall_time_ms.  Exit codes: 0 success (including rows flagged
 non-converged or degenerate), 2 configuration error (a bad flag or value, or a
 --config, --out or --cache path that cannot be used, reported before any
 work; an --out or stdout that takes no writes, a full device say, is
-reported when the rows are written, also in place of an exit 3; a pipe
-whose reader has closed it ends the run with exit 2 and no message), 3
-unrecoverable numerical error or out of memory (partial results are flushed).
+reported when the rows or the --help text are written, also in place of an
+exit 3; a pipe whose reader has closed it ends the run with exit 2 and no
+message), 3 unrecoverable numerical error or out of memory (partial results
+are flushed).  --help exits 0 once its text is written.
 """
 
 from __future__ import annotations
@@ -312,16 +313,23 @@ def run_optimize_scan(config: ExperimentConfig, records: list[ResultRecord]) -> 
 
 
 def _readout_input(config: ExperimentConfig, n: int, eta: float,
-                   cache: OptimizeCache):
-    """The input, its digest, and its family and QFI if a cache hit checked them."""
+                   cache: OptimizeCache) -> tuple[str, PhasedFamily, float]:
+    """The input's digest, its family and the family's QFI: a cache hit's
+    checked pair, or else a family built here."""
     if config.k is not None:
-        return NoonLikeSpec(n, config.k), f"k={config.k}", None
-    if config.alpha is not None:
+        spec, digest = NoonLikeSpec(n, config.k), f"k={config.k}"
+    elif config.alpha is not None:
         spec = SuperpositionSpec.normalized(n, config.alpha)
-        return spec, _alpha_digest(spec.alpha), None
-    problem = OptimizationProblem(N=n, eta=eta, chi=config.chi, seed=config.seed)
-    outcome, checked = cache.get_or_run(problem)
-    return SuperpositionSpec(n, outcome.alpha_star), _alpha_digest(outcome.alpha_star), checked
+        digest = _alpha_digest(spec.alpha)
+    else:
+        problem = OptimizationProblem(N=n, eta=eta, chi=config.chi, seed=config.seed)
+        outcome, checked = cache.get_or_run(problem)
+        digest = _alpha_digest(outcome.alpha_star)
+        if checked:
+            return digest, *checked
+        spec = SuperpositionSpec(n, outcome.alpha_star)
+    family = PhasedFamily(spec, chi=config.chi, eta=eta)
+    return digest, family, family.qfi().qfi
 
 
 def _readout_point(config: ExperimentConfig, n: int, eta: float,
@@ -330,11 +338,9 @@ def _readout_point(config: ExperimentConfig, n: int, eta: float,
     at (N, eta) at its best operating point, phi = 0, and the moment
     profile every readout column comes from."""
     t0 = time.perf_counter()
-    spec, digest, checked = _readout_input(config, n, eta, cache)
+    digest, family, qfi_value = _readout_input(config, n, eta, cache)
     m = config.m if config.m is not None else n
-    family = checked[0] if checked else PhasedFamily(spec, chi=config.chi, eta=eta)
     profile = family.moment_profile(measurement_mm(m, family.basis))
-    qfi_value = checked[1] if checked else family.qfi().qfi
     extras = {"m": m, "inv_delta_phi": np.nan, "inv_delta_x": np.nan,
               "status": "ok"}
     try:
@@ -414,23 +420,28 @@ def write_json(records: list[ResultRecord], summary: dict,
     stream.write(_dumps(doc, indent=2) + "\n")
 
 
-def _emit(records, summary, config: ExperimentConfig) -> None:
-    writer = write_csv if config.format == "csv" else write_json
+def _write(out: str | None, write) -> None:
+    """write(stream) to the file out, or to stdout when out is empty."""
     try:
-        if config.out:
-            with open(config.out, "w") as stream:
-                writer(records, summary, config, stream)
+        if out:
+            with open(out, "w") as stream:
+                write(stream)
         else:
-            writer(records, summary, config, sys.stdout)
+            write(sys.stdout)
             sys.stdout.flush()
     except OSError as err:  # a full device, a closed pipe, or a file that takes no writes
-        if not config.out:  # what stays buffered goes nowhere, so the final flush succeeds
+        if not out:  # what stays buffered goes nowhere, so the final flush succeeds
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         if isinstance(err, BrokenPipeError):
             raise  # the reader is gone: nothing to report to it
-        raise ConfigError(f"output {config.out or 'stdout'} cannot be written: {err}") from None
+        raise ConfigError(f"output {out or 'stdout'} cannot be written: {err}") from None
+
+
+def _emit(records, summary, config: ExperimentConfig) -> None:
+    writer = write_csv if config.format == "csv" else write_json
+    _write(config.out, lambda stream: writer(records, summary, config, stream))
 
 
 def parse_n_range(text: str) -> tuple[int, ...]:
@@ -564,12 +575,13 @@ def build_config(argv) -> ExperimentConfig:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(f"{__doc__}\nFlags, as --flag value or --flag=value: {' '.join(_FLAGS)}")
-        return 0
     records: list[ResultRecord] = []
     summary: dict = {}
     try:
+        if "-h" in argv or "--help" in argv:
+            _write(None, lambda stream: stream.write(
+                f"{__doc__}\nFlags, as --flag value or --flag=value: {' '.join(_FLAGS)}\n"))
+            return 0
         config = build_config(argv)
         try:
             summary = _COMMANDS[config.command][0](config, records)

@@ -100,6 +100,14 @@ def qcrb(qfi: float) -> float:
     return 1.0 / math.sqrt(qfi)
 
 
+def check_eta_chi(eta: float, chi: float) -> None:
+    """ValueError unless 0 <= eta <= 1 and chi >= 0; a NaN fails either test."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"eta={eta} outside [0, 1]")
+    if not chi >= 0.0:
+        raise ValueError("chi must be non-negative")
+
+
 def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
     lo = values.min() if values.size else 0.0
     if lo < PSD_FLOOR:
@@ -390,10 +398,7 @@ class PhasedFamily:
                  eta: float = 1.0):
         if not isinstance(input_spec, SuperpositionSpec):
             raise TypeError(f"unsupported input spec {type(input_spec).__name__}")
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"eta={eta} outside [0, 1]")
-        if chi < 0:
-            raise ValueError("chi must be non-negative")
+        check_eta_chi(eta, chi)
         self.input_spec = input_spec
         self.chi = float(chi)
         self.eta = float(eta)
@@ -547,6 +552,7 @@ def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
     min(k, N - k) with its ket's amplitude, 2^-1/2, or 1 at k = N/2."""
     if N < 1:
         raise ValueError("N must be at least 1")
+    check_eta_chi(eta, chi)
     g_flat, rows, budget = generator_flat(N, chi), np.arange(1, N + 2), max(
         block_offsets(N)[-1], 1 << 18)
     values, chunk, held = [], [], 0

@@ -42,7 +42,7 @@ class SuperpositionSpec(Record, frozen=True):
                 f"alpha must have {expected} entries for N={self.N}, "
                 f"got {len(self.alpha)}")
         weight = self.squared_weight(self.N, self.alpha)
-        if abs(weight - 1.0) > NORMALIZATION_ATOL:
+        if not abs(weight - 1.0) <= NORMALIZATION_ATOL:  # a NaN weight fails too
             raise ValueError(f"coefficients not normalized: weight {weight!r}")
 
     @staticmethod
@@ -60,6 +60,8 @@ class SuperpositionSpec(Record, frozen=True):
         weight = cls.squared_weight(N, alpha)
         if weight == 0.0:
             raise ValueError("cannot normalize an all-zero coefficient vector")
+        if not math.isfinite(weight):
+            raise ValueError("cannot normalize a non-finite coefficient vector")
         return cls(N, tuple(alpha / math.sqrt(weight)))
 
 

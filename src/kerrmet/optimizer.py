@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .estimation import BlockPairs, QfiResult, _qfi_from_block_pairs, generator_flat
+from .estimation import BlockPairs, _qfi_from_block_pairs, check_eta_chi, generator_flat
 from .fock import Record, block_diagonal, check_trace, debug
 from .interferometer import SuperpositionSpec, ket_fold, superposition_length
 from .loss import ChannelMap
@@ -39,6 +39,8 @@ _MAX_HALVINGS = 6
 # relative round-off of F: close to the maximum a step raises F by less than
 # this, and a step that lowers the gradient norm there is still accepted
 _VALUE_NOISE = 1e-12
+# a start has converged once its gradient norm is at most this times max(1, F)
+_GRADIENT_TOL = 1e-10
 
 
 class OptimizationProblem(Record, frozen=True):
@@ -50,20 +52,16 @@ class OptimizationProblem(Record, frozen=True):
     chi: float
     restarts: int = 16
     max_evals: int = 20000
-    tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta={self.eta} outside [0, 1]")
-        if self.chi < 0:
-            raise ValueError("chi must be non-negative")
+        check_eta_chi(self.eta, self.chi)
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
-        if self.max_evals < 1 or self.tol <= 0:
-            raise ValueError("max_evals must be positive and tol > 0")
+        if self.max_evals < 1:
+            raise ValueError("max_evals must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -107,14 +105,6 @@ class _QuadraticQfiModel:
             check_trace(trace, "model state")
         return rho_flat
 
-    def _pairs(self, alpha: np.ndarray) -> BlockPairs:
-        """The pairs of rho(alpha), for one point (S,) or a (B, S) stack."""
-        return BlockPairs(self._rho(alpha), self.g_flat, self.n, 1)
-
-    def qfi(self, alpha: np.ndarray, with_sld: bool = False) -> QfiResult:
-        """The spectral step at alpha, one point (S,) or a (B, S) stack."""
-        return _qfi_from_block_pairs(self._pairs(alpha), with_sld)
-
     def seesaw(self, alpha: np.ndarray):
         """F at normalized alpha, M(L)_kl = Re(2 Tr[rho'_kl L] - Tr[R_kl L^2])
         at the SLD L of rho(alpha), and the gradient 2(M alpha - F W alpha)
@@ -123,7 +113,8 @@ class _QuadraticQfiModel:
         length B; a point's bits do not depend on its batch.
         """
         points = alpha.reshape(-1, alpha.shape[-1])
-        result = self.qfi(points, with_sld=True)
+        result = _qfi_from_block_pairs(BlockPairs(self._rho(points), self.g_flat, self.n, 1),
+                                       with_sld=True)
         # Tr[X L] = sum_ij X_ij L_ji; with L = iJ the blocks of Z^T are 2 f J + J J
         duals = np.concatenate(
             [(2.0 * f * j + j @ j).reshape(len(points), -1)
@@ -138,19 +129,6 @@ class _QuadraticQfiModel:
         return result.qfi, ms, gradients
 
 
-def qfi_objective(alpha, problem: OptimizationProblem) -> float:
-    """Fisher information of the lossy output for raw coefficients alpha,
-    normalized inside, so invariant under positive rescaling of alpha."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (problem.dimension,):
-        raise ValueError(
-            f"alpha must have {problem.dimension} entries, got shape {alpha.shape}")
-    weight = SuperpositionSpec.squared_weight(problem.N, alpha)
-    if weight <= 0 or not np.isfinite(weight):
-        raise ValueError("alpha cannot be normalized")
-    return _QuadraticQfiModel(problem).qfi(alpha / math.sqrt(weight)).qfi
-
-
 class _Climb(Record):
     """One start's end point, its SLD evaluations and accepted F values."""
 
@@ -161,7 +139,7 @@ class _Climb(Record):
     history: list[float]
 
 
-def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
+def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int):
     """See-saw from alpha, then quasi-Newton steps where the see-saw crawls:
     a generator that yields each normalized point it needs evaluated,
     receives from ``_lockstep`` that point's F, see-saw step and gradient,
@@ -172,7 +150,7 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
     tangent.  An accepted step raises F, or, once F moves by less than its
     round-off, stays within round-off of the best F so far and lowers the
     gradient norm.  The climb stops once the gradient norm is within
-    tol * max(1, F) (converged), when the budget of SLD evaluations is
+    _GRADIENT_TOL * max(1, F) (converged), when the budget of SLD evaluations is
     spent, or when no step is accepted.  Norms are np.linalg.norm's own
     math.sqrt(v.dot(v)).
     """
@@ -197,7 +175,7 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int, tol: float):
     last_step = np.inf
     converged = False
     while True:
-        if math.sqrt(g.dot(g)) <= tol * max(1.0, value):
+        if math.sqrt(g.dot(g)) <= _GRADIENT_TOL * max(1.0, value):
             converged = True
             break
         if evaluations >= budget:
@@ -302,16 +280,15 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
         return x / math.sqrt(SuperpositionSpec.squared_weight(n, x))
 
     # one evaluation each: the best two-branch state and its gradient test
-    one_hots = _lockstep(model, [_climb(model.metric, scale_of(e), 1, problem.tol)
-                                 for e in np.eye(dim)])
+    one_hots = _lockstep(model, [_climb(model.metric, scale_of(e), 1) for e in np.eye(dim)])
     one_hot = max(one_hots, key=lambda climb: climb.value)
     evaluations = dim
 
     starts = [one_hot.alpha + _ADMIXTURE * scale_of(np.ones(dim))] + [
         np.random.default_rng(problem.seed + index).normal(size=dim)
         for index in range(1, n_starts)]
-    climbs = _lockstep(model, [_climb(model.metric, scale_of(x0), problem.max_evals,
-                                      problem.tol) for x0 in starts])
+    climbs = _lockstep(model, [_climb(model.metric, scale_of(x0), problem.max_evals)
+                               for x0 in starts])
     best = None
     per_restart: list[tuple[int, float]] = []
     for index, climb in enumerate(climbs):

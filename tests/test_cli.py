@@ -27,6 +27,8 @@ from kerrmet.cli import (
     parse_n_range,
 )
 from kerrmet import estimation, optimizer
+from kerrmet.estimation import PhasedFamily
+from kerrmet.interferometer import SuperpositionSpec
 from kerrmet.optimizer import OptimizationProblem
 
 
@@ -220,7 +222,7 @@ def test_single_matches_dense_oracle(tmp_path):
     # single reads its point columns off the moment profile; the dense
     # state and the pointwise delta_phi are the independent check
     import oracle
-    from kerrmet.estimation import PhasedFamily, measurement_mm
+    from kerrmet.estimation import measurement_mm
     from kerrmet.interferometer import NoonLikeSpec
 
     n, k, eta, m, phi, chi = 4, 1, 0.8, 2, 0.3, 0.05
@@ -530,12 +532,12 @@ def test_cache_concurrent_writers(tmp_path):
     # two processes store the same entry over and over while this one reads
     # it: every read after the first store hits, and no temporary remains
     import kerrmet
-    from kerrmet.optimizer import qfi_objective
 
     fields = {"N": 2, "eta": 0.9, "chi": 1e-8}
     problem = OptimizationProblem(**fields)
     alpha = [1 / math.sqrt(2.0), 0.0]
-    qfi_star = qfi_objective(np.array(alpha), problem)
+    qfi_star = PhasedFamily(SuperpositionSpec.normalized(2, alpha), chi=1e-8,
+                            eta=0.9).qfi().qfi
     outcome = {"alpha_star": alpha, "qfi_star": qfi_star, "evaluations": 1,
                "converged": True, "per_restart": [[0, qfi_star]]}
     cache = OptimizeCache(tmp_path / "cache")
@@ -844,14 +846,17 @@ def _module_env(**extra):
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that takes no writes")
 def test_stdout_that_takes_no_writes_exits_2():
     # a full device on stdout: one config error line, also after the exit-3
-    # flush, and no traceback from the interpreter's final flush
-    cases = [(["pure-qfi", "--n-range", "2"], ""),
-             (["pure-qfi", "--n-range", "2", "--format", "json"], ""),
+    # flush and for the help text, and no traceback from the interpreter's
+    # final flush
+    cases = [(["--command", "pure-qfi", "--n-range", "2"], ""),
+             (["--command", "pure-qfi", "--n-range", "2", "--format", "json"], ""),
              # the N = 100 coincidence variance leaves the float range: exit 3
-             (["single", "--n-range", "100", "--k", "0", "--eta", "0.9"], "numerical error: ")]
+             (["--command", "single", "--n-range", "100", "--k", "0", "--eta", "0.9"],
+              "numerical error: "),
+             (["--help"], "")]
     for argv, first in cases:
         with open("/dev/full", "w") as full:
-            result = subprocess.run([sys.executable, "-m", "kerrmet.cli", "--command", *argv],
+            result = subprocess.run([sys.executable, "-m", "kerrmet.cli", *argv],
                                     env=_module_env(), stdout=full, stderr=subprocess.PIPE,
                                     text=True, timeout=60)
         *before, last = result.stderr.splitlines()
@@ -862,15 +867,16 @@ def test_stdout_that_takes_no_writes_exits_2():
 
 
 def test_closed_stdout_pipe_exits_2_quietly():
-    # the reader closes the pipe before any row is written
-    child = subprocess.Popen([sys.executable, "-m", "kerrmet.cli", "--command", "pure-qfi",
-                              "--n-range", "2"], env=_module_env(),
-                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    child.stdout.close()
-    stderr = child.stderr.read()
-    child.stderr.close()
-    assert child.wait(timeout=60) == 2
-    assert stderr == b""
+    # the reader closes the pipe before any row, or the help text, is written
+    for argv in (["--command", "pure-qfi", "--n-range", "2"], ["--help"]):
+        child = subprocess.Popen([sys.executable, "-m", "kerrmet.cli", *argv],
+                                 env=_module_env(), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE)
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 2, argv
+        assert stderr == b"", argv
 
 
 def test_rows_do_not_depend_on_the_blas_thread_count(tmp_path):

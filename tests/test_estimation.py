@@ -909,6 +909,27 @@ def test_phased_family_validation():
         PhasedFamily("not a spec")
 
 
+# each case got past its check with a NaN, out-of-range or infinite value
+# (a NaN fails no "x < 0" test), and returned NaN or a number, or failed later
+PARAMETER_HOLES = {
+    "family chi nan": lambda: PhasedFamily(NoonLikeSpec(4, 0), chi=math.nan, eta=0.9),
+    "problem chi nan": lambda: OptimizationProblem(N=4, eta=0.9, chi=math.nan),
+    "k-scan chi negative": lambda: max_qfi_over_k(6, 0.9, -1.0),
+    "k-scan chi nan": lambda: max_qfi_over_k(6, 0.9, math.nan),
+    "k-scan eta above 1": lambda: max_qfi_over_k(6, 1.5, 0.0),
+    "k-scan eta nan": lambda: qfi_over_k(6, math.nan, 0.0, [0]),
+    "spec alpha nan": lambda: SuperpositionSpec(4, (math.nan, 0.0, 0.0)),
+    "normalized alpha inf": lambda: SuperpositionSpec.normalized(4, (math.inf, 1.0, 0.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(PARAMETER_HOLES))
+def test_parameters_outside_their_domain_raise_value_error(case):
+    with pytest.raises(ValueError):
+        PARAMETER_HOLES[case]()
+
+
 def _doubled_state(caller: str):
     """Build, by ``caller``, the state of NoonLikeSpec(4, 1) with its
     amplitudes doubled: trace 4."""

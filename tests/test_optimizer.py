@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 from kerrmet.estimation import (
+    BlockPairs,
     PhasedFamily,
     _qfi_from_block_pairs,
     max_qfi_over_k,
@@ -21,7 +22,6 @@ from kerrmet.optimizer import (
     _climb,
     _lockstep,
     optimize_alpha,
-    qfi_objective,
 )
 
 # qfi_star of the multi-restart Nelder-Mead optimizer this package used
@@ -54,8 +54,8 @@ def test_alpha_star_sign_convention_at_even_n():
             for part in (alpha[0::2], alpha[1::2]):
                 assert part[np.argmax(np.abs(part))] > 0
             flipped = alpha * (-1.0) ** np.arange(alpha.size)
-            assert qfi_objective(flipped, problem) == pytest.approx(
-                qfi_objective(alpha, problem), rel=1e-12)
+            assert _family_qfi(flipped, problem) == pytest.approx(
+                _family_qfi(alpha, problem), rel=1e-12)
             first = alpha if first is None else first
             assert np.abs(alpha - first).max() < 1e-6
 
@@ -71,46 +71,52 @@ def test_problem_validation():
         OptimizationProblem(N=3, eta=0.9, chi=0.0, seed=-1)
 
 
+def _family_qfi(alpha, problem):
+    """F at raw coefficients alpha, normalized by the input spec."""
+    spec = SuperpositionSpec.normalized(problem.N, alpha)
+    return PhasedFamily(spec, chi=problem.chi, eta=problem.eta).qfi().qfi
+
+
 def test_objective_one_hot_reproduces_pure_values():
     problem = OptimizationProblem(N=6, eta=1.0, chi=0.0)
     e0 = np.zeros(problem.dimension)
     e0[0] = 1.0
-    assert qfi_objective(e0, problem) == pytest.approx(36.0, rel=1e-10)
+    assert _family_qfi(e0, problem) == pytest.approx(36.0, rel=1e-10)
     # even-N midpoint carries no phase information
     mid = np.zeros(problem.dimension)
     mid[-1] = 1.0
-    assert qfi_objective(mid, problem) == pytest.approx(0.0, abs=1e-12)
+    assert _family_qfi(mid, problem) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_objective_matches_direct_construction():
     problem = OptimizationProblem(N=4, eta=0.9, chi=1e-8)
+    model = _QuadraticQfiModel(problem)
     rng = np.random.default_rng(2)
-    one_hot = np.array([1.0, 0.0, 0.0])
-    direct = PhasedFamily(SuperpositionSpec.normalized(4, one_hot), chi=1e-8,
-                          eta=0.9).qfi().qfi
-    assert qfi_objective(one_hot, problem) == pytest.approx(direct, rel=1e-10)
+    # a one-hot alpha has stride 4 on the family's path, 1 on the model's
+    spec = SuperpositionSpec.normalized(4, [1.0, 0.0, 0.0])
+    direct = PhasedFamily(spec, chi=1e-8, eta=0.9).qfi().qfi
+    assert model.seesaw(np.array(spec.alpha))[0] == pytest.approx(direct, rel=1e-10)
     # a dense alpha has stride 1 on both paths: the same computation
-    raw = rng.normal(size=3)
-    direct = PhasedFamily(SuperpositionSpec.normalized(4, raw), chi=1e-8,
-                          eta=0.9).qfi().qfi
-    assert qfi_objective(raw, problem) == direct
+    spec = SuperpositionSpec.normalized(4, rng.normal(size=3))
+    direct = PhasedFamily(spec, chi=1e-8, eta=0.9).qfi().qfi
+    assert model.seesaw(np.array(spec.alpha))[0] == direct
 
 
 def test_objective_scale_invariance():
     problem = OptimizationProblem(N=7, eta=0.8, chi=1e-4)
     rng = np.random.default_rng(3)
     raw = rng.normal(size=problem.dimension)
-    base = qfi_objective(raw, problem)
+    base = _family_qfi(raw, problem)
     for scale in (0.1, 3.0, 250.0):
-        assert abs(qfi_objective(scale * raw, problem) - base) < 1e-12 * max(1, base)
+        assert abs(_family_qfi(scale * raw, problem) - base) < 1e-12 * max(1, base)
 
 
 def test_objective_input_validation():
     problem = OptimizationProblem(N=5, eta=0.9, chi=0.0)
     with pytest.raises(ValueError):
-        qfi_objective(np.zeros(problem.dimension), problem)
+        _family_qfi(np.zeros(problem.dimension), problem)
     with pytest.raises(ValueError):
-        qfi_objective(np.ones(problem.dimension + 1), problem)
+        _family_qfi(np.ones(problem.dimension + 1), problem)
 
 
 def test_single_coefficient_case():
@@ -182,7 +188,7 @@ def test_model_rho_is_the_family_rho0(n, eta):
     rng = np.random.default_rng(n)
     for _ in range(3):
         spec = SuperpositionSpec.normalized(n, rng.normal(size=problem.dimension))
-        got = model._pairs(np.array(spec.alpha)).rho_flat
+        got = model._rho(np.array(spec.alpha))
         want = PhasedFamily(spec, chi=1e-8, eta=eta).rho0_flat
         assert got.tobytes() == want.tobytes()
         # a dyad and its mirror form every term's product alike, so each
@@ -199,7 +205,8 @@ def test_seesaw_matrix_matches_dense_model_rows(n, eta):
     for seed in range(3):
         alpha = _unit(problem, np.random.default_rng(seed))
         _, m, _ = model.seesaw(alpha)
-        slds = [1j * j for j in _qfi_from_block_pairs(model._pairs(alpha), with_sld=True).sld]
+        pairs = BlockPairs(model._rho(alpha), model.g_flat, n, 1)
+        slds = [1j * j for j in _qfi_from_block_pairs(pairs, with_sld=True).sld]
         want = oracle.seesaw_matrix(rows, slds, model.g_flat, n)
         assert np.abs(m - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -239,7 +246,7 @@ def test_seesaw_never_decreases_f():
     # the climb, polish included, keeps every accepted F within round-off
     # of the best one before it
     [climb] = _lockstep(model, [_climb(model.metric, _unit(problem, np.random.default_rng(6)),
-                                       500, 1e-10)])
+                                       500)])
     history = np.array(climb.history)
     assert climb.converged
     assert np.all(history[1:] >= np.maximum.accumulate(history)[:-1]
@@ -251,10 +258,10 @@ def test_gradient_matches_central_differences(n, eta, chi):
     problem = OptimizationProblem(N=n, eta=eta, chi=chi)
     alpha = _unit(problem, np.random.default_rng(n))
     value, _, gradient = _QuadraticQfiModel(problem).seesaw(alpha)
-    assert value == pytest.approx(qfi_objective(alpha, problem), rel=1e-12)
+    assert value == pytest.approx(_family_qfi(alpha, problem), rel=1e-12)
     h = 1e-5
     numeric = np.array([
-        (qfi_objective(alpha + h * e, problem) - qfi_objective(alpha - h * e, problem))
+        (_family_qfi(alpha + h * e, problem) - _family_qfi(alpha - h * e, problem))
         / (2 * h) for e in np.eye(alpha.size)])
     assert np.linalg.norm(gradient - numeric) <= 1e-6 * np.linalg.norm(gradient)
 
@@ -270,9 +277,8 @@ def test_no_model_outlives_its_call(monkeypatch):
 
     monkeypatch.setattr(_QuadraticQfiModel, "__init__", recorded_init)
     optimize_alpha(OptimizationProblem(N=6, eta=0.9, chi=1e-8, restarts=2))
-    qfi_objective(np.ones(3), OptimizationProblem(N=4, eta=0.9, chi=1e-8))
     gc.collect()
-    assert len(built) == 2
+    assert len(built) == 1
     assert all(model() is None for model in built)
 
 
@@ -305,8 +311,9 @@ def test_batched_pairs_run_point_by_point():
     model = _QuadraticQfiModel(problem)
     rng = np.random.default_rng(4)
     points = np.array([_unit(problem, rng) for _ in range(3)])
-    batch = model._pairs(points)
-    singles = [pair for point in points for pair in model._pairs(point)]
+    batch = BlockPairs(model._rho(points), model.g_flat, problem.N, 1)
+    singles = [pair for point in points
+               for pair in BlockPairs(model._rho(point), model.g_flat, problem.N, 1)]
     assert len(batch) == len(singles) == 3 * (problem.N + 1)
     for (rho, rho_prime), (want, want_prime) in zip(batch, singles):
         assert rho.tobytes() == want.tobytes()

@@ -26,7 +26,7 @@ def test_real_state_and_sld_match_the_complex_oracle(n, chi, eta):
             oracle.superposition_state(spec, family.basis).to_density(),
             oracle.LossParams.equal(eta)).matrix
         assert np.all(dense.imag == 0.0)
-        model_rho = model._pairs(np.array(spec.alpha)).rho_flat
+        model_rho = model._rho(np.array(spec.alpha))
         assert family.rho0_flat.dtype == model_rho.dtype == np.float64
         for t, block in enumerate(oracle.rho0_blocks(family)):
             sl = family.basis.block_slice(t)

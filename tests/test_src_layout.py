@@ -135,7 +135,8 @@ EIGH_SITES = [("estimation.py", "_qfi_from_block_pairs"), ("optimizer.py", "_loc
 
 
 class _CallSites(ast.NodeVisitor):
-    """(module, enclosing top-level function) of each call to one of ``names``."""
+    """(module, enclosing top-level function or method of a top-level class)
+    of each call to one of ``names``."""
 
     def __init__(self, module, names):
         self.module = module
@@ -150,9 +151,15 @@ class _CallSites(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef
 
+    def visit_ClassDef(self, node):
+        self.scope.append(node.name + ".")
+        self.generic_visit(node)
+        self.scope.pop()
+
     def visit_Call(self, node):
         if ast.unparse(node.func).split(".")[-1] in self.names:
-            self.sites.append((self.module, self.scope[0] if self.scope else None))
+            outer = self.scope[:2] if self.scope and self.scope[0].endswith(".") else self.scope[:1]
+            self.sites.append((self.module, "".join(outer) or None))
         self.generic_visit(node)
 
 
@@ -174,6 +181,14 @@ def test_only_dyad_terms_reads_the_survival_table():
     # one enumeration of the loss terms: the channel map and the k-scan take
     # theirs from loss.dyad_terms, the one caller of survival_table
     assert call_sites("survival_table") == [("loss.py", "dyad_terms")]
+
+
+def test_fisher_information_comes_from_three_spectral_callers():
+    # one path to an input's F: the family, the k-scan and the see-saw round
+    # run the spectral step; the see-saw model keeps no F method of its own
+    assert sorted(set(call_sites("_qfi_from_block_pairs"))) == [
+        ("estimation.py", "PhasedFamily.qfi"), ("estimation.py", "qfi_over_k"),
+        ("optimizer.py", "_QuadraticQfiModel.seesaw")]
 
 
 def test_optimizer_runs_the_spectral_step_from_one_site():
