@@ -17,9 +17,10 @@ non-converged or degenerate), 2 configuration error (a bad flag or value, or a
 --config, --out or --cache path that cannot be used, reported before any
 work; an --out or stdout that takes no writes, a full device say, is
 reported when the rows or the --help text are written, also in place of an
-exit 3; a pipe whose reader has closed it ends the run with exit 2 and no
-message), 3 unrecoverable numerical error or out of memory (partial results
-are flushed).  --help exits 0 once its text is written.
+exit 3, and a --cache that takes no new entry when the first is stored; a
+pipe whose reader has closed it ends the run with exit 2 and no message), 3
+unrecoverable numerical error or out of memory (partial results are
+flushed).  --help exits 0 once its text is written.
 """
 
 from __future__ import annotations
@@ -233,14 +234,17 @@ class OptimizeCache:
         if self.directory is None:
             return
         path = self._path(problem)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as stream:
-                stream.write(json.dumps(vars(outcome), sort_keys=True))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        try:  # a read-only mount or a directory the user cannot write to
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as stream:
+                    stream.write(json.dumps(vars(outcome), sort_keys=True))
+                os.replace(tmp, path)
+            except BaseException:
+                os.unlink(tmp)
+                raise
+        except OSError as err:
+            raise ConfigError(f"cache {self.directory} cannot be written: {err}") from None
 
     def get_or_run(self, problem: OptimizationProblem) -> tuple[OptimizationOutcome, tuple | None]:
         hit = self.load(problem)

@@ -100,12 +100,14 @@ def qcrb(qfi: float) -> float:
     return 1.0 / math.sqrt(qfi)
 
 
-def check_eta_chi(eta: float, chi: float) -> None:
-    """ValueError unless 0 <= eta <= 1 and chi >= 0; a NaN fails either test."""
+def check_eta_chi(N: int, eta: float, chi: float) -> None:
+    """ValueError unless 0 <= eta <= 1, chi >= 0 and (N + chi N^2/2)^2, a
+    bound on the Fisher information, is finite; a NaN fails every test."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"eta={eta} outside [0, 1]")
-    if not chi >= 0.0:
-        raise ValueError("chi must be non-negative")
+    spread = N * (1.0 + 0.5 * chi * N)
+    if not (chi >= 0.0 and math.isfinite(spread * spread)):
+        raise ValueError(f"chi={chi} must be >= 0 with (N + chi N^2/2)^2 finite at N={N}")
 
 
 def _clamped_probabilities(values: np.ndarray, context: str) -> np.ndarray:
@@ -398,7 +400,7 @@ class PhasedFamily:
                  eta: float = 1.0):
         if not isinstance(input_spec, SuperpositionSpec):
             raise TypeError(f"unsupported input spec {type(input_spec).__name__}")
-        check_eta_chi(eta, chi)
+        check_eta_chi(input_spec.N, eta, chi)
         self.input_spec = input_spec
         self.chi = float(chi)
         self.eta = float(eta)
@@ -552,7 +554,7 @@ def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
     min(k, N - k) with its ket's amplitude, 2^-1/2, or 1 at k = N/2."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    check_eta_chi(eta, chi)
+    check_eta_chi(N, eta, chi)
     g_flat, rows, budget = generator_flat(N, chi), np.arange(1, N + 2), max(
         block_offsets(N)[-1], 1 << 18)
     values, chunk, held = [], [], 0

@@ -57,7 +57,7 @@ class OptimizationProblem(Record, frozen=True):
     def __post_init__(self):
         if self.N < 1:
             raise ValueError("N must be at least 1")
-        check_eta_chi(self.eta, self.chi)
+        check_eta_chi(self.N, self.eta, self.chi)
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_evals < 1:

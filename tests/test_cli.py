@@ -757,6 +757,22 @@ def test_a_failed_flush_of_partial_results_exits_2(monkeypatch, capsys):
         assert config.startswith(f"config error: output {path} cannot be written")
 
 
+def test_an_unwritable_cache_exits_2(tmp_path, monkeypatch, capsys):
+    # mode bits do not stop root, so the cache's temporary file is refused here
+    import tempfile
+
+    def refused(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(tempfile, "mkstemp", refused)
+    cache = tmp_path / "cache"
+    assert main(["--command", "optimize-scan", "--n-range", "2", "--eta", "0.5",
+                 "--cache", str(cache), "--out", str(tmp_path / "opt.csv")]) == 2
+    assert capsys.readouterr().err == (f"config error: cache {cache} cannot be written: "
+                                       "[Errno 13] Permission denied\n")
+    assert list(cache.iterdir()) == []
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     out = tmp_path / "opt.csv"
     code = main(["--command", "optimize-scan", "--n-range", "3", "--eta", "0.6",

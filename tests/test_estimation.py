@@ -909,11 +909,17 @@ def test_phased_family_validation():
         PhasedFamily("not a spec")
 
 
-# each case got past its check with a NaN, out-of-range or infinite value
-# (a NaN fails no "x < 0" test), and returned NaN or a number, or failed later
+# each case got past its check with a NaN, out-of-range, infinite or
+# overflowing value (a NaN fails no "x < 0" test), and returned NaN or a
+# number, or failed later
 PARAMETER_HOLES = {
     "family chi nan": lambda: PhasedFamily(NoonLikeSpec(4, 0), chi=math.nan, eta=0.9),
+    "family chi inf": lambda: PhasedFamily(NoonLikeSpec(4, 0), chi=math.inf, eta=0.9).qfi(),
+    "family chi overflowing": lambda: PhasedFamily(NoonLikeSpec(6, 0), chi=1e160, eta=0.9).qfi(),
     "problem chi nan": lambda: OptimizationProblem(N=4, eta=0.9, chi=math.nan),
+    "problem chi inf": lambda: OptimizationProblem(N=4, eta=0.9, chi=math.inf),
+    "k-scan chi inf": lambda: max_qfi_over_k(6, 0.9, math.inf),
+    "k-scan chi overflowing": lambda: max_qfi_over_k(6, 0.9, 1e160),
     "k-scan chi negative": lambda: max_qfi_over_k(6, 0.9, -1.0),
     "k-scan chi nan": lambda: max_qfi_over_k(6, 0.9, math.nan),
     "k-scan eta above 1": lambda: max_qfi_over_k(6, 1.5, 0.0),
