@@ -1,11 +1,13 @@
-"""Time the command-line driver's start-up and two argvs, for two source trees.
+"""Time the command-line driver's start-up and three argvs, for two source trees.
 
 Each sample, a fresh process, imports numpy, then ``kerrmet.cli`` from one
 tree's ``src``, and times one of:
 - ``import``: the import of ``kerrmet.cli`` itself;
 - ``build_config``: flag parsing and validation of the readout argv;
 - ``readout``: ``main(argv)`` on ``readout-scan --n-range 40:45:5 --eta 0.9 --k 0``;
-- ``qfi_scan``: ``main(argv)`` on ``qfi-scan --n-range 20:60:20 --eta 0.9``.
+- ``qfi_scan``: ``main(argv)`` on ``qfi-scan --n-range 20:60:20 --eta 0.9``;
+- ``optimize_scan``: ``main(argv)`` on ``optimize-scan --n-range 3:3:1 --eta 0.6``,
+  without ``--cache``, so every sample runs the optimization.
 Output goes to ``os.devnull``.  Bytecode caching follows the environment
 (``PYTHONDONTWRITEBYTECODE`` is recorded), so with it set every sample
 compiles ``src``.  ``bench/harness.py`` runs the samples and writes the
@@ -25,10 +27,12 @@ from harness import ROOT, compare
 REPEATS = 21  # processes per tree, measurement and thread setting
 READOUT = ["--command", "readout-scan", "--n-range", "40:45:5", "--eta", "0.9", "--k", "0"]
 QFI_SCAN = ["--command", "qfi-scan", "--n-range", "20:60:20", "--eta", "0.9"]
+OPTIMIZE_SCAN = ["--command", "optimize-scan", "--n-range", "3:3:1", "--eta", "0.6"]
 # per measurement: the kerrmet.cli function timed after the import and its
 # argv, or None to time the import
 MEASURES = {"import": None, "build_config": ("build_config", READOUT),
-            "readout": ("main", READOUT), "qfi_scan": ("main", QFI_SCAN)}
+            "readout": ("main", READOUT), "qfi_scan": ("main", QFI_SCAN),
+            "optimize_scan": ("main", OPTIMIZE_SCAN)}
 
 # one sample: import, time the import or one call
 _SAMPLE = """

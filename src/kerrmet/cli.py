@@ -51,7 +51,7 @@ from .fock import NumericalError, Record
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha
 
-ALGO_VERSION = 4
+ALGO_VERSION = 5
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
 FORMATS = ("csv", "json")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",

@@ -150,9 +150,14 @@ def _class_entries(n_max: int, t: np.ndarray, diag: np.ndarray) -> np.ndarray:
     return starts[:, :, None] + rows[:, None, :]
 
 
-@lru_cache(maxsize=4)
-def _block_classes(n_max: int, stride: int):
-    """Stacks of all residue classes of a state's blocks, gathered in its flat buffer."""
+@lru_cache(maxsize=32)
+def _block_classes(n_max: int, stride: int, n_points: int):
+    """Stacks of all residue classes of a state's blocks, gathered in its flat
+    buffer, for n_points rows: only block ids and generator indices repeat."""
+    if n_points > 1:
+        shift = (n_max + 1) * np.arange(n_points)[:, None]
+        return tuple(((shift + blocks).ravel(), gather, np.tile(diag, (n_points, 1)))
+                     for blocks, gather, diag in _block_classes(n_max, stride, 1))
     step = _class_step(n_max, stride)
     t, r = np.nonzero(np.arange(step) <= np.arange(n_max + 1)[:, None])
     *_, stacks = _packed_classes(n_max, t, r, np.full(t.size, step))
@@ -182,11 +187,7 @@ class BlockPairs(Sequence):
         self.lead = rho_flat.shape[:-1]  # () for one point, (B,) for a batch
         self.rows = rho_flat.reshape(-1, rho_flat.shape[-1])
         self.n_points = len(self.rows)
-        self.stacks = _block_classes(n_max, stride)
-        if self.n_points > 1:  # only the block ids and generator indices repeat per point
-            shift = (n_max + 1) * np.arange(self.n_points)[:, None]
-            self.stacks = [((shift + blocks).ravel(), gather, np.tile(diag, (self.n_points, 1)))
-                           for blocks, gather, diag in self.stacks]
+        self.stacks = _block_classes(n_max, stride, self.n_points)
 
     def __len__(self) -> int:
         return (self.n_max + 1) * self.n_points
@@ -223,8 +224,8 @@ class KScanPairs(BlockPairs):
         dyad, q, line, p, values = dyad_terms(kets, bras, N, eta)
         n1, m1, point = kets[dyad], bras[dyad], point[dyad]
         values *= np.array([a * a for _, a in points])[point][line]
-        for trace in np.bincount(point[line], values * (n1 == m1)[line], len(points)):
-            check_trace(trace, "family state")
+        check_trace(np.bincount(point[line], values * (n1 == m1)[line], len(points)),
+                    "family state")
         kept = values != 0  # a zero term adds an exact 0 and packs no class
         values, line, p = values[kept], line[kept], p[kept]
         (row, r), col = np.divmod(n1 - q, steps[point]), (m1 - q) // steps[point]
@@ -300,36 +301,43 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     top = np.zeros(n_points * (pairs.n_max + 1))
     np.maximum.at(top, np.concatenate([blocks for blocks, _, _ in stacks]),
                   np.concatenate([p[:, -1] for p in probs]))
-    totals = [0.0] * n_points
+    totals = np.zeros(n_points)
     sld_flat = np.zeros_like(rows) if with_sld else None
     for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
         cutoff = RANK_CUTOFF_FACTOR * top[blocks]
         if vecs.ndim == 1:  # kappa: one term 4 kappa^2 / (p_0 + p_1) per kept class
             psum = p[:, 0] + p[:, 1]
             mask = psum > cutoff
-            terms, counts = 4.0 * vecs[mask] ** 2 / psum[mask], mask
+            kept_a, kept_psum = vecs[mask], psum[mask]
+            terms, counts = 4.0 * kept_a ** 2 / kept_psum, mask
         else:
             g = pairs.g_flat[diag]
             vecs_t = vecs.swapaxes(1, 2)
             a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather, diag)) @ vecs
             psum = p[:, :, None] + p[:, None, :]
             mask = psum > cutoff[:, None, None]
-            terms, counts = 2.0 * a[mask] ** 2 / psum[mask], mask.sum(axis=(1, 2))
-        if n_points == 1:
-            totals[0] += float(terms.sum())
-        else:  # the kept terms lie point after point: one in-order sum per point
-            kept = np.bincount(blocks // (pairs.n_max + 1), counts, n_points)
-            ends = np.cumsum(kept).astype(int)
-            for point in np.flatnonzero(kept):
-                totals[point] += float(terms[ends[point] - int(kept[point]):ends[point]].sum())
+            kept_a, kept_psum = a[mask], psum[mask]
+            terms, counts = 2.0 * kept_a ** 2 / kept_psum, mask.sum(axis=(1, 2))
+        # the kept terms lie point after point: one in-order sum per point, as
+        # rows of one array when every point keeps as many (a lone point does)
+        kept = None if n_points == 1 else np.bincount(
+            blocks // (pairs.n_max + 1), counts, n_points).astype(int)
+        if kept is None or terms.size == n_points * kept[0] and (kept == kept[0]).all():
+            totals += terms.reshape(n_points, -1).sum(axis=1)
+        else:
+            start = 0
+            for point, count in enumerate(kept.tolist()):
+                if count:
+                    totals[point] += terms[start:start + count].sum()
+                start += count
         if with_sld and vecs.ndim == 1:  # J = (2 kappa / (p_0 + p_1)) Omega
             core = np.zeros_like(psum)
-            core[mask] = 2.0 * vecs[mask] / psum[mask]
+            core[mask] = 2.0 * kept_a / kept_psum
             sld = core[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
             sld_flat[:, gather] = sld.reshape(len(rows), *gather.shape)
         elif with_sld:
             core = np.zeros_like(a)
-            core[mask] = 2.0 * a[mask] / psum[mask]
+            core[mask] = 2.0 * kept_a / kept_psum
             sld = vecs @ core @ vecs_t
             sld_flat[:, gather] = (0.5 * (sld - sld.swapaxes(1, 2))).reshape(
                 len(rows), *gather.shape)
@@ -342,6 +350,7 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
         offsets = block_offsets(pairs.n_max)
         slds = [sld_flat[..., offsets[t]:offsets[t + 1]].reshape(*lead, t + 1, t + 1)
                 for t in range(pairs.n_max + 1)]
+    totals = totals.tolist()
     return QfiResult(qfi=totals if lead != () else totals[0], rank_cutoff=RANK_CUTOFF_FACTOR,
                      spectrum=spectrum, sld=slds)
 

@@ -83,8 +83,12 @@ def debug(module: str, message: str, *args) -> None:
         sys.modules["logging"].getLogger(module).debug(message, *args)
 
 
-def check_trace(trace: float, what: str) -> None:
-    """NumericalError unless the trace lies within TRACE_ATOL of 1 (a NaN does not)."""
+def check_trace(trace, what: str) -> None:
+    """NumericalError unless the trace, or each of an array of them, one per point,
+    lies within TRACE_ATOL of 1 (a NaN does not); it names the first that does not."""
+    if isinstance(trace, np.ndarray):
+        failed = ~(np.abs(trace - 1.0) <= TRACE_ATOL)
+        trace = trace[failed.argmax()] if failed.any() else 1.0
     if not abs(trace - 1.0) <= TRACE_ATOL:
         raise NumericalError(f"{what} trace {float(trace)!r} deviates from 1")
 

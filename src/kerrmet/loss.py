@@ -74,7 +74,9 @@ class ChannelMap:
         self.positions = offsets[t] + (n1[dyad] - q)[line] * (t + 1) + (m1[dyad] - q)[line]
         self.dyads = dyad[line]
         self.size, self.n_dyads = int(offsets[-1]), len(kets) * len(bras)
-        self.chunk = max(1, 2 ** 12 // self.kappa.size)  # rows per stacked bincount
+        # rows per bincount of <= 2**12 terms; two rows cost more than two calls
+        rows = 2 ** 12 // self.kappa.size
+        self.chunk = rows if rows > 2 else 1
 
     def scatter(self, weights: np.ndarray) -> np.ndarray:
         """Flat float64 blocks T = 0..N of the output for the real combination

@@ -19,6 +19,7 @@ to the best two-branch state, so the search never reports worse than it.
 from __future__ import annotations
 
 import math
+import random
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .fock import Record, block_diagonal, check_trace, debug
 from .interferometer import SuperpositionSpec, ket_fold, superposition_length
 from .loss import ChannelMap
 
-RANDOM_GENERATOR = "numpy.random.default_rng (PCG64)"
+RANDOM_GENERATOR = "random.Random (Box-Muller)"
 # weight of the uniform admixture to the best one-hot start, which is
 # itself a fixed point of the see-saw
 _ADMIXTURE = 0.05
@@ -101,8 +102,7 @@ class _QuadraticQfiModel:
     def _rho(self, alpha: np.ndarray) -> np.ndarray:
         a = alpha @ self.fold.T  # the ket amplitudes
         rho_flat = self.channel.scatter((a[..., None] * a[..., None, :]).reshape(*a.shape[:-1], -1))
-        for trace in np.atleast_1d(rho_flat[..., self.diag_idx].sum(-1)):
-            check_trace(trace, "model state")
+        check_trace(rho_flat[..., self.diag_idx].sum(-1), "model state")
         return rho_flat
 
     def seesaw(self, alpha: np.ndarray):
@@ -182,7 +182,7 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int):
             break
         trial = None
         if polishing and inv_hessian is not None:
-            tangent = identity - np.outer(u, u)
+            tangent = identity - u[:, None] * u
             direction = tangent @ inv_hessian @ tangent @ g
             # a quasi-Newton step may not outrun the last accepted step twice over
             length = math.sqrt(direction.dot(direction))
@@ -227,8 +227,8 @@ def _climb(metric: np.ndarray, alpha: np.ndarray, budget: int):
         if sy > 1e-12 * math.sqrt(s.dot(s)) * math.sqrt(y.dot(y)):
             if inv_hessian is None:
                 inv_hessian = (sy / (y @ y)) * identity
-            v = identity - np.outer(s, y) / sy
-            inv_hessian = v @ inv_hessian @ v.T + np.outer(s, s) / sy
+            v = identity - s[:, None] * y / sy
+            inv_hessian = v @ inv_hessian @ v.T + s[:, None] * s / sy
         u, value, top, g = point, new_value, new_top, new_g
         ceiling = max(ceiling, value)
         history.append(value)
@@ -254,6 +254,16 @@ def _lockstep(model: _QuadraticQfiModel, climbs: list) -> list[_Climb]:
             except StopIteration as stop:
                 results[index] = stop.value
     return results
+
+
+def _normals(seed: int, size: int) -> np.ndarray:
+    """Box-Muller normals from random.Random(seed).random(), stable across Python versions."""
+    draw, values = random.Random(seed).random, []
+    while len(values) < size:
+        u, v = draw(), draw()  # 1 - u lies in (0, 1]
+        radius, angle = math.sqrt(-2.0 * math.log(1.0 - u)), 2.0 * math.pi * v
+        values += radius * math.cos(angle), radius * math.sin(angle)
+    return np.array(values[:size])
 
 
 def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
@@ -285,8 +295,7 @@ def optimize_alpha(problem: OptimizationProblem) -> OptimizationOutcome:
     evaluations = dim
 
     starts = [one_hot.alpha + _ADMIXTURE * scale_of(np.ones(dim))] + [
-        np.random.default_rng(problem.seed + index).normal(size=dim)
-        for index in range(1, n_starts)]
+        _normals(problem.seed + index, dim) for index in range(1, n_starts)]
     climbs = _lockstep(model, [_climb(model.metric, scale_of(x0), problem.max_evals)
                                for x0 in starts])
     best = None

@@ -139,19 +139,24 @@ def test_pure_qfi_scans_each_state_once(tmp_path, monkeypatch):
     assert scanned == [(7, 1.0, [2]), (8, 1.0, [3])]
 
 
-def test_qfi_scan_leaves_numpy_ma_unimported(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["--command", "qfi-scan", "--n-range", "20:60:20", "--eta", "0.9"],
+    ["--command", "optimize-scan", "--n-range", "3:3:1", "--eta", "0.6", "--seed", "0"],
+], ids=["qfi-scan", "optimize-scan"])
+def test_main_leaves_slow_numpy_modules_unimported(tmp_path, argv):
     # a benchmark sample times the first main call of a fresh process, where
-    # numpy.ma's first import (np.unique's, say) alone takes about 15 ms
+    # numpy.ma's first import (np.unique's, say) takes about 15 ms, and
+    # numpy.random's (with secrets, hmac and an OS-seeded RandomState) about 9 ms
     import kerrmet
 
     env = dict(os.environ, PYTHONPATH=str(Path(kerrmet.__file__).parents[1]))
-    argv = ["--command", "qfi-scan", "--n-range", "20:60:20", "--eta", "0.9",
-            "--out", str(tmp_path / "scan.csv")]
+    argv = argv + ["--out", str(tmp_path / "scan.csv")]
     script = ("import sys\nfrom kerrmet.cli import main\n"
-              f"code = main({argv!r})\nprint(code, 'numpy.ma' in sys.modules)\n")
+              f"code = main({argv!r})\n"
+              "print(code, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules)\n")
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.split() == ["0", "False"]
+    assert result.stdout.split() == ["0", "False", "False"]
 
 
 def test_single_photon_interferometer_record(tmp_path):

@@ -964,6 +964,10 @@ def test_check_trace_tolerance():
     for trace in (1.0 + 2e-10, np.float64(0.9), math.nan):
         with pytest.raises(NumericalError, match="state trace"):
             check_trace(trace, "state")
+    # one trace per point: the error names the first failing one
+    check_trace(np.array([1.0, 1.0 - 5e-11]), "state")
+    with pytest.raises(NumericalError, match=r"^state trace nan deviates from 1$"):
+        check_trace(np.array([1.0, math.nan, 0.9]), "state")
 
 
 def test_class_step():

@@ -269,7 +269,7 @@ def test_channel_map_lists_the_terms_dyad_by_dyad(n, eta):
     check_terms(point_dyads[-1] + point_dyads[0])
 
 
-@pytest.mark.parametrize("n", [1, 3, 6, 12])
+@pytest.mark.parametrize("n", [1, 3, 6, 9, 12])
 @pytest.mark.parametrize("eta", [0.0, 0.6, 1.0])
 def test_stacked_channel_ops_match_one_row_calls(n, eta):
     # a (B, n) stack runs one bincount per chunk of rows with per-row
@@ -298,7 +298,11 @@ def test_stacked_channel_ops_match_one_row_calls(n, eta):
 
 def test_chunk_size_follows_the_term_count():
     # a few thousand terms per bincount: a whole N = 3 round of the
-    # optimizer in one, one row per chunk from N = 12 (3185 terms) on
+    # optimizer in one, three rows at N = 9 (1210 terms), and one row per
+    # chunk from N = 10 (1716 terms, two rows by the budget) on
     assert ChannelMap(range(4), range(4), 3, 0.6).chunk == 2 ** 12 // 50 == 81
+    assert ChannelMap(range(10), range(10), 9, 0.6).chunk == 2 ** 12 // 1210 == 3
+    assert 2 ** 12 // ChannelMap(range(11), range(11), 10, 0.6).kappa.size == 2
+    assert ChannelMap(range(11), range(11), 10, 0.6).chunk == 1
     assert ChannelMap(range(13), range(13), 12, 0.6).kappa.size == 3185
     assert ChannelMap(range(13), range(13), 12, 0.6).chunk == 1

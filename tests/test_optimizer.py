@@ -286,23 +286,50 @@ def test_no_model_outlives_its_call(monkeypatch):
 @pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
 def test_batched_seesaw_is_bit_identical_to_one_point_calls(eta, chi):
     # batched eigh and matmul solve one matrix at a time and each point's
-    # QFI terms are summed alone, so a point's bits ignore its batch
+    # QFI terms are summed alone, so a point's bits ignore its batch.  The
+    # one-hot points have rank-deficient blocks, whose classes fall under the
+    # rank cutoff: a batch that mixes them with generic points keeps different
+    # term counts per point and sums each point's slice, while a batch of
+    # generic points (a see-saw round) sums its terms as one row per point
     for n in range(1, 9):
         problem = OptimizationProblem(N=n, eta=eta, chi=chi)
         model = _QuadraticQfiModel(problem)
         rng = np.random.default_rng(n)
-        # the one-hot points have rank-deficient blocks
         one_hots = [e / math.sqrt(SuperpositionSpec.squared_weight(n, e))
                     for e in np.eye(problem.dimension)]
-        points = np.array(one_hots + [_unit(problem, rng) for _ in range(4)])
-        values, ms, gradients = model.seesaw(points)
-        assert ms.shape == (len(points), problem.dimension, problem.dimension)
-        for point, value, m, gradient in zip(points, values, ms, gradients):
-            want = model.seesaw(point)
-            assert type(value) is float
-            assert np.float64(value).tobytes() == np.float64(want[0]).tobytes(), n
-            assert m.tobytes() == want[1].tobytes(), n
-            assert gradient.tobytes() == want[2].tobytes(), n
+        generic = [_unit(problem, rng) for _ in range(4)]
+        mixed = [x for pair in zip(generic, one_hots) for x in pair]  # alternating
+        for points in (one_hots + generic, generic, mixed, generic[:1] + one_hots[-1:]):
+            points = np.array(points)
+            values, ms, gradients = model.seesaw(points)
+            assert ms.shape == (len(points), problem.dimension, problem.dimension)
+            for point, value, m, gradient in zip(points, values, ms, gradients):
+                want = model.seesaw(point)
+                assert type(value) is float
+                assert np.float64(value).tobytes() == np.float64(want[0]).tobytes(), n
+                assert m.tobytes() == want[1].tobytes(), n
+                assert gradient.tobytes() == want[2].tobytes(), n
+
+
+def test_restart_draws_are_pinned(monkeypatch):
+    # start index of a problem with seed s draws its vector from
+    # random.Random(s + index), Box-Muller normals from random(), whose
+    # stream Python keeps across versions: a changed stream moves every
+    # random start, which needs a new ALGO_VERSION for the cache
+    import kerrmet.optimizer as optimizer
+
+    assert [x.hex() for x in optimizer._normals(1, 5)] == [
+        "0x1.3c1e2f0de0488p-2", "-0x1.c23047362dba1p-2", "-0x1.bb29f4de9c0b4p-5",
+        "0x1.b2ac68ff9b6a6p+0", "-0x1.1c7b4f8b5f21ap+0"]
+    assert [x.hex() for x in optimizer._normals(6, 5)] == [
+        "0x1.8d2fe89ff84d1p-1", "-0x1.98ecafbe5a07dp+0", "-0x1.5845a40f87353p-4",
+        "0x1.26262ad9f504ep+0", "-0x1.007ed1ea07f4dp-6"]
+    assert optimizer._normals(1, 4).tobytes() == optimizer._normals(1, 5)[:4].tobytes()
+    calls, normals = [], optimizer._normals
+    monkeypatch.setattr(optimizer, "_normals",
+                        lambda seed, size: calls.append((seed, size)) or normals(seed, size))
+    optimize_alpha(OptimizationProblem(N=8, eta=0.9, chi=0.0, seed=5, restarts=2, max_evals=2))
+    assert calls == [(6, 5), (7, 5)]
 
 
 def test_batched_pairs_run_point_by_point():
