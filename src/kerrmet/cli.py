@@ -51,7 +51,7 @@ from .fock import NumericalError, Record
 from .interferometer import NoonLikeSpec, SuperpositionSpec, superposition_length
 from .optimizer import OptimizationOutcome, OptimizationProblem, optimize_alpha
 
-ALGO_VERSION = 5
+ALGO_VERSION = 6
 KBAR = 1.0  # wave number; phase and displacement uncertainties coincide
 FORMATS = ("csv", "json")
 CORE_COLUMNS = ("command", "N", "k_or_alpha_digest", "eta", "chi", "phi_star",
@@ -508,6 +508,8 @@ def _coerce_scalars(values: dict) -> None:
             values[name] = parse(value)
         except OverflowError:
             raise ConfigError(f"{name} is too large for a float") from None
+        if parse is float:  # -0.0 + 0.0 is 0.0: a signed zero names the same experiment
+            values[name] += 0.0
 
 
 def _read_config_file(path: Path) -> dict:
@@ -558,9 +560,9 @@ def build_config(argv) -> ExperimentConfig:
                 raise ConfigError(f"{name} entries must be {noun}, got {entry!r}")
     try:
         values["n_range"] = tuple(int(n) for n in values["n_range"])
-        values["eta_list"] = tuple(float(e) for e in values["eta_list"])
+        values["eta_list"] = tuple(float(e) + 0.0 for e in values["eta_list"])
         if values.get("alpha") is not None:
-            values["alpha"] = tuple(float(a) for a in values["alpha"])
+            values["alpha"] = tuple(float(a) + 0.0 for a in values["alpha"])
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"n_range, eta_list and alpha must be lists of numbers: {err}") from err
     # a bad destination fails here, before any work, not after the scan

@@ -261,8 +261,10 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     single batched real eigh.  In the class eigenbasis V, rho' = i a with
     a = V^T K V real, and the sum over classes of 2 a_jk^2 / (p_j + p_k)
     equals the blockwise Fisher information.  Batched eigh and matmul solve
-    one matrix at a time and each point's terms are summed on their own,
-    so a point's result does not depend on the other points of its batch.
+    one matrix at a time, each class's terms are summed on their own, and
+    one bincount per size adds the class sums to their points in class
+    order, so a point's result does not depend on the other points of its
+    batch, and an all-zero class (its terms cut to exact zeros) adds 0.
 
     A 2 x 2 class [[a, b], [b, d]] needs no eigh: p_-+ = (a + d)/2 -+
     hypot((a - d)/2, b), and K = kappa Omega with kappa = (g_0 - g_1) b and
@@ -305,39 +307,21 @@ def _qfi_from_block_pairs(pairs: BlockPairs, with_sld: bool = False) -> QfiResul
     sld_flat = np.zeros_like(rows) if with_sld else None
     for (blocks, gather, diag), (_, vecs), p in zip(stacks[1:], solved, probs[1:]):
         cutoff = RANK_CUTOFF_FACTOR * top[blocks]
-        if vecs.ndim == 1:  # kappa: one term 4 kappa^2 / (p_0 + p_1) per kept class
-            psum = p[:, 0] + p[:, 1]
-            mask = psum > cutoff
-            kept_a, kept_psum = vecs[mask], psum[mask]
-            terms, counts = 4.0 * kept_a ** 2 / kept_psum, mask
+        if vecs.ndim == 1:  # a = kappa Omega: two equal terms 2 kappa^2 / (p_0 + p_1)
+            a, psum, copies = vecs, p[:, 0] + p[:, 1], 2.0
         else:
-            g = pairs.g_flat[diag]
-            vecs_t = vecs.swapaxes(1, 2)
+            g, vecs_t = pairs.g_flat[diag], vecs.swapaxes(1, 2)
             a = vecs_t @ ((g[:, :, None] - g[:, None, :]) * classes(gather, diag)) @ vecs
-            psum = p[:, :, None] + p[:, None, :]
-            mask = psum > cutoff[:, None, None]
-            kept_a, kept_psum = a[mask], psum[mask]
-            terms, counts = 2.0 * kept_a ** 2 / kept_psum, mask.sum(axis=(1, 2))
-        # the kept terms lie point after point: one in-order sum per point, as
-        # rows of one array when every point keeps as many (a lone point does)
-        kept = None if n_points == 1 else np.bincount(
-            blocks // (pairs.n_max + 1), counts, n_points).astype(int)
-        if kept is None or terms.size == n_points * kept[0] and (kept == kept[0]).all():
-            totals += terms.reshape(n_points, -1).sum(axis=1)
-        else:
-            start = 0
-            for point, count in enumerate(kept.tolist()):
-                if count:
-                    totals[point] += terms[start:start + count].sum()
-                start += count
+            psum, cutoff, copies = p[:, :, None] + p[:, None, :], cutoff[:, None, None], 1.0
+        mask = psum > cutoff
+        core = 2.0 * np.where(mask, a, 0.0) / np.where(mask, psum, 1.0)  # 2 a / psum, or 0
+        # each class's terms summed on their own, then the classes point by point
+        class_sums = copies * (a * core).reshape(len(blocks), -1).sum(axis=1)
+        totals += np.bincount(blocks // (pairs.n_max + 1), class_sums, n_points)
         if with_sld and vecs.ndim == 1:  # J = (2 kappa / (p_0 + p_1)) Omega
-            core = np.zeros_like(psum)
-            core[mask] = 2.0 * kept_a / kept_psum
             sld = core[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
             sld_flat[:, gather] = sld.reshape(len(rows), *gather.shape)
         elif with_sld:
-            core = np.zeros_like(a)
-            core[mask] = 2.0 * kept_a / kept_psum
             sld = vecs @ core @ vecs_t
             sld_flat[:, gather] = (0.5 * (sld - sld.swapaxes(1, 2))).reshape(
                 len(rows), *gather.shape)
@@ -578,7 +562,7 @@ def qfi_over_k(N: int, eta: float, chi: float, ks) -> list[float]:
             chunk, held = [], 0
         chunk.append((k, amp))
         held += cost
-    return values + _qfi_from_block_pairs(KScanPairs(g_flat, N, eta, chunk)).qfi
+    return values + (_qfi_from_block_pairs(KScanPairs(g_flat, N, eta, chunk)).qfi if chunk else [])
 
 
 def max_qfi_over_k(N: int, eta: float, chi: float) -> tuple[int, float]:

@@ -408,6 +408,27 @@ def test_optimize_scan_uses_cache(tmp_path):
     assert cached_flags == {"true"}
 
 
+def test_signed_zero_names_the_same_experiment(tmp_path):
+    # -0.0 becomes 0.0 when the config is built: --eta -0 reuses the cache
+    # entry of --eta 0, and its rows, echo and slope keys read 0.0
+    cache, outs = tmp_path / "cache", [tmp_path / "eta0.json", tmp_path / "eta-0.json"]
+    for eta, out in zip(("0", "-0"), outs):
+        assert main(["--command", "optimize-scan", "--n-range", "2", "--eta", eta,
+                     "--cache", str(cache), "--format", "json", "--out", str(out)]) == 0
+    assert len(list(cache.glob("opt-*.json"))) == 1
+    (row,) = json.loads(outs[1].read_text())["records"]
+    assert row["cached"] is True and row["eta"] == 0.0 and math.copysign(1.0, row["eta"]) == 1.0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"command": "single", "n_range": [2], "eta_list": [-0.0],
+                                  "chi": -0.0, "phi": -0.0, "alpha": [-0.0, 1.0]}))
+    for argv in (["--config", str(config)],
+                 ["--command", "single", "--n-range", "2", "--eta", "-0", "--chi", "-0",
+                  "--phi", "-0", "--k", "1"]):
+        built = build_config(argv)
+        zeros = [*built.eta_list, built.chi, built.phi, *(built.alpha or ())[:1]]
+        assert [math.copysign(1.0, zero) for zero in zeros] == [1.0] * len(zeros), argv
+
+
 def test_cache_integrity_recomputes_stale_entries(tmp_path):
     cache = OptimizeCache(tmp_path / "cache")
     problem = OptimizationProblem(N=2, eta=0.9, chi=1e-8, restarts=2,

@@ -446,6 +446,10 @@ def test_k_scan_pairs_iterate_as_the_family_pairs(monkeypatch):
     spectral = estimation._qfi_from_block_pairs
     monkeypatch.setattr(estimation, "_qfi_from_block_pairs",
                         lambda pairs: seen.append(pairs) or spectral(pairs))
+    # no k: no pairs and no values, once N, eta and chi pass their checks
+    assert qfi_over_k(4, 0.5, 0.0, []) == [] and not seen
+    with pytest.raises(ValueError, match="eta"):
+        qfi_over_k(4, 1.5, 0.0, [])
     n, eta, chi = 9, 0.7, 0.05
     qfi_over_k(n, eta, chi, range(n // 2 + 1))
     got = [item for pairs in seen for item in pairs]

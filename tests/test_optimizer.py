@@ -285,12 +285,12 @@ def test_no_model_outlives_its_call(monkeypatch):
 @pytest.mark.parametrize("chi", [0.0, 0.2])
 @pytest.mark.parametrize("eta", [0.3, 0.9, 1.0])
 def test_batched_seesaw_is_bit_identical_to_one_point_calls(eta, chi):
-    # batched eigh and matmul solve one matrix at a time and each point's
-    # QFI terms are summed alone, so a point's bits ignore its batch.  The
-    # one-hot points have rank-deficient blocks, whose classes fall under the
-    # rank cutoff: a batch that mixes them with generic points keeps different
-    # term counts per point and sums each point's slice, while a batch of
-    # generic points (a see-saw round) sums its terms as one row per point
+    # batched eigh and matmul solve one matrix at a time, each class's QFI
+    # terms are summed alone and the class sums are added to their point in
+    # class order, so a point's bits ignore its batch.  The one-hot points
+    # have rank-deficient blocks, whose classes fall under the rank cutoff
+    # and add exact zeros: batches that mix them with generic points, and a
+    # see-saw round of generic points, all take the one path
     for n in range(1, 9):
         problem = OptimizationProblem(N=n, eta=eta, chi=chi)
         model = _QuadraticQfiModel(problem)

@@ -92,15 +92,16 @@ def test_config_echo_keeps_its_keys_and_values():
 def test_cache_file_names_are_unchanged(tmp_path):
     # the digest of the problem's fields and ALGO_VERSION names the entry: a
     # changed field table would orphan every filled cache, as a raised
-    # ALGO_VERSION (5 here) does on purpose.  The names changed when the
+    # ALGO_VERSION (6 here) does on purpose.  The names changed when the
     # optimizer's gradient tolerance left the fields for a module constant,
-    # and when ALGO_VERSION went from 4 to 5 with the restart draws
+    # when ALGO_VERSION went from 4 to 5 with the restart draws, and from 5
+    # to 6 when the spectral step began to sum F class by class
     cache = OptimizeCache(tmp_path)
     assert cache._path(OptimizationProblem(N=2, eta=0.6, chi=1e-8)).name == (
-        "opt-56ba72f16ee425b6c0235d38.json")
+        "opt-1e2d67e0a30ec553a1aa55d1.json")
     assert cache._path(OptimizationProblem(N=5, eta=0.9, chi=0.0, seed=3,
                                            restarts=4)).name == (
-        "opt-6d15a6b47387c229555249d4.json")
+        "opt-fe201fd868af3c099445bdcb.json")
 
 
 def test_eigenvalue_clamp_reaches_a_debug_handler(caplog):

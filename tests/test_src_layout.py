@@ -191,6 +191,17 @@ def test_fisher_information_comes_from_three_spectral_callers():
         ("optimizer.py", "_QuadraticQfiModel.seesaw")]
 
 
+def test_spectral_step_has_one_reduction():
+    # every caller's F is one sum per class, then one bincount of the class
+    # sums per point: the loop over class-size stacks is the only loop, with
+    # no per-point loop and no fast path for points that keep as many terms
+    tree = ast.parse((PACKAGE / "estimation.py").read_text())
+    (step,) = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and node.name == "_qfi_from_block_pairs"]
+    loops = [node for node in ast.walk(step) if isinstance(node, (ast.For, ast.While))]
+    assert [ast.unparse(loop.iter) for loop in loops] == ["zip(stacks[1:], solved, probs[1:])"]
+
+
 def test_optimizer_runs_the_spectral_step_from_one_site():
     # batched points share one spectral call; a per-point fork of it
     # would need a second call site
